@@ -266,12 +266,14 @@ def task_precondition(task: TaskId, env: EnvState) -> bool:
 
     partition_update admits p1 == p3: the first scan step of a fresh
     partition starts exactly there, so a strict ordering would make the
-    loop body infeasible on its first iteration.
+    loop body infeasible on its first iteration. partition needs the store
+    pointer p1 at or behind the scan pointer p3, as every state of its
+    loop has it; ahead of it, the store index would run past the list.
     """
     if task is TaskId.PARTITION_UPDATE:
         return env.registry is not None and env.p1 <= env.p3 < env.p2
     if task is TaskId.PARTITION:
-        return env.registry is not None and env.registry == env.p1
+        return env.registry is not None and env.registry == env.p1 <= env.p3
     if task is TaskId.QUICKSORT_UPDATE:
         return len(env.stack) > 0 and env.registry is None
     if task is TaskId.QUICKSORT:
@@ -322,25 +324,6 @@ def sample_task_env(task: TaskId, n: int, rng: np.random.Generator) -> EnvState:
         reg = int(rng.integers(0, n))
         return EnvState(vals, p1, p2, p3, (), reg)
     raise EnvError(f"unknown task {task!r}")
-
-
-def sample_atomic_env(op: str, n: int, rng: np.random.Generator) -> EnvState:
-    """Random state in which the named atomic has a feasible argument."""
-    if op not in ATOMIC_SLOT_SETS:
-        raise EnvError(f"unknown atomic operation {op!r}")
-    for _ in range(1000):
-        vals = _random_values(n, rng)
-        p1, p2, p3 = (int(x) for x in rng.integers(0, n, size=3))
-        stack: tuple[RangeFrame, ...] = ()
-        if rng.random() < 0.5:
-            lo = int(rng.integers(0, n))
-            hi = int(rng.integers(lo, n))
-            stack = (RangeFrame(lo, hi),)
-        reg = int(rng.integers(0, n)) if rng.random() < 0.5 else None
-        env = EnvState(vals, p1, p2, p3, stack, reg)
-        if any(atomic_feasible(env, op, s) for s in ATOMIC_SLOT_SETS[op]):
-            return env
-    raise EnvError(f"could not sample a feasible state for {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .env import OBS_DIM
-from .programs import ARG_SPACE, ArgTuple, ProgramLibrary, ProgramSpec, args_encode
+from .programs import ARG_SPACE, ArgTuple, ProgramLibrary, ProgramSpec, as_feasible_set
 
 LOG_CLAMP = 1e-12
 
@@ -381,23 +381,18 @@ def masked_distributions(
     """
     if not feasible:
         raise ValueError("no feasible pairs: dead-end state")
-    p_idx = sorted({lib.index(spec.name) for spec, _ in feasible})
-    a_idx = sorted({args_encode(args) for _, args in feasible})
-    out_p = np.zeros_like(pi_p)
-    out_p[p_idx] = pi_p[p_idx]
-    total = out_p.sum()
+    fs = as_feasible_set(feasible, lib)
+    return _masked(pi_p, fs.prog_mask), _masked(pi_a, fs.arg_mask)
+
+
+def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    out = np.where(mask, pi, 0.0)
+    total = out.sum()
     if total > 0:
-        out_p /= total
+        out /= total
     else:
-        out_p[p_idx] = 1.0 / len(p_idx)
-    out_a = np.zeros_like(pi_a)
-    out_a[a_idx] = pi_a[a_idx]
-    total = out_a.sum()
-    if total > 0:
-        out_a /= total
-    else:
-        out_a[a_idx] = 1.0 / len(a_idx)
-    return out_p, out_a
+        out[mask] = 1.0 / np.count_nonzero(mask)
+    return out
 
 
 def greedy_select(
@@ -408,16 +403,10 @@ def greedy_select(
     tuple; ties break toward the lowest index."""
     if not feasible:
         raise ValueError("no feasible pairs: dead-end state")
-    by_prog: dict[int, list[tuple[ProgramSpec, ArgTuple]]] = {}
-    for spec, args in feasible:
-        by_prog.setdefault(lib.index(spec.name), []).append((spec, args))
-    best_p = max(sorted(by_prog), key=lambda i: pi_p[i])
-    candidates = by_prog[best_p]
-    best = max(
-        range(len(candidates)),
-        key=lambda k: (pi_a[args_encode(candidates[k][1])], -k),
-    )
-    return candidates[best]
+    fs = as_feasible_set(feasible, lib)
+    progs = fs.prog_support
+    rows, args = fs.rows_of[int(progs[pi_p[progs].argmax()])]
+    return fs[rows[pi_a[args].argmax()]]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +474,8 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
         raise CheckpointError(
             f"{path}: checkpoint library (mode={got!r}) does not match the "
             f"configured library (mode={want!r})"
+            if got != want else
+            f"{path}: checkpoint program table (mode={got!r}) differs from this build"
         )
     dims = NetworkDims(**header["dims"])
     arrays: dict[str, np.ndarray] = {}

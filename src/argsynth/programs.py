@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cache, cached_property
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import env as E
 from .env import NONE, P1, P2, P3, EnvState, TaskId
@@ -121,7 +124,8 @@ class ProgramLibrary:
     """Ordered, immutable program collection for one mode.
 
     The ordering is part of the contract: policy-head dimensions and
-    checkpoint manifests depend on it.
+    checkpoint manifests depend on it. Every library of a mode shares that
+    mode's action table.
     """
 
     def __init__(self, mode: str):
@@ -133,6 +137,9 @@ class ProgramLibrary:
             raise LibraryError(f"unknown library mode {mode!r}")
         self.mode = mode
         self.programs: tuple[ProgramSpec, ...] = atomics + _LEARNED
+        if mode not in _TABLES:
+            _TABLES[mode] = ActionTable(self.programs)
+        self.table = _TABLES[mode]
         self._index = {p.name: i for i, p in enumerate(self.programs)}
         self.learned: tuple[ProgramSpec, ...] = _LEARNED
         self._task_index = {p.name: i for i, p in enumerate(_LEARNED)}
@@ -160,9 +167,6 @@ class ProgramLibrary:
         except KeyError:
             raise LibraryError(f"not a learned program: {name!r}") from None
 
-    def task_of(self, spec: ProgramSpec) -> TaskId:
-        return TaskId(spec.name)
-
     def manifest(self) -> dict:
         """Versioned JSON-ready description embedded in checkpoints."""
         return {
@@ -182,6 +186,7 @@ def build_library(mode: str) -> ProgramLibrary:
     return ProgramLibrary(mode)
 
 
+@cache
 def valid_arg_tuples(spec: ProgramSpec) -> tuple[ArgTuple, ...]:
     """Static argument domain of a program, sorted by encoded index."""
     if spec.fixed_slots is not None or not spec.is_atomic:
@@ -228,35 +233,163 @@ def pair_feasible(environment: EnvState, spec: ProgramSpec, args: ArgTuple) -> b
     return args == EMPTY_ARGS and program_precondition(spec, environment)
 
 
+# ---------------------------------------------------------------------------
+# Static action table
+#
+# Whether a (program, argument tuple) pair is callable depends on a state
+# only through the predicates below. A state is summarized by the bits of
+# the predicates it satisfies, and each library mode keeps one table of its
+# pairs and one memo of feasible sets per (signature, caller level).
+
+PREDICATES = (
+    "registry", "stack", "push",
+    "p1>0", "p2>0", "p3>0",
+    "p1<n-1", "p2<n-1", "p3<n-1",
+    "p1!=p2", "p1!=p3", "p2!=p3",
+    *(task.program_name for task in E.TASKS),  # learned entry conditions
+)
+_BIT = {name: 1 << i for i, name in enumerate(PREDICATES)}
+
+
+def _requirement(spec: ProgramSpec, args: ArgTuple) -> int:
+    """Bits of the predicates a pair needs; it is feasible iff all hold."""
+    if not spec.is_atomic:
+        return _BIT[spec.name]
+    op, slots = spec.op, _resolve_slots(spec, args)
+    if op == "load_ptr":
+        return _BIT["registry"]
+    if op == "push":
+        return _BIT["push"]
+    if op == "pop":
+        return _BIT["stack"]
+    if op == "swap":
+        return _BIT[f"p{slots[0]}!=p{slots[1]}"]
+    if op == "ptr_left":
+        return sum(_BIT[f"p{s}>0"] for s in slots)
+    if op == "ptr_right":
+        return sum(_BIT[f"p{s}<n-1"] for s in slots)
+    return 0  # stop, save_ptr
+
+
+def _signature(environment: EnvState, entry_checks: Iterable[tuple[int, TaskId]]) -> int:
+    """Bits of the PREDICATES the state satisfies. Learned entry conditions
+    are tested only for the (bit, task) pairs in `entry_checks`."""
+    e = environment
+    p1, p2, p3, last = e.p1, e.p2, e.p3, len(e.values) - 1
+    sig = ((e.registry is not None)
+           | bool(e.stack) << 1
+           | E.atomic_feasible(e, "push", ()) << 2
+           | (p1 > 0) << 3 | (p2 > 0) << 4 | (p3 > 0) << 5
+           | (p1 < last) << 6 | (p2 < last) << 7 | (p3 < last) << 8
+           | (p1 != p2) << 9 | (p1 != p3) << 10 | (p2 != p3) << 11)
+    for bit, task in entry_checks:
+        if E.task_precondition(task, e):
+            sig |= bit
+    return sig
+
+
+class FeasibleSet(list):
+    """Feasible `(spec, args)` pairs with their policy-head indices.
+
+    `prog_idx[k]`/`arg_idx[k]` are the program index and encoded argument
+    of pair k; `prog_mask`/`arg_mask` mark the programs and arguments the
+    pairs use. Sets from `feasible_pairs` are shared by every caller that
+    meets the same signature, so they must not be mutated.
+    """
+
+    def __init__(self, pairs, prog_idx: np.ndarray, arg_idx: np.ndarray, n_programs: int):
+        super().__init__(pairs)
+        self.prog_idx = prog_idx
+        self.arg_idx = arg_idx
+        self.n_programs = n_programs
+
+    def take(self, rows: np.ndarray) -> "FeasibleSet":
+        """The pairs at `rows`, in that order."""
+        return FeasibleSet([self[i] for i in rows], self.prog_idx[rows],
+                           self.arg_idx[rows], self.n_programs)
+
+    @cached_property
+    def prog_mask(self) -> np.ndarray:
+        mask = np.zeros(self.n_programs, dtype=bool)
+        mask[self.prog_idx] = True
+        return mask
+
+    @cached_property
+    def arg_mask(self) -> np.ndarray:
+        mask = np.zeros(ARG_SPACE, dtype=bool)
+        mask[self.arg_idx] = True
+        return mask
+
+    @cached_property
+    def prog_support(self) -> np.ndarray:
+        """Distinct program indices of the pairs, ascending."""
+        return np.flatnonzero(self.prog_mask)
+
+    @cached_property
+    def rows_of(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Program index -> (its pairs' rows, their argument indices)."""
+        out = {}
+        for p in self.prog_support:
+            rows = np.flatnonzero(self.prog_idx == p)
+            out[int(p)] = (rows, self.arg_idx[rows])
+        return out
+
+
+def as_feasible_set(pairs: Sequence[tuple[ProgramSpec, ArgTuple]],
+                    lib: "ProgramLibrary") -> FeasibleSet:
+    """Sets from `feasible_pairs` pass through; any other sequence of pairs
+    gets its indices looked up in the library."""
+    if isinstance(pairs, FeasibleSet):
+        return pairs
+    prog_idx = np.array([lib.index(spec.name) for spec, _ in pairs], dtype=np.intp)
+    arg_idx = np.array([args_encode(args) for _, args in pairs], dtype=np.intp)
+    return FeasibleSet(pairs, prog_idx, arg_idx, len(lib))
+
+
+class ActionTable:
+    """Every (program, argument tuple) pair of one library mode, in library
+    order and then encoded-argument order, with the predicates it needs."""
+
+    def __init__(self, programs: tuple[ProgramSpec, ...]):
+        rows = [(i, spec, args) for i, spec in enumerate(programs)
+                for args in valid_arg_tuples(spec)]
+        self.pairs = [(spec, args) for _, spec, args in rows]
+        self.prog_idx = np.array([i for i, _, _ in rows], dtype=np.intp)
+        self.arg_idx = np.array([args_encode(args) for _, _, args in rows], dtype=np.intp)
+        self.need = [_requirement(spec, args) for _, spec, args in rows]
+        self.level = [spec.level for _, spec, _ in rows]
+        self.programs = programs
+        self._entry_checks: dict[int, tuple[tuple[int, TaskId], ...]] = {}
+        self._memo: dict[tuple[int, int], FeasibleSet] = {}
+
+    def feasible(self, environment: EnvState, caller_level: int) -> FeasibleSet:
+        checks = self._entry_checks.get(caller_level)
+        if checks is None:
+            checks = self._entry_checks[caller_level] = tuple(
+                (_BIT[spec.name], TaskId(spec.name)) for spec in self.programs
+                if not spec.is_atomic and spec.level < caller_level)
+        key = (_signature(environment, checks), caller_level)
+        found = self._memo.get(key)
+        if found is None:
+            sig = key[0]
+            rows = [k for k, (need, level) in enumerate(zip(self.need, self.level))
+                    if level < caller_level and (need & sig) == need]
+            found = self._memo[key] = FeasibleSet(
+                [self.pairs[k] for k in rows], self.prog_idx[rows], self.arg_idx[rows],
+                len(self.programs))
+        return found
+
+
+_TABLES: dict[str, ActionTable] = {}
+
+
 def feasible_pairs(
     environment: EnvState, caller_level: int, lib: ProgramLibrary
-) -> list[tuple[ProgramSpec, ArgTuple]]:
+) -> FeasibleSet:
     """All callable (program, arguments) pairs below the caller's level.
 
     Order is deterministic: library order, then encoded argument order.
     The length of the result is the branching factor M of the search.
+    The result is shared with other callers and must not be mutated.
     """
-    out: list[tuple[ProgramSpec, ArgTuple]] = []
-    for spec in lib.programs:
-        if spec.level >= caller_level:
-            continue
-        if spec.is_atomic:
-            for args in valid_arg_tuples(spec):
-                if E.atomic_feasible(environment, spec.op, _resolve_slots(spec, args)):
-                    out.append((spec, args))
-        elif program_precondition(spec, environment):
-            out.append((spec, EMPTY_ARGS))
-    return out
-
-
-def check_manifest(manifest: dict, lib: ProgramLibrary) -> None:
-    """Reject a stored manifest that does not match the active library."""
-    expected = lib.manifest()
-    if manifest != expected:
-        got_mode = manifest.get("mode", "<missing>")
-        raise LibraryError(
-            f"library manifest mismatch: checkpoint built for mode={got_mode!r}, "
-            f"run configured for mode={lib.mode!r}"
-            if got_mode != lib.mode
-            else "library manifest mismatch: program table differs from this build"
-        )
+    return lib.table.feasible(environment, caller_level)

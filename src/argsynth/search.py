@@ -8,6 +8,7 @@ triggers a nested search for that program with a fresh hidden state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Optional, Protocol, Sequence
 
@@ -24,7 +25,7 @@ from .network import (
     masked_distributions,
     zero_hidden,
 )
-from .programs import ArgTuple, ProgramLibrary, ProgramSpec, args_encode, feasible_pairs
+from .programs import ArgTuple, ProgramLibrary, ProgramSpec, as_feasible_set, feasible_pairs
 
 MODE_EXACT = "exact"
 MODE_APPROX = "approx"
@@ -118,10 +119,15 @@ class UniformEvaluator:
 
 
 class Node:
-    """Tree node: a state plus the statistics of its outgoing edges."""
+    """Tree node: a state plus the statistics of its outgoing edges.
+
+    `Q` holds each edge's mean value, FPU_Q while unvisited; `backup` keeps
+    it current. An expanded node's first visit is the one that expanded
+    it, so `visits` is always the sum of `N` plus one.
+    """
 
     __slots__ = (
-        "env", "h_in", "h_out", "depth", "feasible", "edges", "P", "N", "W",
+        "env", "h_in", "h_out", "depth", "feasible", "edges", "P", "N", "W", "Q",
         "children", "visits", "expanded", "terminal", "value", "failed_subcall",
     )
 
@@ -135,6 +141,7 @@ class Node:
         self.P = np.zeros(0)
         self.N = np.zeros(0)
         self.W = np.zeros(0)
+        self.Q = np.zeros(0)
         self.children: list[Optional["Node"]] = []
         self.visits = 0
         self.expanded = False
@@ -158,9 +165,9 @@ def puct_select(node: Node, c_puct: float) -> int:
     lowest index."""
     if not node.edges:
         raise SearchError("puct_select on a childless node")
-    q = np.where(node.N > 0.0, node.W / np.maximum(node.N, 1.0), FPU_Q)
-    bonus = c_puct * node.P * np.sqrt(node.N.sum() + 1.0) / (1.0 + node.N)
-    return int(np.argmax(q + bonus))
+    # sqrt(visits) is sqrt(N.sum() + 1), the parent count of the PUCT bonus.
+    bonus = c_puct * node.P * math.sqrt(node.visits) / (1.0 + node.N)
+    return int((node.Q + bonus).argmax())
 
 
 def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
@@ -170,15 +177,14 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
         if idx is not None:
             node.N[idx] += 1.0
             node.W[idx] += value
+            node.Q[idx] = node.W[idx] / node.N[idx]
 
 
 def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
                 lib: ProgramLibrary) -> np.ndarray:
     """Factorized prior over the node's feasible pairs, renormalized."""
-    pri = np.array([
-        pi_p_masked[lib.index(spec.name)] * pi_a_masked[args_encode(args)]
-        for spec, args in node.feasible
-    ])
+    feasible = as_feasible_set(node.feasible, lib)
+    pri = pi_p_masked[feasible.prog_idx] * pi_a_masked[feasible.arg_idx]
     total = pri.sum()
     if total > 0:
         return pri / total
@@ -200,6 +206,7 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         node.terminal = True
         node.value = 0.0
         return
+    feasible = as_feasible_set(node.feasible, lib)
     pri = joint_prior(node, pi_p_masked, pi_a_masked, lib)
     m = len(pri)
     if cfg.training and cfg.dirichlet_weight > 0.0:
@@ -212,16 +219,17 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         p_sample = p_sample / p_sample.sum()
         picked = rng.choice(m, size=cfg.n_expand, replace=False, p=p_sample)
         picked = np.sort(picked)
-        node.edges = [node.feasible[int(i)] for i in picked]
+        node.edges = feasible.take(picked)
         pri = pri[picked]
         pri = pri / pri.sum()
     else:
-        node.edges = list(node.feasible)
+        node.edges = feasible
         pri = pri / pri.sum()
     assert cfg.mode != MODE_APPROX or len(node.edges) <= cfg.n_expand
     node.P = pri
     node.N = np.zeros(len(node.edges))
     node.W = np.zeros(len(node.edges))
+    node.Q = np.full(len(node.edges), FPU_Q)
     node.children = [None] * len(node.edges)
     node.expanded = True
     stats.nodes_expanded += len(node.edges)
@@ -404,11 +412,9 @@ def run_search(
             weights = scaled / scaled.sum()
     else:
         weights = root.P.copy()  # degenerate budget: fall back to the prior
-    pi_p_mcts = np.zeros(len(lib))
-    pi_a_mcts = np.zeros(P.ARG_SPACE)
-    for w, (spec, args) in zip(weights, root.edges):
-        pi_p_mcts[lib.index(spec.name)] += w
-        pi_a_mcts[args_encode(args)] += w
+    # bincount adds the weights in edge order, as a loop over the edges would.
+    pi_p_mcts = np.bincount(root.edges.prog_idx, weights, minlength=len(lib))
+    pi_a_mcts = np.bincount(root.edges.arg_idx, weights, minlength=P.ARG_SPACE)
     if cfg.temperature <= 0.0 or counts.sum() == 0:
         chosen = int(np.argmax(weights))
     else:
@@ -509,13 +515,14 @@ class TraceEntry:
 def execute_greedy(
     env: EnvState, task: TaskId, policy: GreedyPolicy, lib: ProgramLibrary,
     trace: Optional[list[TraceEntry]] = None, depth: int = 0,
-) -> tuple[int, EnvState]:
+) -> tuple[Optional[int], EnvState]:
     """Run a program to completion with a greedy policy, recursing into
     learned calls with a fresh hidden state.
 
     The reward comes from the environment oracle of the top-level task;
-    sub-program outcomes are whatever states their own executions leave
-    behind. Exceeding the step cap scores 0.
+    exceeding the step cap scores 0. Sub-program outcomes are whatever
+    states their own executions leave behind: nested calls (depth > 0) are
+    not scored and return None for the reward.
     """
     if depth > MAX_RECURSION:
         raise SearchError("recursion exceeded the library height")
@@ -528,12 +535,12 @@ def execute_greedy(
             if trace is not None:
                 trace.append(TraceEntry(depth, spec.name, args))
             if spec.name == "stop":
-                return reward(task, env, e), e
+                return (reward(task, env, e) if depth == 0 else None), e
             if spec.is_atomic:
                 e = P.apply_atomic(e, spec, args)
             else:
                 _, e = execute_greedy(e, TaskId(spec.name), policy, lib,
                                       trace, depth + 1)
-        return 0, e
+        return (0 if depth == 0 else None), e
     finally:
         policy.end()

@@ -234,6 +234,14 @@ class TestOracles:
         pe = make_env([3, 1, 2], 0, 2, 0, registry=0)
         assert reward(TaskId.PARTITION, pe, oracle_transform(TaskId.PARTITION, pe)) == 1
 
+    def test_partition_rejects_store_ahead_of_scan(self):
+        # p1 > p3: the Lomuto loop would walk the store index off the list.
+        from argsynth.env import task_precondition
+        env = make_env([6, 9], 1, 1, 0, registry=1)
+        assert not task_precondition(TaskId.PARTITION, env)
+        with pytest.raises(EnvError):
+            oracle_transform(TaskId.PARTITION, env)
+
 
 def test_partition_oracle_vs_independent_lomuto_spot():
     # A separately written textbook Lomuto, compared on random cases.

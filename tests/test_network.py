@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
-from argsynth.env import OBS_DIM, TaskId, make_env, observe, sample_task_env
+from argsynth.env import OBS_DIM, TASKS, TaskId, make_env, observe, sample_task_env
 from argsynth.network import (
     CheckpointError,
     NetworkDims,
@@ -20,7 +20,7 @@ from argsynth.network import (
     train_step,
     zero_hidden,
 )
-from argsynth.programs import EMPTY_ARGS, build_library, feasible_pairs
+from argsynth.programs import EMPTY_ARGS, args_encode, build_library, feasible_pairs
 
 
 def rng(seed=0):
@@ -274,6 +274,31 @@ class TestMaskingAndGreedy:
         shifted_p = out.pi_p * np.exp(3.0)
         shifted_a = out.pi_a * np.exp(3.0)
         assert greedy_select(shifted_p, shifted_a, self.feasible, self.lib) == base
+
+    def test_greedy_matches_loop_reference(self):
+        # The pair-by-pair selection: first most probable program in index
+        # order, then its first most probable argument in feasible order.
+        def reference(pi_p, pi_a, feasible, lib):
+            by_prog = {}
+            for spec, args in feasible:
+                by_prog.setdefault(lib.index(spec.name), []).append((spec, args))
+            best_p = max(sorted(by_prog), key=lambda i: pi_p[i])
+            cands = by_prog[best_p]
+            return cands[max(range(len(cands)),
+                             key=lambda k: (pi_a[args_encode(cands[k][1])], -k))]
+
+        r = rng(14)
+        for mode in ("args", "noargs"):
+            lib = build_library(mode)
+            for i in range(300):
+                task = TASKS[i % 4]
+                env = sample_task_env(task, int(r.integers(2, 8)), r)
+                feasible = feasible_pairs(env, lib.spec(task.program_name).level, lib)
+                # Coarse values, so ties are common.
+                pi_p = r.integers(0, 4, len(lib)) / 4.0
+                pi_a = r.integers(0, 4, 64) / 4.0
+                assert greedy_select(pi_p, pi_a, feasible, lib) == \
+                    reference(pi_p, pi_a, feasible, lib)
 
     def test_empty_feasible_rejected(self):
         with pytest.raises(ValueError):

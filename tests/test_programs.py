@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import argsynth.programs as programs_module
 from argsynth.env import NONE, P1, P2, P3, TaskId, make_env, sample_task_env
 from argsynth.programs import (
     EMPTY_ARGS,
@@ -12,7 +13,6 @@ from argsynth.programs import (
     args_encode,
     atomic_feasible,
     build_library,
-    check_manifest,
     feasible_pairs,
     pair_feasible,
     program_precondition,
@@ -64,11 +64,12 @@ class TestLibrary:
             build_library("warp")
 
     def test_manifest_roundtrip_and_mismatch(self):
+        # The mismatch is rejected by checkpoint_load; see
+        # test_network.py::TestCheckpoints::test_manifest_guard.
         lib = build_library("args")
         manifest = json.loads(lib.manifest_json())
-        check_manifest(manifest, lib)
-        with pytest.raises(LibraryError):
-            check_manifest(manifest, build_library("noargs"))
+        assert manifest == lib.manifest()
+        assert manifest != build_library("noargs").manifest()
 
 
 class TestArgCodec:
@@ -174,6 +175,63 @@ class TestFeasiblePairs:
             env = sample_task_env(tasks[i % 4], int(r.integers(2, 8)), r)
             for spec, args in feasible_pairs(env, 99, lib):
                 assert pair_feasible(env, spec, args)
+
+
+@st.composite
+def any_state(draw):
+    """Any valid state: pointers, stack frames and registry anywhere."""
+    n = draw(st.integers(2, 8))
+    index = st.integers(0, n - 1)
+    values = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    frames = draw(st.lists(st.tuples(index, index).map(sorted), max_size=3))
+    registry = draw(st.none() | index)
+    return make_env(values, draw(index), draw(index), draw(index), frames, registry)
+
+
+CALLER_LEVELS = (1, 2, 4, 5, 99)
+
+
+def oracle_pairs(env, caller_level, lib):
+    """The static domain in table order, filtered pair by pair."""
+    return [(spec, args) for spec in lib for args in valid_arg_tuples(spec)
+            if spec.level < caller_level and pair_feasible(env, spec, args)]
+
+
+class TestActionTable:
+    @pytest.mark.parametrize("mode", ["args", "noargs"])
+    @given(env=any_state())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_feasible_in_order(self, mode, env):
+        lib = build_library(mode)
+        for level in CALLER_LEVELS:
+            pairs = feasible_pairs(env, level, lib)
+            assert list(pairs) == oracle_pairs(env, level, lib)
+            assert [lib.index(s.name) for s, _ in pairs] == list(pairs.prog_idx)
+            assert [args_encode(a) for _, a in pairs] == list(pairs.arg_idx)
+
+    def test_noargs_table_built_first(self, monkeypatch):
+        # The predicate set is static: a process that builds only the
+        # noargs library must answer every caller level.
+        monkeypatch.setattr(programs_module, "_TABLES", {})
+        noargs = build_library("noargs")
+        r = rng(6)
+        for task in (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
+                     TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT):
+            for _ in range(50):
+                env = sample_task_env(task, int(r.integers(2, 8)), r)
+                for level in CALLER_LEVELS:
+                    assert list(feasible_pairs(env, level, noargs)) == \
+                        oracle_pairs(env, level, noargs)
+
+    def test_one_table_per_mode(self):
+        assert build_library("args").table is build_library("args").table
+        assert build_library("args").table is not build_library("noargs").table
+
+    def test_partition_needs_store_behind_scan(self):
+        lib = build_library("args")
+        names = {s.name for s, _ in feasible_pairs(make_env([6, 9], 1, 1, 0, registry=1),
+                                                     99, lib)}
+        assert "partition" not in names and "partition_update" not in names
 
 
 class TestProgramPreconditions:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argsynth.env import (
     TaskId,
@@ -38,12 +39,17 @@ def rng(seed=0):
 
 
 def bare_node(n_children, priors=None, N=None, W=None):
+    """An expanded node with the given edge statistics, as `backup` would
+    have left it: Q is each edge's mean value (FPU_Q while unvisited) and
+    the expanding visit counts on top of the edge visits."""
     node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
     node.expanded = True
     node.edges = [("edge", i) for i in range(n_children)]
     node.P = np.array(priors if priors is not None else [1 / n_children] * n_children)
     node.N = np.array(N if N is not None else [0.0] * n_children, dtype=float)
     node.W = np.array(W if W is not None else [0.0] * n_children, dtype=float)
+    node.Q = np.where(node.N > 0, node.W / np.maximum(node.N, 1.0), FPU_Q)
+    node.visits = int(node.N.sum()) + 1
     node.children = [None] * n_children
     return node
 
@@ -83,13 +89,51 @@ class TestPuctSelect:
             puct_select(node, 1.0)
 
 
+def reference_puct(node, c_puct):
+    """PUCT from the raw statistics, with the parent count recomputed."""
+    q = np.where(node.N > 0, node.W / np.maximum(node.N, 1.0), FPU_Q)
+    bonus = c_puct * node.P * np.sqrt(node.N.sum() + 1.0) / (1.0 + node.N)
+    return int(np.argmax(q + bonus))
+
+
+class TestPuctProperty:
+    @given(
+        priors=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),
+        visits=st.lists(st.tuples(st.integers(0, 23), st.floats(0.0, 1.0)), max_size=60),
+        c_puct=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_formula_exactly(self, priors, visits, c_puct):
+        node = bare_node(len(priors), priors=priors)
+        for idx, value in visits:
+            backup([(node, idx % len(priors))], value)
+            assert puct_select(node, c_puct) == reference_puct(node, c_puct)
+
+    def test_matches_reference_in_searched_trees(self):
+        lib = build_library("args")
+        env = make_env([2, 9, 5, 1], 0, 3, 1, registry=0)
+        ev = UniformEvaluator(lib)
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=150, training=True)
+        res = run_search(TaskId.PARTITION_UPDATE, env, ev.initial_hidden(), env,
+                         lib, ev, cfg, SearchStats(), rng(21))
+        stack, checked = [res.root], 0
+        while stack:
+            node = stack.pop()
+            if node.expanded and not node.terminal:
+                assert node.visits == node.N.sum() + 1
+                assert puct_select(node, cfg.c_puct) == reference_puct(node, cfg.c_puct)
+                checked += 1
+                stack.extend(c for c in node.children if c is not None)
+        assert checked > 10
+
+
 class TestBackup:
     def test_single_unit_value(self):
         a, b = bare_node(1), bare_node(1)
         backup([(a, 0), (b, 0)], 1.0)
         for node in (a, b):
-            assert node.N[0] == 1 and node.W[0] == 1 and node.visits == 1
-            assert node.q_values()[0] == 1.0
+            assert node.N[0] == 1 and node.W[0] == 1 and node.visits == 2
+            assert node.q_values()[0] == 1.0 and node.Q[0] == 1.0
 
     def test_two_backups_average(self):
         node = bare_node(1)
@@ -107,7 +151,8 @@ class TestBackup:
     def test_leaf_entry_counts_visit_only(self):
         node = bare_node(2)
         backup([(node, None)], 0.7)
-        assert node.visits == 1 and node.N.sum() == 0
+        assert node.visits == 2 and node.N.sum() == 0
+        assert list(node.Q) == [FPU_Q, FPU_Q]
 
 
 def prepared_node(env, lib, caller_level=99):
@@ -403,3 +448,22 @@ class TestExecuteGreedy:
         assert reward == 1
         assert final.values == tuple(sorted(env.values))
         assert {t.depth for t in trace} >= {0, 1, 2}
+
+    def test_only_the_top_level_call_is_scored(self, monkeypatch):
+        import argsynth.search as S
+        scored = []
+        real_reward = S.reward
+
+        def counting_reward(task, e_initial, e_final):
+            scored.append(task)
+            return real_reward(task, e_initial, e_final)
+
+        monkeypatch.setattr(S, "reward", counting_reward)
+        lib = build_library("args")
+        env = sample_task_env(TaskId.QUICKSORT, 6, rng(16))
+        trace = []
+        reward, _ = execute_greedy(env, TaskId.QUICKSORT, ExpertPolicy(lib), lib,
+                                   trace=trace)
+        assert reward == 1
+        assert sum(t.depth > 0 and t.name == "stop" for t in trace) > 1
+        assert scored == [TaskId.QUICKSORT]

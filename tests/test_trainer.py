@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from argsynth.config import RunConfig
 from argsynth.env import TaskId, TASKS, make_env, sample_task_env
 from argsynth.expert import ExpertPolicy
 from argsynth.programs import build_library
@@ -267,6 +269,26 @@ class TestTrainer:
             assert TaskId(task_name) in TASKS
             assert int(count) >= 1
             env_from_record(record)
+
+
+class TestBehaviourOracle:
+    """`metrics_csv() + search_csv()` pinned byte for byte.
+
+    A change that keeps behaviour (a refactor, an index-based rewrite of
+    the search) must leave these digests as they are; a change that means
+    to alter behaviour updates them and says why.
+    """
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "7bd718e4622a3aa7a9874db278837e0265d39755e2a3bc27122d50a6603e076b"),
+        ({"library": "noargs", "search": "exact"},
+         "4fb20e62f17b748fff76f6c6f378f1167f68e883e8613bd605f6542af4448bea"),
+    ])
+    def test_three_iterations_are_byte_identical(self, overrides, digest):
+        trainer = Trainer(RunConfig(seed=0, **overrides).to_train_config())
+        trainer.run(3)
+        text = trainer.metrics_csv() + trainer.search_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestEvaluation:
