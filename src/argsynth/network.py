@@ -12,7 +12,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -130,54 +130,35 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _sigmoid(x: float) -> float:
-    # Clipping at +-500 is exact in float64: the tails are already 0/1.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
-
-
-def _forward_step(params: ParameterSet, obs: np.ndarray, task_index: int,
-                  hidden: HiddenState) -> tuple[PolicyOutput, dict]:
+def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
+            hidden: Optional[HiddenState] = None) -> PolicyOutput:
+    """One deterministic step of the network; returns policies, value and
+    the next hidden state."""
     a = params.arrays
     d = params.dims
     if obs.shape != (d.obs,):
         raise ValueError(f"observation shape {obs.shape} != ({d.obs},)")
     if not (0 <= task_index < d.tasks):
         raise ValueError(f"task index {task_index} outside [0, {d.tasks})")
-    h_prev, c_prev = hidden
+    h_prev, c_prev = zero_hidden(d) if hidden is None else hidden
     a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
     s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
-    p_emb = a["prog_embed"][task_index]
-    x = np.concatenate([s, p_emb])
-    gates = np.clip(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"], -500.0, 500.0)
+    x = np.concatenate([s, a["prog_embed"][task_index]])
+    # Clipping at +-500 is exact in float64: the tails are already 0/1.
+    gates = np.minimum(np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"],
+                                  -500.0), 500.0)
     H = d.hidden
     gi = 1.0 / (1.0 + np.exp(-gates[:H]))
     gf = 1.0 / (1.0 + np.exp(-gates[H:2 * H]))
     gg = np.tanh(gates[2 * H:3 * H])
     go = 1.0 / (1.0 + np.exp(-gates[3 * H:]))
     c = gf * c_prev + gi * gg
-    tanh_c = np.tanh(c)
-    h = go * tanh_c
+    h = go * np.tanh(c)
     pi_p = _softmax(h @ a["prog_w"] + a["prog_b"])
     pi_a = _softmax(h @ a["arg_w"] + a["arg_b"])
-    value = float(_sigmoid(float(h @ a["value_w"] + a["value_b"][0])))
-    out = PolicyOutput(pi_p, pi_a, value, HiddenState(h, c))
-    cache = {
-        "obs": obs, "a1": a1, "s": s, "x": x, "task_index": task_index,
-        "h_prev": h_prev, "c_prev": c_prev, "gi": gi, "gf": gf, "gg": gg,
-        "go": go, "c": c, "tanh_c": tanh_c, "h": h,
-        "pi_p": pi_p, "pi_a": pi_a, "value": value,
-    }
-    return out, cache
-
-
-def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
-            hidden: Optional[HiddenState] = None) -> PolicyOutput:
-    """One deterministic step of the network; returns policies, value and
-    the next hidden state."""
-    if hidden is None:
-        hidden = zero_hidden(params.dims)
-    out, _ = _forward_step(params, obs, task_index, hidden)
-    return out
+    v = float(h @ a["value_w"] + a["value_b"][0])
+    value = float(1.0 / (1.0 + np.exp(-min(max(v, -500.0), 500.0))))
+    return PolicyOutput(pi_p, pi_a, value, HiddenState(h, c))
 
 
 def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: float,
@@ -189,102 +170,179 @@ def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: float,
     return ce_p + ce_a + (value - reward) ** 2
 
 
+# ---------------------------------------------------------------------------
+# Training: the batch packed into rows, one batched step per time step
+
+
+class _Rows(NamedTuple):
+    """Activations of one batched step, one row per running trace. The
+    encoder output is `x[:, :enc]`, and `tanh(c)` is recomputed where it is
+    needed, so that the tape the backward pass reads stays small."""
+
+    a1: np.ndarray
+    x: np.ndarray
+    gi: np.ndarray
+    gf: np.ndarray
+    gg: np.ndarray
+    go: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+    pi_p: np.ndarray
+    pi_a: np.ndarray
+    value: np.ndarray
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _forward_rows(params: ParameterSet, obs: np.ndarray, task: np.ndarray,
+                  h_prev: np.ndarray, c_prev: np.ndarray) -> _Rows:
+    """`forward` on b rows at once: obs [b, obs], task [b], h/c [b, hidden]."""
+    a = params.arrays
+    d = params.dims
+    if obs.shape != (len(task), d.obs):
+        raise ValueError(f"observation rows {obs.shape} != ({len(task)}, {d.obs})")
+    a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
+    s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
+    x = np.concatenate([s, a["prog_embed"][task]], axis=1)
+    gates = np.minimum(np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"],
+                                  -500.0), 500.0)
+    H = d.hidden
+    gi = _sigmoid(gates[:, :H])
+    gf = _sigmoid(gates[:, H:2 * H])
+    gg = np.tanh(gates[:, 2 * H:3 * H])
+    go = _sigmoid(gates[:, 3 * H:])
+    c = gf * c_prev + gi * gg
+    h = go * np.tanh(c)
+    pi_p = _softmax_rows(h @ a["prog_w"] + a["prog_b"])
+    pi_a = _softmax_rows(h @ a["arg_w"] + a["arg_b"])
+    value = _sigmoid(np.minimum(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0), 500.0))
+    return _Rows(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
+
+
+def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
+    """Run the batch forward one time step at a time, all traces at once.
+
+    Traces are sorted by length, longest first (a stable sort), so the
+    traces still running at step t are the first b_t rows: no padding and
+    no mask on the recurrence. Every trace starts from the zero hidden
+    state. Yields, per step, for its b_t rows: (obs, task, reward, policy
+    mask, h_prev, c_prev, pi_p targets, pi_a targets, `_Rows`, row losses).
+    """
+    d = params.dims
+    traces = sorted(batch, key=lambda tr: len(tr.steps), reverse=True)
+    lengths = [len(tr.steps) for tr in traces]
+    task = np.array([tr.task_index for tr in traces], dtype=np.intp)
+    if task.size and not (0 <= task.min() and task.max() < d.tasks):
+        raise ValueError(f"task index outside [0, {d.tasks})")
+    reward = np.array([tr.reward for tr in traces], dtype=np.float64)
+    policy = np.array([not getattr(tr, "value_only", False) for tr in traces], dtype=bool)
+    h = c = np.zeros((len(traces), d.hidden))
+    b = len(traces)
+    for t in range(lengths[0] if traces else 0):
+        while lengths[b - 1] <= t:
+            b -= 1
+        steps = [tr.steps[t] for tr in traces[:b]]
+        obs = np.array([st.obs for st in steps])
+        tp = np.array([st.pi_p_mcts for st in steps])
+        ta = np.array([st.pi_a_mcts for st in steps])
+        rows = _forward_rows(params, obs, task[:b], h[:b], c[:b])
+        sq = (rows.value - reward[:b]) ** 2
+        ce_p = -(tp * np.log(np.maximum(rows.pi_p, LOG_CLAMP))).sum(axis=1)
+        ce_a = -(ta * np.log(np.maximum(rows.pi_a, LOG_CLAMP))).sum(axis=1)
+        terms = np.where(policy[:b], ce_p + ce_a + sq, sq)
+        yield obs, task[:b], reward[:b], policy[:b], h[:b], c[:b], tp, ta, rows, terms
+        h, c = rows.h, rows.c
+
+
 def _ce_dlogits(pi: np.ndarray, target: np.ndarray) -> np.ndarray:
     # Entries clamped by LOG_CLAMP are constants of the logits, so their
     # target terms drop out of the gradient.
-    live = pi >= LOG_CLAMP
-    t_live = np.where(live, target, 0.0)
-    return pi * t_live.sum() - t_live
+    t_live = np.where(pi >= LOG_CLAMP, target, 0.0)
+    return pi * t_live.sum(axis=1, keepdims=True) - t_live
 
 
 def loss(params: ParameterSet, batch: Sequence) -> float:
     """Summed loss over a batch of traces.
 
-    Hidden states are recomputed from zero along each trace's stored
-    observations; the snapshots saved in traces are never fed back in,
-    because they go stale as parameters move.
+    The batch runs as packed rows: sorted by trace length, longest first
+    (stable), each time step is one batched pass over the traces still
+    running. Hidden states are recomputed from zero along each trace's
+    stored observations; the snapshots saved in traces are never fed back
+    in, because they go stale as parameters move. `value_only` traces
+    contribute only their squared value error.
     """
     total = 0.0
-    for trace in batch:
-        value_only = getattr(trace, "value_only", False)
-        hidden = zero_hidden(params.dims)
-        for step in trace.steps:
-            out, _ = _forward_step(params, step.obs, trace.task_index, hidden)
-            if value_only:
-                total += (out.value - trace.reward) ** 2
-            else:
-                total += step_loss_terms(out.pi_p, out.pi_a, out.value,
-                                         step.pi_p_mcts, step.pi_a_mcts, trace.reward)
-            hidden = out.hidden
+    for *_, terms in _unroll(params, batch):
+        total += float(terms.sum())
     return total
 
 
 def loss_and_grads(params: ParameterSet, batch: Sequence) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus exact gradients via backpropagation through each trace."""
+    """Loss plus exact gradients via backpropagation through time.
+
+    Packed as in `loss` (longest trace first, one batched pass per time
+    step over the running rows, hidden states recomputed from zero), so
+    the loss equals `loss(params, batch)` exactly. Each step's weight
+    gradients are `X.T @ dY` over its rows.
+    """
     a = params.arrays
     d = params.dims
     grads = params.zeros_like()
+    tape = list(_unroll(params, batch))
     total = 0.0
-    for trace in batch:
-        value_only = getattr(trace, "value_only", False)
-        hidden = zero_hidden(d)
-        caches = []
-        for step in trace.steps:
-            out, cache = _forward_step(params, step.obs, trace.task_index, hidden)
-            if value_only:
-                total += (out.value - trace.reward) ** 2
-            else:
-                total += step_loss_terms(out.pi_p, out.pi_a, out.value,
-                                         step.pi_p_mcts, step.pi_a_mcts, trace.reward)
-            caches.append((step, cache))
-            hidden = out.hidden
-        dh_next = np.zeros(d.hidden)
-        dc_next = np.zeros(d.hidden)
-        zero_p = np.zeros(d.programs)
-        zero_a = np.zeros(d.args)
-        for step, cc in reversed(caches):
-            if value_only:
-                dlog_p, dlog_a = zero_p, zero_a
-            else:
-                dlog_p = _ce_dlogits(cc["pi_p"], step.pi_p_mcts)
-                dlog_a = _ce_dlogits(cc["pi_a"], step.pi_a_mcts)
-            v = cc["value"]
-            dv = 2.0 * (v - trace.reward) * v * (1.0 - v)
-            h = cc["h"]
-            grads["prog_w"] += np.outer(h, dlog_p)
-            grads["prog_b"] += dlog_p
-            grads["arg_w"] += np.outer(h, dlog_a)
-            grads["arg_b"] += dlog_a
-            grads["value_w"] += dv * h
-            grads["value_b"][0] += dv
-            dh = (a["prog_w"] @ dlog_p + a["arg_w"] @ dlog_a
-                  + dv * a["value_w"] + dh_next)
-            do = dh * cc["tanh_c"]
-            dc = dh * cc["go"] * (1.0 - cc["tanh_c"] ** 2) + dc_next
-            dgi = dc * cc["gg"]
-            dgf = dc * cc["c_prev"]
-            dgg = dc * cc["gi"]
-            dc_next = dc * cc["gf"]
-            dgates = np.concatenate([
-                dgi * cc["gi"] * (1.0 - cc["gi"]),
-                dgf * cc["gf"] * (1.0 - cc["gf"]),
-                dgg * (1.0 - cc["gg"] ** 2),
-                do * cc["go"] * (1.0 - cc["go"]),
-            ])
-            grads["lstm_wx"] += np.outer(cc["x"], dgates)
-            grads["lstm_wh"] += np.outer(cc["h_prev"], dgates)
-            grads["lstm_b"] += dgates
-            dx = a["lstm_wx"] @ dgates
-            dh_next = a["lstm_wh"] @ dgates
-            ds = dx[:d.enc]
-            grads["prog_embed"][cc["task_index"]] += dx[d.enc:]
-            dz2 = ds * (cc["s"] > 0)
-            grads["enc_w2"] += np.outer(cc["a1"], dz2)
-            grads["enc_b2"] += dz2
-            da1 = a["enc_w2"] @ dz2
-            dz1 = da1 * (cc["a1"] > 0)
-            grads["enc_w1"] += np.outer(cc["obs"], dz1)
-            grads["enc_b1"] += dz1
+    for *_, terms in tape:
+        total += float(terms.sum())
+    width = len(tape[0][0]) if tape else 0
+    dh_next = np.zeros((width, d.hidden))
+    dc_next = np.zeros((width, d.hidden))
+    while tape:
+        # Popping drops each step's activations once they are used.
+        obs, task, reward, policy, h_prev, c_prev, tp, ta, r, _ = tape.pop()
+        b = len(obs)
+        dlog_p = _ce_dlogits(r.pi_p, tp)
+        dlog_a = _ce_dlogits(r.pi_a, ta)
+        if not policy.all():
+            dlog_p[~policy] = 0.0
+            dlog_a[~policy] = 0.0
+        v = r.value
+        dv = 2.0 * (v - reward) * v * (1.0 - v)
+        grads["prog_w"] += r.h.T @ dlog_p
+        grads["prog_b"] += dlog_p.sum(axis=0)
+        grads["arg_w"] += r.h.T @ dlog_a
+        grads["arg_b"] += dlog_a.sum(axis=0)
+        grads["value_w"] += dv @ r.h
+        grads["value_b"][0] += dv.sum()
+        dh = (dlog_p @ a["prog_w"].T + dlog_a @ a["arg_w"].T
+              + dv[:, None] * a["value_w"] + dh_next[:b])
+        tanh_c = np.tanh(r.c)
+        do = dh * tanh_c
+        dc = dh * r.go * (1.0 - tanh_c ** 2) + dc_next[:b]
+        dc_next[:b] = dc * r.gf
+        dgates = np.concatenate([
+            dc * r.gg * r.gi * (1.0 - r.gi),
+            dc * c_prev * r.gf * (1.0 - r.gf),
+            dc * r.gi * (1.0 - r.gg ** 2),
+            do * r.go * (1.0 - r.go),
+        ], axis=1)
+        grads["lstm_wx"] += r.x.T @ dgates
+        grads["lstm_wh"] += h_prev.T @ dgates
+        grads["lstm_b"] += dgates.sum(axis=0)
+        dx = dgates @ a["lstm_wx"].T
+        dh_next[:b] = dgates @ a["lstm_wh"].T
+        np.add.at(grads["prog_embed"], task, dx[:, d.enc:])
+        dz2 = dx[:, :d.enc] * (r.x[:, :d.enc] > 0)
+        grads["enc_w2"] += r.a1.T @ dz2
+        grads["enc_b2"] += dz2.sum(axis=0)
+        dz1 = (dz2 @ a["enc_w2"].T) * (r.a1 > 0)
+        grads["enc_w1"] += obs.T @ dz1
+        grads["enc_b1"] += dz1.sum(axis=0)
     return total, grads
 
 

@@ -478,26 +478,27 @@ class GreedyPolicy(Protocol):
 
 
 class NetworkGreedyPolicy:
-    """Follows the network's argmax program/argument choice (no search)."""
+    """Follows the network's argmax program/argument choice (no search),
+    evaluated through `NetworkEvaluator` like the search's leaves."""
 
     def __init__(self, params: ParameterSet, lib: ProgramLibrary):
-        self.params = params
+        self.evaluator = NetworkEvaluator(params)
         self.lib = lib
-        self._stack: list[list] = []
+        self._stack: list[list] = []  # [task index, caller level, hidden]
 
     def begin(self, task: TaskId, env: EnvState) -> None:
-        self._stack.append([task, zero_hidden(self.params.dims)])
+        self._stack.append([self.lib.task_index(task),
+                            self.lib.spec(task.program_name).level,
+                            self.evaluator.initial_hidden()])
 
     def step(self, env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
         frame = self._stack[-1]
-        task, hidden = frame
-        out = forward(self.params, observe(env), self.lib.task_index(task), hidden)
-        frame[1] = out.hidden
-        level = self.lib.spec(task.program_name).level
+        task_index, level, hidden = frame
+        pi_p, pi_a, _, frame[2] = self.evaluator.evaluate(env, task_index, hidden)
         feasible = feasible_pairs(env, level, self.lib)
         if not feasible:
             raise SearchError("dead-end state during greedy execution")
-        return greedy_select(out.pi_p, out.pi_a, feasible, self.lib)
+        return greedy_select(pi_p, pi_a, feasible, self.lib)
 
     def end(self) -> None:
         self._stack.pop()

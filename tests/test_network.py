@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
+
 from argsynth.env import OBS_DIM, TASKS, TaskId, make_env, observe, sample_task_env
 from argsynth.network import (
     CheckpointError,
@@ -15,6 +17,7 @@ from argsynth.network import (
     init_optimizer,
     init_params,
     loss,
+    loss_and_grads,
     masked_distributions,
     step_loss_terms,
     train_step,
@@ -164,6 +167,158 @@ class TestGradients:
         trace = random_trace(rng(9), dims, 2, 1, 0.0)
         trace.value_only = True
         assert finite_diff_check(params, [trace]) < 1e-4
+
+
+def _reference_step(params, obs, task_index, h_prev, c_prev):
+    # One trace, one step: the network as a single-vector pass that keeps
+    # every activation the backward pass reads.
+    a = params.arrays
+    H = params.dims.hidden
+    a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
+    s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
+    x = np.concatenate([s, a["prog_embed"][task_index]])
+    gates = np.clip(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"], -500.0, 500.0)
+    gi = 1.0 / (1.0 + np.exp(-gates[:H]))
+    gf = 1.0 / (1.0 + np.exp(-gates[H:2 * H]))
+    gg = np.tanh(gates[2 * H:3 * H])
+    go = 1.0 / (1.0 + np.exp(-gates[3 * H:]))
+    c = gf * c_prev + gi * gg
+    tanh_c = np.tanh(c)
+    h = go * tanh_c
+
+    def softmax(z):
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    v = float(h @ a["value_w"] + a["value_b"][0])
+    return SimpleNamespace(
+        obs=obs, a1=a1, s=s, x=x, h_prev=h_prev, c_prev=c_prev, gi=gi, gf=gf,
+        gg=gg, go=go, c=c, tanh_c=tanh_c, h=h,
+        pi_p=softmax(h @ a["prog_w"] + a["prog_b"]),
+        pi_a=softmax(h @ a["arg_w"] + a["arg_b"]),
+        value=1.0 / (1.0 + np.exp(-np.clip(v, -500.0, 500.0))))
+
+
+def _reference_dlogits(pi, target):
+    t_live = np.where(pi >= 1e-12, target, 0.0)
+    return pi * t_live.sum() - t_live
+
+
+def reference_loss_and_grads(params, batch):
+    """The per-trace, per-step loop: forward along each trace from the zero
+    hidden state, then backpropagate through it with outer products."""
+    a = params.arrays
+    d = params.dims
+    grads = params.zeros_like()
+    total = 0.0
+    for trace in batch:
+        value_only = getattr(trace, "value_only", False)
+        h, c = np.zeros(d.hidden), np.zeros(d.hidden)
+        caches = []
+        for step in trace.steps:
+            cc = _reference_step(params, step.obs, trace.task_index, h, c)
+            if value_only:
+                total += (cc.value - trace.reward) ** 2
+            else:
+                total += step_loss_terms(cc.pi_p, cc.pi_a, cc.value, step.pi_p_mcts,
+                                         step.pi_a_mcts, trace.reward)
+            caches.append((step, cc))
+            h, c = cc.h, cc.c
+        dh_next = np.zeros(d.hidden)
+        dc_next = np.zeros(d.hidden)
+        for step, cc in reversed(caches):
+            if value_only:
+                dlog_p, dlog_a = np.zeros(d.programs), np.zeros(d.args)
+            else:
+                dlog_p = _reference_dlogits(cc.pi_p, step.pi_p_mcts)
+                dlog_a = _reference_dlogits(cc.pi_a, step.pi_a_mcts)
+            dv = 2.0 * (cc.value - trace.reward) * cc.value * (1.0 - cc.value)
+            grads["prog_w"] += np.outer(cc.h, dlog_p)
+            grads["prog_b"] += dlog_p
+            grads["arg_w"] += np.outer(cc.h, dlog_a)
+            grads["arg_b"] += dlog_a
+            grads["value_w"] += dv * cc.h
+            grads["value_b"][0] += dv
+            dh = a["prog_w"] @ dlog_p + a["arg_w"] @ dlog_a + dv * a["value_w"] + dh_next
+            do = dh * cc.tanh_c
+            dc = dh * cc.go * (1.0 - cc.tanh_c ** 2) + dc_next
+            dc_next = dc * cc.gf
+            dgates = np.concatenate([
+                dc * cc.gg * cc.gi * (1.0 - cc.gi),
+                dc * cc.c_prev * cc.gf * (1.0 - cc.gf),
+                dc * cc.gi * (1.0 - cc.gg ** 2),
+                do * cc.go * (1.0 - cc.go),
+            ])
+            grads["lstm_wx"] += np.outer(cc.x, dgates)
+            grads["lstm_wh"] += np.outer(cc.h_prev, dgates)
+            grads["lstm_b"] += dgates
+            dx = a["lstm_wx"] @ dgates
+            dh_next = a["lstm_wh"] @ dgates
+            grads["prog_embed"][trace.task_index] += dx[d.enc:]
+            dz2 = dx[:d.enc] * (cc.s > 0)
+            grads["enc_w2"] += np.outer(cc.a1, dz2)
+            grads["enc_b2"] += dz2
+            dz1 = (a["enc_w2"] @ dz2) * (cc.a1 > 0)
+            grads["enc_w1"] += np.outer(cc.obs, dz1)
+            grads["enc_b1"] += dz1
+    return total, grads
+
+
+def assert_matches_reference(params, batch):
+    """Batched loss within rel 1e-12 of the loop's, every gradient array
+    within rtol 1e-10 (entries near zero held to 1e-10 of the array's
+    largest entry), and `loss` equal to `loss_and_grads`' loss."""
+    want_loss, want = reference_loss_and_grads(params, batch)
+    got_loss, got = loss_and_grads(params, batch)
+    assert got_loss == loss(params, batch)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, g in want.items():
+        np.testing.assert_allclose(got[name], g, rtol=1e-10,
+                                   atol=1e-10 * np.abs(g).max(), err_msg=name)
+
+
+class TestBatchedMatchesLoopReference:
+    def test_every_length_task_and_value_only_mix(self):
+        dims = small_dims()
+        params = init_params(30, dims)
+        r = rng(30)
+        batch = []
+        for n in range(9):  # lengths 0..8, all four tasks, mixed value_only
+            trace = random_trace(r, dims, n, n % 4, float(n % 2))
+            trace.value_only = n % 3 == 0
+            batch.append(trace)
+        assert_matches_reference(params, batch)
+
+    def test_batch_of_one(self):
+        dims = small_dims()
+        params = init_params(31, dims)
+        assert_matches_reference(params, [random_trace(rng(31), dims, 5, 3, 1.0)])
+
+    def test_empty_batch_and_empty_traces_contribute_nothing(self):
+        dims = small_dims()
+        params = init_params(32, dims)
+        empty = random_trace(rng(32), dims, 0, 1, 1.0)
+        for batch in ([], [empty], [empty, empty]):
+            total, grads = loss_and_grads(params, batch)
+            assert total == 0.0 and loss(params, batch) == 0.0
+            assert all(not g.any() for g in grads.values())
+        trace = random_trace(rng(33), dims, 4, 2, 1.0)
+        assert loss_and_grads(params, [empty, trace, empty])[0] == loss(params, [trace])
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3), st.booleans(),
+                              st.sampled_from([0.0, 1.0])), min_size=1, max_size=6),
+           st.integers(0, 2**31 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_batches(self, shapes, seed, one_hot):
+        dims = small_dims()
+        params = init_params(seed % 1000, dims)
+        r = rng(seed)
+        batch = []
+        for n, task, value_only, reward in shapes:
+            trace = random_trace(r, dims, n, task, reward, one_hot=one_hot)
+            trace.value_only = value_only
+            batch.append(trace)
+        assert_matches_reference(params, batch)
 
 
 class TestTrainStep:
