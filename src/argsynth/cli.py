@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, run, oracle-check, search-bench.
+"""Command-line surface: train, eval, run, oracle-check.
 
 Exit codes are stable: 0 on success, 1 for runtime failures (missing or
 incompatible files, a failing oracle check), 2 for usage or config errors.
@@ -13,27 +13,12 @@ import numpy as np
 
 from . import env as E
 from . import programs as P
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, checked, load_config
 from .env import TaskId, TASKS, env_to_record, make_env, sample_task_env
 from .expert import ExpertPolicy, expert_available
-from .network import (
-    CheckpointError,
-    checkpoint_load,
-    checkpoint_save,
-    dims_for_library,
-    init_params,
-)
+from .network import CheckpointError, checkpoint_load, checkpoint_save
 from .programs import build_library, format_args
-from .search import (
-    MODE_APPROX,
-    MODE_EXACT,
-    NetworkEvaluator,
-    NetworkGreedyPolicy,
-    SearchConfig,
-    SearchStats,
-    execute_greedy,
-    search_episode,
-)
+from .search import NetworkGreedyPolicy, execute_greedy
 from .trainer import Trainer, accuracy_csv, csv_line, evaluate_generalization
 
 EXIT_OK = 0
@@ -62,6 +47,7 @@ def cmd_train(args) -> int:
         cfg.iterations = args.iterations
     if args.seed is not None:
         cfg.seed = args.seed
+    checked(cfg)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     trainer = Trainer(cfg.to_train_config())
@@ -90,7 +76,7 @@ def _load_checkpoint(path: str, lib) -> "tuple":
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    lib = build_library(cfg.library)
+    lib = build_library(cfg.library_mode)
     params, _, _ = _load_checkpoint(args.checkpoint, lib)
     policy = NetworkGreedyPolicy(params, lib)
     rows = evaluate_generalization(
@@ -108,7 +94,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    lib = build_library(cfg.library)
+    lib = build_library(cfg.library_mode)
     try:
         values = [int(part) for part in args.list.split(",")]
     except ValueError:
@@ -134,7 +120,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load(args)
-    lib = build_library(cfg.library)
+    lib = build_library(cfg.library_mode)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     lengths = list(range(2, 8)) + [20]
     all_ok = True
@@ -154,40 +140,6 @@ def cmd_oracle_check(args) -> int:
         print(f"{task.program_name}: {status}")
         all_ok = all_ok and failures == 0
     return EXIT_OK if all_ok else EXIT_FAILURE
-
-
-def cmd_search_bench(args) -> int:
-    cfg = _load(args)
-    lib = build_library(cfg.library)
-    try:
-        task = TaskId(args.task)
-    except ValueError:
-        raise ConfigError(f"unknown task {args.task!r}")
-    params = init_params(cfg.seed, dims_for_library(lib))
-    evaluator = NetworkEvaluator(params)
-    lines = ["seed,task,simulations,n_expand,nodes_exact,nodes_approx"]
-    for seed in range(args.seeds):
-        counts = {}
-        for mode in (MODE_EXACT, MODE_APPROX):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            env = sample_task_env(task, args.length, rng)
-            scfg = SearchConfig(
-                mode=mode, n_expand=args.n, simulations=args.sims,
-                nested_simulations=cfg.nested_simulations, training=False,
-                temperature=0.0)
-            stats = SearchStats()
-            search_episode(task, env, evaluator, lib, scfg, stats, rng)
-            counts[mode] = stats.nodes_expanded
-        lines.append(f"{seed},{task.program_name},{args.sims},{args.n},"
-                     f"{counts[MODE_EXACT]},{counts[MODE_APPROX]}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"benchmark written to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,16 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--trials", type=int, default=200)
     p_oracle.set_defaults(func=cmd_oracle_check)
 
-    p_bench = sub.add_parser("search-bench", help="matched-seed exact vs "
-                             "approximate node-count comparison")
-    p_bench.add_argument("--config")
-    p_bench.add_argument("--task", default=TaskId.PARTITION_UPDATE.program_name)
-    p_bench.add_argument("--sims", type=int, default=100)
-    p_bench.add_argument("--n", type=int, default=5)
-    p_bench.add_argument("--length", type=int, default=5)
-    p_bench.add_argument("--seeds", type=int, default=20)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=cmd_search_bench)
     return parser
 
 

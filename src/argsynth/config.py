@@ -1,15 +1,22 @@
 """Run configuration: `key = value` text files over documented defaults.
 
+Each file key is a field of `SearchConfig`, `TrainConfig` or `RunConfig`,
+declared once with `tunable`: its default, its type (the annotation) and
+the range it must lie in. The key is the field name, except for three:
+`library` sets `library_mode`, `search` sets the search `mode`, and
+`episodes_per_iteration` sets `n_episodes`.
+
 Unknown keys, malformed values, and out-of-range settings are rejected
-with the offending line number so batch runs fail loudly and early.
+with the offending line number so batch runs fail loudly and early. The
+Python API (`validate()`) and command-line overrides obey the same
+ranges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import Field, dataclass, fields
+from typing import Optional, get_type_hints
 
-from . import programs as P
-from .search import MODE_APPROX, MODE_EXACT, SearchConfig
+from .search import SearchConfig, tunable
 from .trainer import TrainConfig
 
 
@@ -18,105 +25,40 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of the four model variants plus output paths.
+class RunConfig(TrainConfig):
+    """Every tunable of the four model variants plus what a run adds: the
+    iteration count, the greedy evaluation grid and the output paths.
 
-    `library` and `search` select the variant: args/noargs crossed with
-    exact/approx search.
+    `library_mode` and `search.mode` select the variant: args/noargs
+    crossed with exact/approx search.
     """
 
-    seed: int = 0
-    library: str = P.MODE_ARGS
-    search: str = MODE_APPROX
-    n_expand: int = 5
-    simulations: int = 200
-    c_puct: float = 1.0
-    dirichlet_alpha: float = 0.3
-    dirichlet_weight: float = 0.25
-    temperature: float = 1.0
-    nested_simulations: int = 100
-    iterations: int = 100
-    episodes_per_iteration: int = 20
-    batch_size: int = 64
-    grad_steps: int = 2
-    learning_rate: float = 1e-4
-    epsilon_failed: float = 0.2
-    unlock_threshold: float = 0.9
-    ema_decay: float = 0.95
-    replay_capacity: int = 2000
-    failed_capacity: int = 200
-    train_length_min: int = 2
-    train_length_max: int = 7
-    eval_lengths: tuple[int, ...] = (5, 10, 20, 40, 60)
-    eval_trials: int = 50
-    wall_clock: bool = False
-    value_from_failures: bool = False
-    checkpoint: str = "checkpoint.ckpt"
-    output_dir: str = "."
+    iterations: int = tunable(100, ">= 1", lambda v: v >= 1)
+    eval_lengths: tuple[int, ...] = tunable(
+        (5, 10, 20, 40, 60), "lengths >= 2",
+        lambda v: len(v) > 0 and all(x >= 2 for x in v))
+    eval_trials: int = tunable(50, ">= 1", lambda v: v >= 1)
+    checkpoint: str = tunable("checkpoint.ckpt")
+    output_dir: str = tunable(".")
 
     def to_train_config(self) -> TrainConfig:
-        search_cfg = SearchConfig(
-            mode=self.search,
-            n_expand=self.n_expand,
-            simulations=self.simulations,
-            c_puct=self.c_puct,
-            dirichlet_alpha=self.dirichlet_alpha,
-            dirichlet_weight=self.dirichlet_weight,
-            temperature=self.temperature,
-            nested_simulations=self.nested_simulations,
-            training=True,
-        )
-        return TrainConfig(
-            seed=self.seed,
-            library_mode=self.library,
-            search=search_cfg,
-            n_episodes=self.episodes_per_iteration,
-            batch_size=self.batch_size,
-            grad_steps=self.grad_steps,
-            learning_rate=self.learning_rate,
-            epsilon_failed=self.epsilon_failed,
-            unlock_threshold=self.unlock_threshold,
-            ema_decay=self.ema_decay,
-            replay_capacity=self.replay_capacity,
-            failed_capacity=self.failed_capacity,
-            train_length_min=self.train_length_min,
-            train_length_max=self.train_length_max,
-            eval_lengths=self.eval_lengths,
-            eval_trials=self.eval_trials,
-            wall_clock=self.wall_clock,
-            value_from_failures=self.value_from_failures,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
-# key -> (parser, range check description or None, predicate)
-_RANGES = {
-    "library": (lambda v: v in (P.MODE_ARGS, P.MODE_NO_ARGS), "args|noargs"),
-    "search": (lambda v: v in (MODE_EXACT, MODE_APPROX), "exact|approx"),
-    "n_expand": (lambda v: v >= 1, ">= 1"),
-    "simulations": (lambda v: v >= 1, ">= 1"),
-    "nested_simulations": (lambda v: v >= 0, ">= 0"),
-    "c_puct": (lambda v: v >= 0.0, ">= 0"),
-    "dirichlet_alpha": (lambda v: v > 0.0, "> 0"),
-    "dirichlet_weight": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "temperature": (lambda v: v >= 0.0, ">= 0"),
-    "iterations": (lambda v: v >= 1, ">= 1"),
-    "episodes_per_iteration": (lambda v: v >= 1, ">= 1"),
-    "batch_size": (lambda v: v >= 1, ">= 1"),
-    "grad_steps": (lambda v: v >= 0, ">= 0"),
-    "learning_rate": (lambda v: v > 0.0, "> 0"),
-    "epsilon_failed": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "unlock_threshold": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "ema_decay": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "replay_capacity": (lambda v: v >= 1, ">= 1"),
-    "failed_capacity": (lambda v: v >= 1, ">= 1"),
-    "train_length_min": (lambda v: v >= 2, ">= 2"),
-    "train_length_max": (lambda v: v >= 2, ">= 2"),
-    "eval_lengths": (lambda v: len(v) > 0 and all(x >= 2 for x in v), "lengths >= 2"),
-    "eval_trials": (lambda v: v >= 1, ">= 1"),
-}
+
+def _file_keys() -> dict[str, tuple[bool, Field, type]]:
+    """File key -> (whether the field is on the search config, the field,
+    its type), from the tunable fields."""
+    table = {}
+    for in_search, cls in ((False, RunConfig), (True, SearchConfig)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.metadata.get("tunable"):
+                table[f.metadata["key"] or f.name] = (in_search, f, hints[f.name])
+    return table
 
 
 def _parse_value(key: str, text: str, kind, lineno: int):
@@ -138,24 +80,19 @@ def _parse_value(key: str, text: str, kind, lineno: int):
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
 
-def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def checked(cfg: RunConfig) -> RunConfig:
+    """`cfg` once it passes `validate()`; a violation is a ConfigError."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
+
+
+def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines (# starts a comment) onto the defaults."""
-    cfg = base if base is not None else RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {
-        "seed": int, "library": str, "search": str, "n_expand": int,
-        "simulations": int, "c_puct": float, "dirichlet_alpha": float,
-        "dirichlet_weight": float, "temperature": float,
-        "nested_simulations": int, "iterations": int,
-        "episodes_per_iteration": int, "batch_size": int, "grad_steps": int,
-        "learning_rate": float, "epsilon_failed": float,
-        "unlock_threshold": float, "ema_decay": float,
-        "replay_capacity": int, "failed_capacity": int,
-        "train_length_min": int, "train_length_max": int,
-        "eval_lengths": tuple, "eval_trials": int, "wall_clock": bool,
-        "value_from_failures": bool, "checkpoint": str, "output_dir": str,
-    }
-    assert set(kinds) == set(types)
+    cfg = RunConfig()
+    keys = _file_keys()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,18 +101,16 @@ def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in kinds:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parsed = _parse_value(key, value, kinds[key], lineno)
-        check = _RANGES.get(key)
-        if check is not None and not check[0](parsed):
-            raise ConfigError(
-                f"line {lineno}: value for {key!r} out of range (need {check[1]})")
-        setattr(cfg, key, parsed)
-    if cfg.train_length_min > cfg.train_length_max:
-        raise ConfigError("train_length_min exceeds train_length_max")
-    return cfg
+        in_search, f, kind = keys[key]
+        parsed = _parse_value(key, value.strip(), kind, lineno)
+        ok = f.metadata["ok"]
+        if ok is not None and not ok(parsed):
+            raise ConfigError(f"line {lineno}: value for {key!r} out of range "
+                              f"(need {f.metadata['need']})")
+        setattr(cfg.search if in_search else cfg, f.name, parsed)
+    return checked(cfg)
 
 
 def load_config(path: Optional[str]) -> RunConfig:

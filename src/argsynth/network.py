@@ -161,15 +161,6 @@ def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
     return PolicyOutput(pi_p, pi_a, value, HiddenState(h, c))
 
 
-def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: float,
-                    pi_p_target: np.ndarray, pi_a_target: np.ndarray,
-                    reward: float) -> float:
-    """Per-step objective: two cross-entropies plus squared value error."""
-    ce_p = -float(pi_p_target @ np.log(np.maximum(pi_p, LOG_CLAMP)))
-    ce_a = -float(pi_a_target @ np.log(np.maximum(pi_a, LOG_CLAMP)))
-    return ce_p + ce_a + (value - reward) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Training: the batch packed into rows, one batched step per time step
 
@@ -226,6 +217,18 @@ def _forward_rows(params: ParameterSet, obs: np.ndarray, task: np.ndarray,
     return _Rows(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
 
 
+def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: np.ndarray,
+                    pi_p_target: np.ndarray, pi_a_target: np.ndarray,
+                    reward: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    """Per-step objective of each row: two cross-entropies plus the squared
+    value error. Rows whose `policy` mask is False (value-only traces) keep
+    only the squared value error."""
+    sq = (value - reward) ** 2
+    ce_p = -(pi_p_target * np.log(np.maximum(pi_p, LOG_CLAMP))).sum(axis=1)
+    ce_a = -(pi_a_target * np.log(np.maximum(pi_a, LOG_CLAMP))).sum(axis=1)
+    return np.where(policy, ce_p + ce_a + sq, sq)
+
+
 def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
     """Run the batch forward one time step at a time, all traces at once.
 
@@ -253,10 +256,8 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
         tp = np.array([st.pi_p_mcts for st in steps])
         ta = np.array([st.pi_a_mcts for st in steps])
         rows = _forward_rows(params, obs, task[:b], h[:b], c[:b])
-        sq = (rows.value - reward[:b]) ** 2
-        ce_p = -(tp * np.log(np.maximum(rows.pi_p, LOG_CLAMP))).sum(axis=1)
-        ce_a = -(ta * np.log(np.maximum(rows.pi_a, LOG_CLAMP))).sum(axis=1)
-        terms = np.where(policy[:b], ce_p + ce_a + sq, sq)
+        terms = step_loss_terms(rows.pi_p, rows.pi_a, rows.value, tp, ta,
+                                reward[:b], policy[:b])
         yield obs, task[:b], reward[:b], policy[:b], h[:b], c[:b], tp, ta, rows, terms
         h, c = rows.h, rows.c
 

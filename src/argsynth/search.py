@@ -9,8 +9,8 @@ triggers a nested search for that program with a fresh hidden state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Optional, Protocol, Sequence
+from dataclasses import dataclass, field, fields, replace as dc_replace
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -38,25 +38,38 @@ class SearchError(RuntimeError):
     """Dead-end root or broken recursion contract."""
 
 
+def tunable(default, need: Optional[str] = None,
+            ok: Optional[Callable[[Any], bool]] = None, key: Optional[str] = None):
+    """A config field that a run file may set, declared once: its default,
+    the range it must lie in (`ok`, which `need` describes), and its file
+    key where that differs from the field name."""
+    return field(default=default, metadata={"tunable": True, "need": need,
+                                            "ok": ok, "key": key})
+
+
+def check_tunables(cfg) -> None:
+    """Raise ValueError for the first tunable field of `cfg` out of range."""
+    for f in fields(cfg):
+        ok = f.metadata.get("ok")
+        if ok is not None and not ok(getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} out of range (need {f.metadata['need']})")
+
+
 @dataclass
 class SearchConfig:
-    mode: str = MODE_APPROX
-    n_expand: int = 5
-    simulations: int = 200
-    c_puct: float = 1.0
-    dirichlet_alpha: float = 0.3
-    dirichlet_weight: float = 0.25
-    temperature: float = 1.0
-    nested_simulations: int = 100
+    mode: str = tunable(MODE_APPROX, "exact|approx",
+                        lambda v: v in (MODE_EXACT, MODE_APPROX), key="search")
+    n_expand: int = tunable(5, ">= 1", lambda v: v >= 1)
+    simulations: int = tunable(200, ">= 1", lambda v: v >= 1)
+    c_puct: float = tunable(1.0, ">= 0", lambda v: v >= 0.0)
+    dirichlet_alpha: float = tunable(0.3, "> 0", lambda v: v > 0.0)
+    dirichlet_weight: float = tunable(0.25, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    temperature: float = tunable(1.0, ">= 0", lambda v: v >= 0.0)
+    nested_simulations: int = tunable(100, ">= 0", lambda v: v >= 0)
     training: bool = True  # enables Dirichlet exploration noise
 
     def validate(self) -> None:
-        if self.mode not in (MODE_EXACT, MODE_APPROX):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.n_expand < 1:
-            raise ValueError("n_expand must be >= 1")
-        if self.simulations < 1:
-            raise ValueError("simulations must be >= 1")
+        check_tunables(self)
 
 
 @dataclass
@@ -148,9 +161,6 @@ class Node:
         self.terminal = False
         self.value = 0.0
         self.failed_subcall = False
-
-    def q_values(self) -> np.ndarray:
-        return self.W / np.maximum(self.N, 1.0)
 
 
 # Rewards live in [0,1], so 0.5 is the scale's neutral point. Unvisited

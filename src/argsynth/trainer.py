@@ -35,8 +35,10 @@ from .search import (
     NetworkGreedyPolicy,
     SearchConfig,
     SearchStats,
+    check_tunables,
     execute_greedy,
     search_episode,
+    tunable,
 )
 
 METRICS_COLUMNS = ("iteration", "task", "mode", "episodes", "successes",
@@ -57,37 +59,35 @@ _UNLOCK_DEPS = {
 
 @dataclass
 class TrainConfig:
-    seed: int = 0
-    library_mode: str = P.MODE_ARGS
+    seed: int = tunable(0, ">= 0", lambda v: v >= 0)
+    library_mode: str = tunable(P.MODE_ARGS, "args|noargs",
+                                lambda v: v in (P.MODE_ARGS, P.MODE_NO_ARGS),
+                                key="library")
     search: SearchConfig = field(default_factory=SearchConfig)
-    n_episodes: int = 20
-    batch_size: int = 64
-    grad_steps: int = 2
-    learning_rate: float = 1e-4
+    n_episodes: int = tunable(20, ">= 1", lambda v: v >= 1,
+                              key="episodes_per_iteration")
+    batch_size: int = tunable(64, ">= 1", lambda v: v >= 1)
+    grad_steps: int = tunable(2, ">= 0", lambda v: v >= 0)
+    learning_rate: float = tunable(1e-4, "> 0", lambda v: v > 0.0)
     grad_clip: float = 1.0
-    epsilon_failed: float = 0.2
-    unlock_threshold: float = 0.9
-    ema_decay: float = 0.95
-    replay_capacity: int = 2000
-    failed_capacity: int = 200
-    train_length_min: int = 2
-    train_length_max: int = 7
-    eval_lengths: tuple[int, ...] = (5, 10, 20, 40, 60)
-    eval_trials: int = 50
-    wall_clock: bool = False
+    epsilon_failed: float = tunable(0.2, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    unlock_threshold: float = tunable(0.9, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    ema_decay: float = tunable(0.95, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+    replay_capacity: int = tunable(2000, ">= 1", lambda v: v >= 1)
+    failed_capacity: int = tunable(200, ">= 1", lambda v: v >= 1)
+    train_length_min: int = tunable(2, ">= 2", lambda v: v >= 2)
+    train_length_max: int = tunable(7, ">= 2", lambda v: v >= 2)
+    wall_clock: bool = tunable(False)
     # Off by default: only successful traces reach the value head. Turning
     # this on mixes failed episodes in as value-only targets, countering
     # the optimism an all-success replay diet breeds into V.
-    value_from_failures: bool = False
+    value_from_failures: bool = tunable(False)
 
     def validate(self) -> None:
+        check_tunables(self)
         self.search.validate()
-        if self.n_episodes < 1 or self.batch_size < 1 or self.grad_steps < 0:
-            raise ValueError("episode/batch/grad-step counts must be positive")
-        if not (2 <= self.train_length_min <= self.train_length_max):
-            raise ValueError("training lengths must satisfy 2 <= min <= max")
-        if not (0.0 <= self.epsilon_failed <= 1.0):
-            raise ValueError("epsilon_failed must lie in [0, 1]")
+        if self.train_length_min > self.train_length_max:
+            raise ValueError("train_length_min exceeds train_length_max")
 
 
 @dataclass

@@ -111,19 +111,21 @@ class TestForward:
 
 class TestLoss:
     def test_worked_unit_example(self):
-        value = step_loss_terms(
-            np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.5,
-            np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
+        (value,) = step_loss_terms(
+            np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([0.5]),
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([1.0]),
+            np.array([True]))
         assert value == pytest.approx(1.6363, abs=1e-4)
 
     def test_matched_outputs_leave_target_entropy(self):
-        tp = np.array([1.0, 0.0, 0.0])
-        ta = np.zeros(4)
-        ta[2] = 1.0
-        assert step_loss_terms(tp, ta, 1.0, tp, ta, 1.0) == pytest.approx(0.0, abs=1e-9)
-        soft = np.array([0.5, 0.5])
+        tp = np.array([[1.0, 0.0, 0.0]])
+        ta = np.zeros((1, 4))
+        ta[0, 2] = 1.0
+        one, policy = np.array([1.0]), np.array([True])
+        assert step_loss_terms(tp, ta, one, tp, ta, one, policy)[0] == pytest.approx(0.0, abs=1e-9)
+        soft = np.array([[0.5, 0.5]])
         expected = -2 * 0.5 * np.log(0.5) * 2  # both heads at entropy
-        assert step_loss_terms(soft, soft, 1.0, soft, soft, 1.0) == pytest.approx(expected)
+        assert step_loss_terms(soft, soft, one, soft, soft, one, policy)[0] == pytest.approx(expected)
 
     def test_duplicating_batch_doubles_loss(self):
         dims = small_dims()
@@ -217,11 +219,13 @@ def reference_loss_and_grads(params, batch):
         caches = []
         for step in trace.steps:
             cc = _reference_step(params, step.obs, trace.task_index, h, c)
+            sq = (cc.value - trace.reward) ** 2
             if value_only:
-                total += (cc.value - trace.reward) ** 2
+                total += sq
             else:
-                total += step_loss_terms(cc.pi_p, cc.pi_a, cc.value, step.pi_p_mcts,
-                                         step.pi_a_mcts, trace.reward)
+                ce_p = -float(step.pi_p_mcts @ np.log(np.maximum(cc.pi_p, 1e-12)))
+                ce_a = -float(step.pi_a_mcts @ np.log(np.maximum(cc.pi_a, 1e-12)))
+                total += ce_p + ce_a + sq
             caches.append((step, cc))
             h, c = cc.h, cc.c
         dh_next = np.zeros(d.hidden)

@@ -133,20 +133,20 @@ class TestBackup:
         backup([(a, 0), (b, 0)], 1.0)
         for node in (a, b):
             assert node.N[0] == 1 and node.W[0] == 1 and node.visits == 2
-            assert node.q_values()[0] == 1.0 and node.Q[0] == 1.0
+            assert node.Q[0] == 1.0
 
     def test_two_backups_average(self):
         node = bare_node(1)
         backup([(node, 0)], 1.0)
         backup([(node, 0)], 0.0)
-        assert node.q_values()[0] == 0.5
+        assert node.Q[0] == 0.5
 
     def test_q_stays_in_unit_interval(self):
         node = bare_node(1)
         r = rng(1)
         for _ in range(200):
             backup([(node, 0)], float(r.random()))
-            assert 0.0 <= node.q_values()[0] <= 1.0
+            assert 0.0 <= node.Q[0] <= 1.0
 
     def test_leaf_entry_counts_visit_only(self):
         node = bare_node(2)

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from argsynth.config import RunConfig
 from argsynth.env import TaskId, TASKS, make_env, sample_task_env
 from argsynth.expert import ExpertPolicy
 from argsynth.programs import build_library
@@ -257,6 +256,25 @@ class TestTrainer:
         assert lines[0] == "iteration,task,mode,simulations,nodes_expanded,max_depth"
         assert len(lines) == 3
 
+    def test_value_from_failures_trains_on_failed_traces(self):
+        def run(value_from_failures):
+            trainer = Trainer(tiny_config(
+                search=SearchConfig(mode="exact", simulations=60,
+                                    nested_simulations=8, training=True),
+                n_episodes=4, train_length_max=3,
+                value_from_failures=value_from_failures))
+            trainer.run(3)
+            return trainer
+
+        on, off = run(True), run(False)
+        assert len(on.replay) > 0 and len(on.value_traces) > 0
+        assert all(r.value_only and r.reward == 0 and r.steps
+                   for r in on.value_traces)
+        assert len(off.value_traces) == 0
+        # Value-only targets join the batch, so the loss moves.
+        assert on.metrics_rows[-1]["loss"] != off.metrics_rows[-1]["loss"]
+        assert on.metrics_csv() == run(True).metrics_csv()
+
     def test_failed_env_dump_parses_back(self):
         from argsynth.env import env_from_record
         trainer = Trainer(tiny_config(search=SearchConfig(
@@ -271,16 +289,38 @@ class TestTrainer:
             env_from_record(record)
 
 
+# Today's defaults spelled out in full, so that a change of defaults leaves
+# the oracle where it is.
 ORACLE_RUNS = {
-    "default": {},
-    "noargs-exact": {"library": "noargs", "search": "exact"},
+    "default": TrainConfig(
+        seed=0, library_mode="args",
+        search=SearchConfig(mode="approx", n_expand=5, simulations=200,
+                            c_puct=1.0, dirichlet_alpha=0.3,
+                            dirichlet_weight=0.25, temperature=1.0,
+                            nested_simulations=100, training=True),
+        n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
+        grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
+        ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
+        train_length_min=2, train_length_max=7, wall_clock=False,
+        value_from_failures=False),
+    "noargs-exact": TrainConfig(
+        seed=0, library_mode="noargs",
+        search=SearchConfig(mode="exact", n_expand=5, simulations=200,
+                            c_puct=1.0, dirichlet_alpha=0.3,
+                            dirichlet_weight=0.25, temperature=1.0,
+                            nested_simulations=100, training=True),
+        n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
+        grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
+        ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
+        train_length_min=2, train_length_max=7, wall_clock=False,
+        value_from_failures=False),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_RUNS))
 def oracle_run(request):
-    """Three iterations of `RunConfig(seed=0)` with the named overrides."""
-    trainer = Trainer(RunConfig(seed=0, **ORACLE_RUNS[request.param]).to_train_config())
+    """Three iterations of the named config."""
+    trainer = Trainer(ORACLE_RUNS[request.param])
     trainer.run(3)
     return request.param, trainer
 
