@@ -105,8 +105,11 @@ def cmd_run(args) -> int:
         raise ConfigError(
             f"unknown program {args.program!r} "
             f"(choose from {', '.join(t.program_name for t in TASKS)})")
+    try:
+        env = _entry_env(task, values)
+    except E.EnvError as exc:
+        raise ConfigError(f"invalid list {args.list!r}: {exc}")
     params, _, _ = _load_checkpoint(args.checkpoint, lib)
-    env = _entry_env(task, values)
     policy = NetworkGreedyPolicy(params, lib)
     trace: list = []
     print(f"{task.program_name}()  on  {env_to_record(env)}")
@@ -120,6 +123,8 @@ def cmd_run(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load(args)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     lib = build_library(cfg.library_mode)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     lengths = list(range(2, 8)) + [20]

@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .env import OBS_DIM
-from .programs import ARG_SPACE, ArgTuple, ProgramLibrary, ProgramSpec, as_feasible_set
+from .programs import ARG_SPACE, ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec
 
 LOG_CLAMP = 1e-12
 
@@ -40,13 +40,6 @@ class NetworkDims:
     hidden: int = 128
     args: int = ARG_SPACE
     tasks: int = 4
-
-    def to_dict(self) -> dict:
-        return {
-            "programs": self.programs, "obs": self.obs, "enc": self.enc,
-            "embed": self.embed, "hidden": self.hidden, "args": self.args,
-            "tasks": self.tasks,
-        }
 
 
 class HiddenState(NamedTuple):
@@ -105,10 +98,10 @@ def init_params(seed: int, dims: NetworkDims) -> ParameterSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     arrays: dict[str, np.ndarray] = {}
     for name, shape in _shapes(dims).items():
-        if name.endswith(("_b", "_b1", "_b2")) or name in ("lstm_b",):
+        if name.endswith(("_b", "_b1", "_b2")):
             arrays[name] = np.zeros(shape, dtype=np.float64)
             continue
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
+        fan_in = shape[0]
         if name == "prog_embed":
             fan_in = dims.embed
         bound = 1.0 / np.sqrt(fan_in)
@@ -125,50 +118,19 @@ def zero_hidden(dims: NetworkDims) -> HiddenState:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
-            hidden: Optional[HiddenState] = None) -> PolicyOutput:
-    """One deterministic step of the network; returns policies, value and
-    the next hidden state."""
-    a = params.arrays
-    d = params.dims
-    if obs.shape != (d.obs,):
-        raise ValueError(f"observation shape {obs.shape} != ({d.obs},)")
-    if not (0 <= task_index < d.tasks):
-        raise ValueError(f"task index {task_index} outside [0, {d.tasks})")
-    h_prev, c_prev = zero_hidden(d) if hidden is None else hidden
-    a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
-    s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
-    x = np.concatenate([s, a["prog_embed"][task_index]])
-    # Clipping at +-500 is exact in float64: the tails are already 0/1.
-    gates = np.minimum(np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"],
-                                  -500.0), 500.0)
-    H = d.hidden
-    gi = 1.0 / (1.0 + np.exp(-gates[:H]))
-    gf = 1.0 / (1.0 + np.exp(-gates[H:2 * H]))
-    gg = np.tanh(gates[2 * H:3 * H])
-    go = 1.0 / (1.0 + np.exp(-gates[3 * H:]))
-    c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
-    pi_p = _softmax(h @ a["prog_w"] + a["prog_b"])
-    pi_a = _softmax(h @ a["arg_w"] + a["arg_b"])
-    v = float(h @ a["value_w"] + a["value_b"][0])
-    value = float(1.0 / (1.0 + np.exp(-min(max(v, -500.0), 500.0))))
-    return PolicyOutput(pi_p, pi_a, value, HiddenState(h, c))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-# ---------------------------------------------------------------------------
-# Training: the batch packed into rows, one batched step per time step
-
-
-class _Rows(NamedTuple):
-    """Activations of one batched step, one row per running trace. The
-    encoder output is `x[:, :enc]`, and `tanh(c)` is recomputed where it is
-    needed, so that the tape the backward pass reads stays small."""
+class _Step(NamedTuple):
+    """Activations of one network step: vectors for one trace, or one row
+    per running trace. The encoder output is `x[..., :enc]`, and `tanh(c)`
+    is recomputed where it is needed, so that the tape the backward pass
+    reads stays small."""
 
     a1: np.ndarray
     x: np.ndarray
@@ -183,38 +145,49 @@ class _Rows(NamedTuple):
     value: np.ndarray
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _forward_rows(params: ParameterSet, obs: np.ndarray, task: np.ndarray,
-                  h_prev: np.ndarray, c_prev: np.ndarray) -> _Rows:
-    """`forward` on b rows at once: obs [b, obs], task [b], h/c [b, hidden]."""
+def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
+          h_prev: np.ndarray, c_prev: np.ndarray) -> _Step:
+    """The network on one observation (obs [obs], an int task, h/c
+    [hidden]) or on b rows at once (obs [b, obs], task [b], h/c
+    [b, hidden]). Rows go through matrix products and a vector through
+    matrix-vector products, so a row can differ in its last bits from the
+    same input run alone."""
     a = params.arrays
-    d = params.dims
-    if obs.shape != (len(task), d.obs):
-        raise ValueError(f"observation rows {obs.shape} != ({len(task)}, {d.obs})")
+    H = params.dims.hidden
     a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
     s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
-    x = np.concatenate([s, a["prog_embed"][task]], axis=1)
-    gates = np.minimum(np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"],
-                                  -500.0), 500.0)
-    H = d.hidden
-    gi = _sigmoid(gates[:, :H])
-    gf = _sigmoid(gates[:, H:2 * H])
-    gg = np.tanh(gates[:, 2 * H:3 * H])
-    go = _sigmoid(gates[:, 3 * H:])
+    x = np.concatenate([s, a["prog_embed"][task]], axis=-1)
+    # Clipping below at -500 keeps exp(-z) finite. No upper clip is needed:
+    # sigmoid and tanh round to exactly 1 from z = 37 on.
+    gates = np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"], -500.0)
+    gi = _sigmoid(gates[..., :H])
+    gf = _sigmoid(gates[..., H:2 * H])
+    gg = np.tanh(gates[..., 2 * H:3 * H])
+    go = _sigmoid(gates[..., 3 * H:])
     c = gf * c_prev + gi * gg
     h = go * np.tanh(c)
-    pi_p = _softmax_rows(h @ a["prog_w"] + a["prog_b"])
-    pi_a = _softmax_rows(h @ a["arg_w"] + a["arg_b"])
-    value = _sigmoid(np.minimum(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0), 500.0))
-    return _Rows(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
+    pi_p = _softmax(h @ a["prog_w"] + a["prog_b"])
+    pi_a = _softmax(h @ a["arg_w"] + a["arg_b"])
+    value = _sigmoid(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0))
+    return _Step(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
+
+
+def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
+            hidden: Optional[HiddenState] = None) -> PolicyOutput:
+    """One deterministic step of the network; returns policies, value and
+    the next hidden state."""
+    d = params.dims
+    if obs.shape != (d.obs,):
+        raise ValueError(f"observation shape {obs.shape} != ({d.obs},)")
+    if not (0 <= task_index < d.tasks):
+        raise ValueError(f"task index {task_index} outside [0, {d.tasks})")
+    h_prev, c_prev = zero_hidden(d) if hidden is None else hidden
+    r = _step(params, obs, task_index, h_prev, c_prev)
+    return PolicyOutput(r.pi_p, r.pi_a, float(r.value), HiddenState(r.h, r.c))
+
+
+# ---------------------------------------------------------------------------
+# Training: the batch packed into rows, one batched step per time step
 
 
 def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: np.ndarray,
@@ -236,7 +209,7 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
     traces still running at step t are the first b_t rows: no padding and
     no mask on the recurrence. Every trace starts from the zero hidden
     state. Yields, per step, for its b_t rows: (obs, task, reward, policy
-    mask, h_prev, c_prev, pi_p targets, pi_a targets, `_Rows`, row losses).
+    mask, h_prev, c_prev, pi_p targets, pi_a targets, `_Step`, row losses).
     """
     d = params.dims
     traces = sorted(batch, key=lambda tr: len(tr.steps), reverse=True)
@@ -253,9 +226,11 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
             b -= 1
         steps = [tr.steps[t] for tr in traces[:b]]
         obs = np.array([st.obs for st in steps])
+        if obs.shape != (b, d.obs):
+            raise ValueError(f"observation rows {obs.shape} != ({b}, {d.obs})")
         tp = np.array([st.pi_p_mcts for st in steps])
         ta = np.array([st.pi_a_mcts for st in steps])
-        rows = _forward_rows(params, obs, task[:b], h[:b], c[:b])
+        rows = _step(params, obs, task[:b], h[:b], c[:b])
         terms = step_loss_terms(rows.pi_p, rows.pi_a, rows.value, tp, ta,
                                 reward[:b], policy[:b])
         yield obs, task[:b], reward[:b], policy[:b], h[:b], c[:b], tp, ta, rows, terms
@@ -392,6 +367,10 @@ class AdamState:
 
 
 def init_optimizer(params: ParameterSet, lr: float = 1e-4, clip: float = 1.0) -> AdamState:
+    """Fresh Adam state; `clip` bounds the global gradient norm and must be
+    positive (a negative bound would turn every update into ascent)."""
+    if not clip > 0.0:
+        raise ValueError(f"gradient clip must be > 0, got {clip}")
     state = AdamState(lr=lr, clip=clip)
     state.m = params.zeros_like()
     state.v = params.zeros_like()
@@ -429,10 +408,8 @@ def train_step(params: ParameterSet, opt: AdamState, batch: Sequence) -> float:
 # Masking and greedy selection
 
 
-def masked_distributions(
-    pi_p: np.ndarray, pi_a: np.ndarray,
-    feasible: Sequence[tuple[ProgramSpec, ArgTuple]], lib: ProgramLibrary,
-) -> tuple[np.ndarray, np.ndarray]:
+def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
+                         feasible: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
     """Restrict both policies to the feasible supports and renormalize.
 
     A zero masked mass (every feasible entry starved) falls back to
@@ -440,8 +417,7 @@ def masked_distributions(
     """
     if not feasible:
         raise ValueError("no feasible pairs: dead-end state")
-    fs = as_feasible_set(feasible, lib)
-    return _masked(pi_p, fs.prog_mask), _masked(pi_a, fs.arg_mask)
+    return _masked(pi_p, feasible.prog_mask), _masked(pi_a, feasible.arg_mask)
 
 
 def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -454,26 +430,19 @@ def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_select(
-    pi_p: np.ndarray, pi_a: np.ndarray,
-    feasible: Sequence[tuple[ProgramSpec, ArgTuple]], lib: ProgramLibrary,
-) -> tuple[ProgramSpec, ArgTuple]:
+def greedy_select(pi_p: np.ndarray, pi_a: np.ndarray,
+                  feasible: FeasibleSet) -> tuple[ProgramSpec, ArgTuple]:
     """Most probable feasible program, then its most probable argument
     tuple; ties break toward the lowest index."""
     if not feasible:
         raise ValueError("no feasible pairs: dead-end state")
-    fs = as_feasible_set(feasible, lib)
-    progs = fs.prog_support
-    rows, args = fs.rows_of[int(progs[pi_p[progs].argmax()])]
-    return fs[rows[pi_a[args].argmax()]]
+    progs = feasible.prog_support
+    rows, args = feasible.rows_of[int(progs[pi_p[progs].argmax()])]
+    return feasible[rows[pi_a[args].argmax()]]
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
-
-
-def _array_manifest(arrays: dict[str, np.ndarray]) -> list[dict]:
-    return [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
 
 
 def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
@@ -491,7 +460,7 @@ def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
     header = {
         "format_version": CHECKPOINT_VERSION,
         "manifest": manifest,
-        "dims": params.dims.to_dict(),
+        "dims": asdict(params.dims),
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in ordered],
         "optimizer": opt_header,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),

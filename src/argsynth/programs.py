@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -333,17 +333,6 @@ class FeasibleSet(list):
             rows = np.flatnonzero(self.prog_idx == p)
             out[int(p)] = (rows, self.arg_idx[rows])
         return out
-
-
-def as_feasible_set(pairs: Sequence[tuple[ProgramSpec, ArgTuple]],
-                    lib: "ProgramLibrary") -> FeasibleSet:
-    """Sets from `feasible_pairs` pass through; any other sequence of pairs
-    gets its indices looked up in the library."""
-    if isinstance(pairs, FeasibleSet):
-        return pairs
-    prog_idx = np.array([lib.index(spec.name) for spec, _ in pairs], dtype=np.intp)
-    arg_idx = np.array([args_encode(args) for _, args in pairs], dtype=np.intp)
-    return FeasibleSet(pairs, prog_idx, arg_idx, len(lib))
 
 
 class ActionTable:

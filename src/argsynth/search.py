@@ -25,7 +25,7 @@ from .network import (
     masked_distributions,
     zero_hidden,
 )
-from .programs import ArgTuple, ProgramLibrary, ProgramSpec, as_feasible_set, feasible_pairs
+from .programs import ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec, feasible_pairs
 
 MODE_EXACT = "exact"
 MODE_APPROX = "approx"
@@ -149,8 +149,8 @@ class Node:
         self.h_in = h_in
         self.h_out: Optional[HiddenState] = None
         self.depth = depth
-        self.feasible: list[tuple[ProgramSpec, ArgTuple]] = []
-        self.edges: list[tuple[ProgramSpec, ArgTuple]] = []
+        self.feasible: FeasibleSet | list = []
+        self.edges: FeasibleSet | list = []
         self.P = np.zeros(0)
         self.N = np.zeros(0)
         self.W = np.zeros(0)
@@ -190,11 +190,9 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
             node.Q[idx] = node.W[idx] / node.N[idx]
 
 
-def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
-                lib: ProgramLibrary) -> np.ndarray:
+def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) -> np.ndarray:
     """Factorized prior over the node's feasible pairs, renormalized."""
-    feasible = as_feasible_set(node.feasible, lib)
-    pri = pi_p_masked[feasible.prog_idx] * pi_a_masked[feasible.arg_idx]
+    pri = pi_p_masked[node.feasible.prog_idx] * pi_a_masked[node.feasible.arg_idx]
     total = pri.sum()
     if total > 0:
         return pri / total
@@ -202,8 +200,7 @@ def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
 
 
 def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
-           cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats,
-           lib: ProgramLibrary) -> None:
+           cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats) -> None:
     """Create the node's children from its feasible pairs.
 
     Training searches mix Dirichlet noise into the prior at every
@@ -216,8 +213,7 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         node.terminal = True
         node.value = 0.0
         return
-    feasible = as_feasible_set(node.feasible, lib)
-    pri = joint_prior(node, pi_p_masked, pi_a_masked, lib)
+    pri = joint_prior(node, pi_p_masked, pi_a_masked)
     m = len(pri)
     if cfg.training and cfg.dirichlet_weight > 0.0:
         noise = rng.dirichlet(np.full(m, cfg.dirichlet_alpha))
@@ -229,11 +225,11 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         p_sample = p_sample / p_sample.sum()
         picked = rng.choice(m, size=cfg.n_expand, replace=False, p=p_sample)
         picked = np.sort(picked)
-        node.edges = feasible.take(picked)
+        node.edges = node.feasible.take(picked)
         pri = pri[picked]
         pri = pri / pri.sum()
     else:
-        node.edges = feasible
+        node.edges = node.feasible
         pri = pri / pri.sum()
     assert cfg.mode != MODE_APPROX or len(node.edges) <= cfg.n_expand
     node.P = pri
@@ -360,9 +356,8 @@ def _expand_and_eval(node: Node, ctx: _Context) -> float:
         return 0.0
     pi_p, pi_a, value, h_out = ctx.evaluator.evaluate(node.env, ctx.task_index, node.h_in)
     node.h_out = h_out
-    mp, ma = masked_distributions(pi_p, pi_a, node.feasible, ctx.lib)
-    expand(node, mp, ma, ctx.cfg, ctx.rng, ctx.stats, ctx.lib)
-    ctx.stats.max_depth = max(ctx.stats.max_depth, node.depth)
+    mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
+    expand(node, mp, ma, ctx.cfg, ctx.rng, ctx.stats)
     return value
 
 
@@ -508,7 +503,7 @@ class NetworkGreedyPolicy:
         feasible = feasible_pairs(env, level, self.lib)
         if not feasible:
             raise SearchError("dead-end state during greedy execution")
-        return greedy_select(pi_p, pi_a, feasible, self.lib)
+        return greedy_select(pi_p, pi_a, feasible)
 
     def end(self) -> None:
         self._stack.pop()

@@ -12,6 +12,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class TrainConfig:
     batch_size: int = tunable(64, ">= 1", lambda v: v >= 1)
     grad_steps: int = tunable(2, ">= 0", lambda v: v >= 0)
     learning_rate: float = tunable(1e-4, "> 0", lambda v: v > 0.0)
-    grad_clip: float = 1.0
+    grad_clip: float = field(default=1.0, metadata={"need": "> 0", "ok": lambda v: v > 0.0})
     epsilon_failed: float = tunable(0.2, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     unlock_threshold: float = tunable(0.9, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     ema_decay: float = tunable(0.95, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
@@ -156,49 +157,42 @@ class FailedEnvBuffer:
 
     A state that fails again has its count bumped, which raises its
     resampling probability; a buffered state that finally succeeds is
-    dropped.
+    dropped. Each task's states are the keys of an insertion-ordered dict,
+    so a bump keeps a state's place and eviction drops the oldest.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buf: dict[TaskId, deque] = {t: deque() for t in TASKS}
+        self._buf: dict[TaskId, dict[EnvState, int]] = {t: {} for t in TASKS}
 
     def size(self, task: TaskId) -> int:
         return len(self._buf[task])
 
     def entries(self, task: TaskId) -> list[tuple[EnvState, int]]:
-        return [(env, count) for env, count in self._buf[task]]
+        return list(self._buf[task].items())
 
     def add_failure(self, task: TaskId, env: EnvState) -> None:
         buf = self._buf[task]
-        for entry in buf:
-            if entry[0] == env:
-                entry[1] += 1
-                return
-        buf.append([env, 1])
+        buf[env] = buf.get(env, 0) + 1
         while len(buf) > self.capacity:
-            buf.popleft()
+            del buf[next(iter(buf))]
 
     def remove(self, task: TaskId, env: EnvState) -> None:
-        buf = self._buf[task]
-        for entry in list(buf):
-            if entry[0] == env:
-                buf.remove(entry)
-                return
+        self._buf[task].pop(env, None)
 
     def sample(self, task: TaskId, rng: np.random.Generator) -> Optional[EnvState]:
         buf = self._buf[task]
         if not buf:
             return None
-        counts = np.array([entry[1] for entry in buf], dtype=np.float64)
+        counts = np.fromiter(buf.values(), dtype=np.float64, count=len(buf))
         probs = counts / counts.sum()
         idx = int(rng.choice(len(buf), p=probs))
-        return buf[idx][0]
+        return next(islice(buf, idx, None))
 
     def dump_lines(self) -> list[str]:
         lines = []
         for task in TASKS:
-            for env, count in self._buf[task]:
+            for env, count in self._buf[task].items():
                 lines.append(f"{task.program_name}\t{count}\t{env_to_record(env)}")
         return lines
 
@@ -290,6 +284,13 @@ def _fmt(value) -> str:
 
 def csv_line(values: Iterable) -> str:
     return ",".join(_fmt(v) for v in values)
+
+
+def csv_table(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header line, then one line per row with its `columns` in order."""
+    lines = [",".join(columns)]
+    lines += [csv_line(row[c] for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class Trainer:
@@ -395,14 +396,10 @@ class Trainer:
     # -- file emission ------------------------------------------------------
 
     def metrics_csv(self) -> str:
-        lines = [",".join(METRICS_COLUMNS)]
-        lines += [csv_line(row[c] for c in METRICS_COLUMNS) for row in self.metrics_rows]
-        return "\n".join(lines) + "\n"
+        return csv_table(METRICS_COLUMNS, self.metrics_rows)
 
     def search_csv(self) -> str:
-        lines = [",".join(SEARCH_COLUMNS)]
-        lines += [csv_line(row[c] for c in SEARCH_COLUMNS) for row in self.search_rows]
-        return "\n".join(lines) + "\n"
+        return csv_table(SEARCH_COLUMNS, self.search_rows)
 
     def dump_failed_envs(self) -> str:
         return "\n".join(self.failed.dump_lines()) + "\n"
@@ -437,9 +434,7 @@ def evaluate_generalization(
 
 
 def accuracy_csv(rows: Sequence[dict]) -> str:
-    lines = [",".join(ACCURACY_COLUMNS)]
-    lines += [csv_line(row[c] for c in ACCURACY_COLUMNS) for row in rows]
-    return "\n".join(lines) + "\n"
+    return csv_table(ACCURACY_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -101,3 +101,19 @@ def test_bad_override_is_a_usage_error(tmp_path, tiny_file, capsys, flag, value)
     err = capsys.readouterr().err
     assert err.startswith("config error:") and flag[2:] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["42,1", "5", "3,-1,2"])
+def test_bad_list_is_a_usage_error_before_the_checkpoint_loads(tmp_path, capsys, values):
+    absent = str(tmp_path / "absent.ckpt")
+    assert cli.main(["run", "--program", "partition", "--list", values,
+                     "--checkpoint", absent]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid list") and "not found" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_oracle_check_without_trials_is_a_usage_error(capsys, trials):
+    assert cli.main(["oracle-check", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "trials" in captured.err

@@ -164,3 +164,17 @@ def test_train_lengths_must_be_ordered():
         TrainConfig(train_length_min=6, train_length_max=4).validate()
     assert parse_config("train_length_min = 4\ntrain_length_max = 4\n"
                         ).to_train_config().train_length_max == 4
+
+
+@pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])
+def test_grad_clip_must_be_positive(clip):
+    # A negative bound flips every update into gradient ascent; zero
+    # freezes training.
+    for cls in (TrainConfig, RunConfig):
+        with pytest.raises(ValueError, match="grad_clip out of range"):
+            cls(grad_clip=clip).validate()
+    TrainConfig(grad_clip=1e-3).validate()
+
+
+def test_grad_clip_is_not_a_file_key():
+    _rejects("grad_clip = 2\n", "line 1", "unknown key 'grad_clip'")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from argsynth.env import OBS_DIM, TASKS, TaskId, make_env, observe, sample_task_env
 from argsynth.network import (
     CheckpointError,
+    HiddenState,
     NetworkDims,
     checkpoint_load,
     checkpoint_save,
@@ -201,6 +202,41 @@ def _reference_step(params, obs, task_index, h_prev, c_prev):
         value=1.0 / (1.0 + np.exp(-np.clip(v, -500.0, 500.0))))
 
 
+class TestForwardMatchesReference:
+    """`forward` runs the same vector arithmetic as `_reference_step`, so it
+    must agree bit for bit, on the clipped tails too."""
+
+    @pytest.mark.parametrize("scale,value_scale", [(1.0, 1.0), (300.0, 20.0)])
+    def test_bit_for_bit(self, scale, value_scale):
+        lib = build_library("args")
+        params = init_params(40, dims_for_library(lib))
+        for array in params.arrays.values():
+            array *= scale
+        params.arrays["value_w"] *= value_scale
+        a = params.arrays
+        H = params.dims.hidden
+        r = rng(40)
+        gate_max = value_max = value_min = 0.0
+        for i in range(200):
+            task = i % 4
+            obs = r.random(OBS_DIM)
+            h, c = r.uniform(-1.0, 1.0, H), r.normal(0.0, 3.0, H)
+            out = forward(params, obs, task, HiddenState(h, c))
+            ref = _reference_step(params, obs, task, h, c)
+            assert np.array_equal(out.pi_p, ref.pi_p)
+            assert np.array_equal(out.pi_a, ref.pi_a)
+            assert out.value == ref.value
+            assert np.array_equal(out.hidden.h, ref.h)
+            assert np.array_equal(out.hidden.c, ref.c)
+            gates = ref.x @ a["lstm_wx"] + h @ a["lstm_wh"] + a["lstm_b"]
+            logit = float(ref.h @ a["value_w"] + a["value_b"][0])
+            gate_max = max(gate_max, float(np.abs(gates).max()))
+            value_max, value_min = max(value_max, logit), min(value_min, logit)
+        clipped = scale > 1.0
+        assert (gate_max > 500.0) == clipped
+        assert (value_max > 500.0 and value_min < -500.0) == clipped
+
+
 def _reference_dlogits(pi, target):
     t_live = np.where(pi >= 1e-12, target, 0.0)
     return pi * t_live.sum() - t_live
@@ -335,6 +371,12 @@ class TestTrainStep:
         for name in before:
             assert np.array_equal(before[name], params.arrays[name])
 
+    @pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])
+    def test_clip_must_be_positive(self, clip):
+        params = init_params(4, small_dims())
+        with pytest.raises(ValueError, match="clip"):
+            init_optimizer(params, clip=clip)
+
     def test_loss_drops_over_100_steps(self):
         dims = small_dims()
         params = init_params(6, dims)
@@ -378,16 +420,18 @@ class TestMaskingAndGreedy:
     def test_single_program_renormalizes_to_one(self):
         pi_p = np.full(12, 1 / 12)
         pi_a = np.full(64, 1 / 64)
-        only_stop = [(s, a) for s, a in self.feasible if s.name == "stop"]
-        mp, ma = masked_distributions(pi_p, pi_a, only_stop, self.lib)
+        only_stop = self.feasible.take(
+            [k for k, (s, _) in enumerate(self.feasible) if s.name == "stop"])
+        mp, ma = masked_distributions(pi_p, pi_a, only_stop)
         assert mp[self.lib.index("stop")] == pytest.approx(1.0)
         assert ma[0] == pytest.approx(1.0)
 
     def test_uniform_over_four_tuples(self):
         pi_p = np.full(12, 1 / 12)
         pi_a = np.full(64, 1 / 64)
-        four = self.feasible[:1] + [p for p in self.feasible if p[0].name == "save_ptr"]
-        mp, ma = masked_distributions(pi_p, pi_a, four, self.lib)
+        four = self.feasible.take(
+            [0] + [k for k, (s, _) in enumerate(self.feasible) if s.name == "save_ptr"])
+        mp, ma = masked_distributions(pi_p, pi_a, four)
         live = ma[ma > 0]
         assert len(live) == 4 and np.allclose(live, 0.25)
 
@@ -398,7 +442,7 @@ class TestMaskingAndGreedy:
         pi_a = r.random(64)
         pi_a /= pi_a.sum()
         all_progs = {s.name for s, _ in self.feasible}
-        mp, _ = masked_distributions(pi_p, pi_a, self.feasible, self.lib)
+        mp, _ = masked_distributions(pi_p, pi_a, self.feasible)
         kept = sum(pi_p[self.lib.index(n)] for n in all_progs)
         for name in all_progs:
             i = self.lib.index(name)
@@ -409,7 +453,7 @@ class TestMaskingAndGreedy:
         pi_p[self.lib.index("save_ptr")] = 0.7
         pi_p[self.lib.index("stop")] = 0.2
         pi_a = np.full(64, 1 / 64)
-        spec, args = greedy_select(pi_p, pi_a, self.feasible, self.lib)
+        spec, args = greedy_select(pi_p, pi_a, self.feasible)
         assert spec.name == "save_ptr"
         assert args == (1, 0, 0)  # equal argument mass: lowest index wins
 
@@ -418,7 +462,7 @@ class TestMaskingAndGreedy:
         pi_p[self.lib.index("pop")] = 0.9  # infeasible: stack empty
         pi_p[self.lib.index("push")] = 0.1
         pi_a = np.full(64, 1 / 64)
-        spec, _ = greedy_select(pi_p, pi_a, self.feasible, self.lib)
+        spec, _ = greedy_select(pi_p, pi_a, self.feasible)
         assert spec.name == "push"
 
     def test_logit_shift_invariance(self):
@@ -427,12 +471,12 @@ class TestMaskingAndGreedy:
         params = init_params(13, dims_for_library(lib))
         obs = r.random(OBS_DIM)
         out = forward(params, obs, 0)
-        base = greedy_select(out.pi_p, out.pi_a, self.feasible, self.lib)
+        base = greedy_select(out.pi_p, out.pi_a, self.feasible)
         # Adding a constant to all logits rescales every probability by the
         # same factor, so softmax output and the argmax are unchanged.
         shifted_p = out.pi_p * np.exp(3.0)
         shifted_a = out.pi_a * np.exp(3.0)
-        assert greedy_select(shifted_p, shifted_a, self.feasible, self.lib) == base
+        assert greedy_select(shifted_p, shifted_a, self.feasible) == base
 
     def test_greedy_matches_loop_reference(self):
         # The pair-by-pair selection: first most probable program in index
@@ -456,14 +500,14 @@ class TestMaskingAndGreedy:
                 # Coarse values, so ties are common.
                 pi_p = r.integers(0, 4, len(lib)) / 4.0
                 pi_a = r.integers(0, 4, 64) / 4.0
-                assert greedy_select(pi_p, pi_a, feasible, lib) == \
+                assert greedy_select(pi_p, pi_a, feasible) == \
                     reference(pi_p, pi_a, feasible, lib)
 
     def test_empty_feasible_rejected(self):
         with pytest.raises(ValueError):
-            masked_distributions(np.ones(12), np.ones(64), [], self.lib)
+            masked_distributions(np.ones(12), np.ones(64), [])
         with pytest.raises(ValueError):
-            greedy_select(np.ones(12), np.ones(64), [], self.lib)
+            greedy_select(np.ones(12), np.ones(64), [])
 
 
 class TestCheckpoints:

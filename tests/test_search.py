@@ -164,7 +164,7 @@ def prepared_node(env, lib, caller_level=99):
 def uniform_masked(node, lib):
     pi_p = np.full(len(lib), 1 / len(lib))
     pi_a = np.full(ARG_SPACE, 1 / ARG_SPACE)
-    return masked_distributions(pi_p, pi_a, node.feasible, lib)
+    return masked_distributions(pi_p, pi_a, node.feasible)
 
 
 class TestExpand:
@@ -177,7 +177,7 @@ class TestExpand:
         mp, ma = uniform_masked(node, self.lib)
         stats = SearchStats()
         cfg = SearchConfig(mode=MODE_EXACT, training=False)
-        expand(node, mp, ma, cfg, rng(), stats, self.lib)
+        expand(node, mp, ma, cfg, rng(), stats)
         assert len(node.edges) == len(node.feasible)
         assert stats.nodes_expanded == len(node.feasible)
         assert node.P.sum() == pytest.approx(1.0)
@@ -188,7 +188,7 @@ class TestExpand:
         assert len(node.feasible) >= 10
         mp, ma = uniform_masked(node, self.lib)
         cfg = SearchConfig(mode=MODE_APPROX, n_expand=3, training=False)
-        expand(node, mp, ma, cfg, rng(3), SearchStats(), self.lib)
+        expand(node, mp, ma, cfg, rng(3), SearchStats())
         assert len(node.edges) == 3
         assert len(set(node.edges)) == 3
         assert node.P.sum() == pytest.approx(1.0)
@@ -201,7 +201,7 @@ class TestExpand:
             mp, ma = uniform_masked(node, self.lib)
             cfg = SearchConfig(mode=mode, n_expand=10_000, training=True)
             r = rng(7)
-            expand(node, mp, ma, cfg, r, SearchStats(), self.lib)
+            expand(node, mp, ma, cfg, r, SearchStats())
             results.append((node.edges, node.P.tolist(), r.random()))
         assert results[0] == results[1]
 
@@ -210,14 +210,14 @@ class TestExpand:
         node = prepared_node(env, self.lib, self.lib.spec("quicksort").level)
         mp, ma = uniform_masked(node, self.lib)
         expand(node, mp, ma, SearchConfig(mode=MODE_EXACT, training=False),
-               rng(), SearchStats(), self.lib)
+               rng(), SearchStats())
         assert "pop" not in {spec.name for spec, _ in node.edges}
 
     def test_dead_node_without_feasible_pairs(self):
         node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
         node.feasible = []
         expand(node, np.ones(12), np.ones(64),
-               SearchConfig(mode=MODE_EXACT), rng(), SearchStats(), self.lib)
+               SearchConfig(mode=MODE_EXACT), rng(), SearchStats())
         assert node.terminal and node.value == 0.0
 
     def test_training_noise_perturbs_priors(self):
@@ -227,7 +227,7 @@ class TestExpand:
             node = prepared_node(env, self.lib)
             mp, ma = uniform_masked(node, self.lib)
             cfg = SearchConfig(mode=MODE_EXACT, training=training)
-            expand(node, mp, ma, cfg, rng(11), SearchStats(), self.lib)
+            expand(node, mp, ma, cfg, rng(11), SearchStats())
             (noisy if training else plain).append(node.P.copy())
         assert not np.allclose(plain[0], noisy[0])
 
