@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -364,6 +365,8 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # Per-parameter work arrays of `train_step`, kept between steps; not state.
+    buf: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
 
 def init_optimizer(params: ParameterSet, lr: float = 1e-4, clip: float = 1.0) -> AdamState:
@@ -392,15 +395,31 @@ def train_step(params: ParameterSet, opt: AdamState, batch: Sequence) -> float:
     opt.t += 1
     bc1 = 1.0 - opt.beta1 ** opt.t
     bc2 = 1.0 - opt.beta2 ** opt.t
+    # In place, in the order of the textbook expressions:
+    #   m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+    #   p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
+    # `g` is this step's own array and becomes the denominator once m and v
+    # have it.
     for name, g in grads.items():
-        g = g * scale
+        if scale != 1.0:
+            g *= scale
         m = opt.m[name]
         v = opt.v[name]
+        buf = opt.buf.get(name)
+        if buf is None:
+            buf = opt.buf[name] = np.empty_like(g)
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(g, 1.0 - opt.beta1, out=buf)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        params.arrays[name] -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        np.multiply(g, 1.0 - opt.beta2, out=buf)
+        v += np.multiply(buf, g, out=buf)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += opt.eps
+        np.divide(m, bc1, out=buf)
+        buf *= opt.lr
+        buf /= g
+        params.arrays[name] -= buf
     return value
 
 
@@ -448,7 +467,10 @@ def greedy_select(pi_p: np.ndarray, pi_a: np.ndarray,
 def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
                     manifest: dict, path) -> None:
     """Versioned binary container: JSON header + little-endian float64
-    payload with a content checksum."""
+    payload with a content checksum.
+
+    The file is written beside `path`, synced, and renamed over it, so
+    `path` holds either the old checkpoint or the whole new one."""
     ordered: list[tuple[str, np.ndarray]] = [(n, params.arrays[n]) for n in PARAM_LAYOUT]
     opt_header = None
     if opt is not None:
@@ -466,12 +488,21 @@ def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def checkpoint_load(path, expected_manifest: Optional[dict] = None

@@ -5,6 +5,20 @@ current program's episode, edges are program calls. Exact expansion creates
 every feasible child; approximate expansion samples a fixed number of them,
 which bounds the per-expansion node count. Selecting a learned-program edge
 triggers a nested search for that program with a fresh hidden state.
+
+Most simulations of a well-trained search walk an existing path back to a
+terminal leaf. Such a simulation draws no random numbers, calls no
+evaluator and builds no node, so when one repeats the previous
+simulation's path, `run_search` fast-forwards: `_fast_forward` scores the
+next simulations' PUCT choices at every node on the path at once. Each
+simulation down a fixed path adds one visit to every node on it and the
+leaf's value to each chosen edge. The scores after j more of them are
+then closed forms of j: sqrt(visits + j), N + j, and W plus j copies of
+the value, summed in sequence. They are computed with the operations of
+`puct_select`, in its order, so the first simulation that would leave the
+path is found exactly. The visits before it are applied in one step, and
+the tree, the statistics and the random stream end as the one-at-a-time
+loop would leave them, bit for bit.
 """
 from __future__ import annotations
 
@@ -137,6 +151,12 @@ class Node:
     `Q` holds each edge's mean value, FPU_Q while unvisited; `backup` keeps
     it current. An expanded node's first visit is the one that expanded
     it, so `visits` is always the sum of `N` plus one.
+
+    `backup` and `_fast_forward` are the only writers of the statistics.
+    A run of k simulations that repeat one path to a terminal leaf may be
+    applied at once: `visits` and `N[idx]` rise by k, `W[idx]` gets the
+    leaf's value added k times in sequence, and `Q[idx]` becomes `W / N`.
+    Those are the values that k calls of `backup` would leave.
     """
 
     __slots__ = (
@@ -361,8 +381,11 @@ def _expand_and_eval(node: Node, ctx: _Context) -> float:
     return value
 
 
-def _simulate(root: Node, ctx: _Context, max_depth: int) -> None:
-    path: list[tuple[Node, Optional[int]]] = []
+SearchPath = list[tuple[Node, Optional[int]]]
+
+
+def _simulate(root: Node, ctx: _Context, max_depth: int) -> tuple[SearchPath, float]:
+    path: SearchPath = []
     node = root
     while True:
         if node.terminal:
@@ -382,6 +405,45 @@ def _simulate(root: Node, ctx: _Context, max_depth: int) -> None:
     backup(path, value)
     ctx.stats.simulations += 1
     ctx.stats.max_depth = max(ctx.stats.max_depth, node.depth)
+    return path, value
+
+
+def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) -> int:
+    """Apply at once the longest run, up to `budget`, of simulations that
+    would repeat `path`; returns the run's length. `path` is the one the
+    last simulation took and backed up, ending on a terminal leaf worth
+    `value`.
+
+    Row j scores each node on the path as `puct_select` would after j more
+    visits down the path, in the same operation order: the visit count,
+    the edge's N and its W (summed in sequence) are closed forms of j.
+    """
+    k = budget
+    j = np.arange(float(budget))
+    run = np.full(budget + 1, value)  # run[0] = W before the run, then one value per visit
+    for node, idx in path[:-1]:
+        if k == 0:
+            break
+        if len(node.N) == 1:
+            continue
+        n = node.N[idx] + j[:k]
+        run[0] = node.W[idx]
+        s = np.sqrt(node.visits + j[:k])
+        cp = c_puct * node.P
+        score = node.Q + cp * s[:, None] / (1.0 + node.N)
+        score[:, idx] = np.add.accumulate(run[:k]) / n + cp[idx] * s / (1.0 + n)
+        off = np.flatnonzero(score.argmax(axis=1) != idx)
+        if off.size:
+            k = int(off[0])
+    if k:
+        for node, idx in path[:-1]:
+            node.visits += k
+            node.N[idx] += k
+            run[0] = node.W[idx]
+            node.W[idx] = np.add.accumulate(run[:k + 1])[k]
+            node.Q[idx] = node.W[idx] / node.N[idx]
+        path[-1][0].visits += k
+    return k
 
 
 def run_search(
@@ -403,8 +465,18 @@ def run_search(
     if max_depth < 1:
         raise SearchError("no action budget left for this episode")
     root = Node(env=env, h_in=hidden, depth=0)
-    for _ in range(cfg.simulations):
-        _simulate(root, ctx, max_depth)
+    left = cfg.simulations
+    last_leaf = None
+    while left:
+        path, value = _simulate(root, ctx, max_depth)
+        left -= 1
+        leaf = path[-1][0]
+        if leaf.terminal and leaf is last_leaf and left:
+            # Same leaf, same path: a tree node has one path from the root.
+            k = _fast_forward(path, value, left, cfg.c_puct)
+            stats.simulations += k
+            left -= k
+        last_leaf = leaf
     if root.terminal or not root.edges:
         raise SearchError("dead-end root: no feasible program/argument pair")
     counts = root.N

@@ -361,6 +361,30 @@ class TestBatchedMatchesLoopReference:
         assert_matches_reference(params, batch)
 
 
+def reference_train_step(params, opt, batch):
+    """`train_step` as written before it worked in place: the textbook
+    expressions, each temporary a fresh array."""
+    value, grads = loss_and_grads(params, batch)
+    sq = 0.0
+    for g in grads.values():
+        sq += float((g * g).sum())
+    norm = np.sqrt(sq)
+    scale = opt.clip / norm if norm > opt.clip else 1.0
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, g in grads.items():
+        g = g * scale
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        params.arrays[name] -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    return value
+
+
 class TestTrainStep:
     def test_zero_learning_rate_keeps_params(self):
         dims = small_dims()
@@ -376,6 +400,22 @@ class TestTrainStep:
         params = init_params(4, small_dims())
         with pytest.raises(ValueError, match="clip"):
             init_optimizer(params, clip=clip)
+
+    # A clip of 1e-3 scales every step's gradient; 1e6 never does.
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    def test_matches_reference_bit_for_bit(self, clip):
+        dims = small_dims()
+        r = rng(12)
+        batches = [[random_trace(r, dims, int(r.integers(1, 5)), t % 4) for t in range(3)]
+                   for _ in range(2)]
+        runs = []
+        for step in (train_step, reference_train_step):
+            params = init_params(12, dims)
+            opt = init_optimizer(params, lr=1e-2, clip=clip)
+            losses = [step(params, opt, batches[i % 2]) for i in range(8)]
+            runs.append((losses, opt.t, [(params.arrays[n].tobytes(), opt.m[n].tobytes(),
+                                          opt.v[n].tobytes()) for n in params.arrays]))
+        assert runs[0] == runs[1]
 
     def test_loss_drops_over_100_steps(self):
         dims = small_dims()
@@ -529,6 +569,56 @@ class TestCheckpoints:
         assert a.value == b.value
         assert opt2.t == opt.t
         assert np.array_equal(opt2.m["lstm_wx"], opt.m["lstm_wx"])
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        import builtins
+        import argsynth.network as network
+        lib = build_library("args")
+        params = init_params(22, dims_for_library(lib))
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(params, None, lib.manifest(), path)
+        old = path.read_bytes()
+
+        class DiskFull:
+            """A file whose last write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    self.fh.write(data[:len(data) // 2])
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(network, "open",
+                            lambda *a, **kw: DiskFull(builtins.open(*a, **kw)),
+                            raising=False)
+        newer = init_params(23, dims_for_library(lib))
+        with pytest.raises(OSError, match="no space"):
+            checkpoint_save(newer, None, lib.manifest(), path)
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == old
+        loaded, _, _ = checkpoint_load(path, expected_manifest=lib.manifest())
+        assert all(np.array_equal(loaded[n], params[n]) for n in params.arrays)
+
+    def test_save_replaces_and_leaves_no_stray_file(self, tmp_path):
+        lib = build_library("args")
+        path = tmp_path / "model.ckpt"
+        for seed in (24, 25):
+            params = init_params(seed, dims_for_library(lib))
+            checkpoint_save(params, None, lib.manifest(), path)
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+        loaded, _, _ = checkpoint_load(path)
+        assert all(np.array_equal(loaded[n], params[n]) for n in params.arrays)
 
     def test_manifest_guard(self, tmp_path):
         lib = build_library("noargs")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from argsynth.env import (
     TaskId,
@@ -12,6 +12,7 @@ from argsynth.env import (
 )
 from argsynth.expert import ExpertPolicy
 from argsynth.network import dims_for_library, init_params, masked_distributions
+from argsynth import search
 from argsynth.programs import ARG_SPACE, build_library, feasible_pairs
 from argsynth.search import (
     FPU_Q,
@@ -121,6 +122,9 @@ class TestPuctProperty:
             node = stack.pop()
             if node.expanded and not node.terminal:
                 assert node.visits == node.N.sum() + 1
+                seen = node.N > 0
+                assert np.array_equal(node.Q[seen], node.W[seen] / node.N[seen])
+                assert np.all(node.Q[~seen] == FPU_Q)
                 assert puct_select(node, cfg.c_puct) == reference_puct(node, cfg.c_puct)
                 checked += 1
                 stack.extend(c for c in node.children if c is not None)
@@ -153,6 +157,223 @@ class TestBackup:
         backup([(node, None)], 0.7)
         assert node.visits == 2 and node.N.sum() == 0
         assert list(node.Q) == [FPU_Q, FPU_Q]
+
+
+def one_at_a_time(path, value, budget, c_puct):
+    """What `_fast_forward` stands for: simulate and back up while every
+    node on the path still selects its edge on it."""
+    k = 0
+    while k < budget and all(puct_select(n, c_puct) == i for n, i in path[:-1]):
+        backup(path, value)
+        k += 1
+    return k
+
+
+def edge_bytes(nodes):
+    return [(n.visits, n.P.tobytes(), n.N.tobytes(), n.W.tobytes(), n.Q.tobytes())
+            for n in nodes]
+
+
+def terminal_leaf(value):
+    leaf = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=2)
+    leaf.terminal, leaf.value = True, value
+    return leaf
+
+
+def chain(stats, value):
+    """Path root -> ... -> terminal leaf, each node a `bare_node` built
+    from (priors, N, W, chosen edge), as just backed up down the path."""
+    path = []
+    for priors, N, W, idx in stats:
+        path.append((bare_node(len(priors), priors=priors, N=N, W=W), idx))
+    path.append((terminal_leaf(value), None))
+    for (node, idx), (child, _) in zip(path, path[1:]):
+        node.children[idx] = child
+    return path
+
+
+def assert_fast_forward_matches(stats, value, budget, c_puct):
+    fast, slow = chain(stats, value), chain(stats, value)
+    k = search._fast_forward(fast, value, budget, c_puct)
+    assert k == one_at_a_time(slow, value, budget, c_puct)
+    assert edge_bytes(n for n, _ in fast) == edge_bytes(n for n, _ in slow)
+    return k
+
+
+class TestFastForward:
+    """`_fast_forward` against one simulation at a time on built chains."""
+
+    CHAIN = [([0.6, 0.3, 0.1], [3, 1, 0], [2.5, 0.5, 0.0], 0),
+             ([0.2, 0.5, 0.3], [1, 2, 0], [0.25, 1.75, 0.0], 1)]
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_terminal_values(self, value):
+        k = assert_fast_forward_matches(self.CHAIN, value, 40, 1.0)
+        assert k > 0
+
+    def test_winning_leaf_holds_the_path_without_exploration(self):
+        assert assert_fast_forward_matches(self.CHAIN, 1.0, 40, 0.0) == 40
+
+    def test_budget_of_one(self):
+        assert assert_fast_forward_matches(self.CHAIN, 1.0, 1, 1.0) == 1
+
+    def test_run_cut_short_when_another_edge_overtakes(self):
+        k = assert_fast_forward_matches(self.CHAIN, 0.0, 40, 1.0)
+        assert 0 < k < 40
+
+    def test_nothing_applied_when_the_first_choice_leaves(self):
+        stats = [([0.5, 0.5], [1, 0], [0.0, 0.0], 0)]
+        assert assert_fast_forward_matches(stats, 0.0, 10, 1.0) == 0
+
+    def test_exact_tie_goes_to_the_lower_index(self):
+        # c_puct 0 scores Q alone. Q[1] falls 1 -> 1/2 after one visit
+        # worth 0 and ties edge 0's FPU_Q exactly; edge 0 wins the tie.
+        assert assert_fast_forward_matches(
+            [([0.5, 0.5], [0, 1], [0.0, 1.0], 1)], 0.0, 10, 0.0) == 1
+        # Tied with a higher index the chosen edge keeps the path: Q[0]
+        # goes 1, 1/2 (tie), 1/3 (below FPU_Q).
+        assert assert_fast_forward_matches(
+            [([0.5, 0.5], [1, 0], [1.0, 0.0], 0)], 0.0, 10, 0.0) == 2
+
+    def test_w_is_summed_in_sequence(self):
+        # W = 2.324 plus 0.01 twice, over 5 visits, is 0.4687999999999999:
+        # edge 0's Q exactly, so edge 0 takes the third simulation. 2.344 / 5
+        # in one sum is a last bit higher and would keep the path.
+        stats = [([0.5, 0.5], [1, 3], [0.4687999999999999, 2.324], 1)]
+        assert assert_fast_forward_matches(stats, 0.01, 5, 0.0) == 2
+
+    def test_scores_in_the_order_of_puct_select(self):
+        # In each case both edges score the same as puct_select rounds
+        # them, so the lower index wins. (c * P) * (s / (1 + N)) would
+        # round edge 0's bonus down a last bit in the first case and the
+        # chosen edge's up in the second, and keep the path.
+        for stats in ([([0.76, 1 - 0.76], [4, 3], [1.7191388180934017, 2.07], 1)],
+                      [([0.3, 1 - 0.3], [4, 6], [1.650659966456864, 1.6800000000000002], 1)]):
+            assert assert_fast_forward_matches(stats, 1.0, 3, 1.0) == 0
+
+    def test_single_edge_nodes_never_leave(self):
+        stats = [([1.0], [4], [1.3], 0), ([1.0], [1], [0.0], 0)]
+        assert assert_fast_forward_matches(stats, 0.0, 25, 1.0) == 25
+
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(0, 30),
+                                   st.floats(0.0, 1.0)), min_size=1, max_size=8),
+                st.integers(0, 7)),
+            min_size=1, max_size=5),
+        value=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        budget=st.integers(1, 60),
+        c_puct=st.sampled_from([0.0, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_at_a_time(self, nodes, value, budget, c_puct):
+        stats = []
+        for edges, pick in nodes:
+            idx = pick % len(edges)
+            priors = [p for p, _, _ in edges]
+            N = [max(n, 1) if i == idx else n for i, (_, n, _) in enumerate(edges)]
+            W = [q * n for (_, _, q), n in zip(edges, N)]
+            stats.append((list(np.array(priors) / sum(priors)), N, W, idx))
+        assert_fast_forward_matches(stats, value, budget, c_puct)
+
+
+def searched_trees(run, fast_forward):
+    """Run `run()` and return every tree its searches grew, top-level and
+    nested, in order, with the fast-forward real or patched out."""
+    results = []
+    real = search.run_search
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        results.append(res)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "run_search", recording)
+        if not fast_forward:
+            mp.setattr(search, "_fast_forward", lambda *args: 0)
+        run()
+    return results
+
+
+def tree_bytes(root):
+    """Every node's statistics, depth first in edge order."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.terminal, node.value, *edge_bytes([node])[0]))
+        stack.extend(c for c in reversed(node.children) if c is not None)
+    return out
+
+
+class TestFastForwardEquivalence:
+    """Whole searches with and without the fast-forward, bit for bit."""
+
+    lib = build_library("args")
+
+    def compare(self, make_evaluator, task, env, cfg, seed):
+        runs = []
+        for fast in (True, False):
+            stats, r = SearchStats(), rng(seed)
+            ev = make_evaluator()
+            results = searched_trees(
+                lambda: search.search_episode(task, env, ev, self.lib, cfg, stats, r),
+                fast)
+            runs.append((stats, r.bit_generator.state, [
+                (res.spec.name, res.args, res.pi_p_mcts.tobytes(),
+                 res.pi_a_mcts.tobytes(), tree_bytes(res.root)) for res in results]))
+        assert runs[0] == runs[1]
+        return runs[0][0]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        mode=st.sampled_from([MODE_EXACT, MODE_APPROX]),
+        temperature=st.sampled_from([0.0, 1.0]),
+        c_puct=st.sampled_from([0.0, 1.0, 3.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_flat_search(self, seed, n, mode, temperature, c_puct):
+        env = sample_task_env(TaskId.PARTITION_UPDATE, n, rng(seed))
+        cfg = SearchConfig(mode=mode, n_expand=3, simulations=60, c_puct=c_puct,
+                           temperature=temperature, training=True)
+        self.compare(lambda: UniformEvaluator(self.lib), TaskId.PARTITION_UPDATE,
+                     env, cfg, seed)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        mode=st.sampled_from([MODE_EXACT, MODE_APPROX]),
+        temperature=st.sampled_from([0.0, 1.0]),
+        c_puct=st.sampled_from([0.0, 1.0, 3.0]),
+    )
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_nested_search(self, rigged_evaluator, seed, n, mode, temperature, c_puct):
+        # The fixture is a stateless factory; each run gets a fresh double.
+        env = sample_task_env(TaskId.PARTITION, n, rng(seed))
+        cfg = SearchConfig(mode=mode, n_expand=5, simulations=40, c_puct=c_puct,
+                           nested_simulations=30, temperature=temperature,
+                           training=True)
+        self.compare(lambda: rigged_evaluator(self.lib), TaskId.PARTITION,
+                     env, cfg, seed)
+
+    def test_fast_forward_does_most_simulations(self, rigged_evaluator, monkeypatch):
+        skipped = []
+        real = search._fast_forward
+
+        def counting(*args):
+            skipped.append(real(*args))
+            return skipped[-1]
+
+        monkeypatch.setattr(search, "_fast_forward", counting)
+        env = sample_task_env(TaskId.PARTITION, 4, rng(3))
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=100, nested_simulations=60)
+        stats = self.compare(lambda: rigged_evaluator(self.lib), TaskId.PARTITION,
+                             env, cfg, 3)
+        assert stats.recursions > 0
+        assert sum(skipped) > stats.simulations / 2
 
 
 def prepared_node(env, lib, caller_level=99):
