@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import Field, dataclass, fields
 from typing import Optional, get_type_hints
 
-from .search import SearchConfig, tunable
+from .search import SearchConfig, out_of_range, tunable
 from .trainer import TrainConfig
 
 
@@ -105,10 +105,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         in_search, f, kind = keys[key]
         parsed = _parse_value(key, value.strip(), kind, lineno)
-        ok = f.metadata["ok"]
-        if ok is not None and not ok(parsed):
-            raise ConfigError(f"line {lineno}: value for {key!r} out of range "
-                              f"(need {f.metadata['need']})")
+        why = out_of_range(f, parsed)
+        if why is not None:
+            raise ConfigError(f"line {lineno}: value for {key!r} {why}")
         setattr(cfg.search if in_search else cfg, f.name, parsed)
     return checked(cfg)
 

@@ -118,9 +118,11 @@ def zero_hidden(dims: NetworkDims) -> HiddenState:
     return HiddenState(np.zeros(dims.hidden), np.zeros(dims.hidden))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_in_place(z: np.ndarray) -> None:
+    """Softmax over the last axis, written over the logits `z`."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -152,23 +154,49 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     [hidden]) or on b rows at once (obs [b, obs], task [b], h/c
     [b, hidden]). Rows go through matrix products and a vector through
     matrix-vector products, so a row can differ in its last bits from the
-    same input run alone."""
+    same input run alone.
+
+    The adds, clips and activations work in place on arrays this step has
+    just made, never on its inputs or the parameters. An elementwise
+    operation rounds each entry the same whether it writes a new array or
+    an old one, and every operation here runs in the order of the plain
+    expressions, so the results are the same bits. One sigmoid pass covers
+    all four gate blocks; the g-block is then overwritten with its tanh.
+    The activations are stored block by block, so that each gate is a
+    contiguous array for the elementwise work of the backward pass."""
     a = params.arrays
     H = params.dims.hidden
-    a1 = np.maximum(obs @ a["enc_w1"] + a["enc_b1"], 0.0)
-    s = np.maximum(a1 @ a["enc_w2"] + a["enc_b2"], 0.0)
+    a1 = obs @ a["enc_w1"]
+    a1 += a["enc_b1"]
+    np.maximum(a1, 0.0, out=a1)
+    s = a1 @ a["enc_w2"]
+    s += a["enc_b2"]
+    np.maximum(s, 0.0, out=s)
     x = np.concatenate([s, a["prog_embed"][task]], axis=-1)
     # Clipping below at -500 keeps exp(-z) finite. No upper clip is needed:
     # sigmoid and tanh round to exactly 1 from z = 37 on.
-    gates = np.maximum(x @ a["lstm_wx"] + h_prev @ a["lstm_wh"] + a["lstm_b"], -500.0)
-    gi = _sigmoid(gates[..., :H])
-    gf = _sigmoid(gates[..., H:2 * H])
-    gg = np.tanh(gates[..., 2 * H:3 * H])
-    go = _sigmoid(gates[..., 3 * H:])
-    c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
-    pi_p = _softmax(h @ a["prog_w"] + a["prog_b"])
-    pi_a = _softmax(h @ a["arg_w"] + a["arg_b"])
+    z = x @ a["lstm_wx"]
+    z += h_prev @ a["lstm_wh"]
+    z += a["lstm_b"]
+    np.maximum(z, -500.0, out=z)
+    # [4, ..., hidden]: the gate blocks i, f, g, o first.
+    z = z.reshape(*z.shape[:-1], 4, H).swapaxes(0, -2)
+    gates = np.negative(z, out=np.empty(z.shape))
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
+    gi, gf, gg, go = gates
+    np.tanh(z[2], out=gg)
+    c = gf * c_prev
+    c += gi * gg
+    h = np.tanh(c)
+    h *= go
+    pi_p = h @ a["prog_w"]
+    pi_p += a["prog_b"]
+    _softmax_in_place(pi_p)
+    pi_a = h @ a["arg_w"]
+    pi_a += a["arg_b"]
+    _softmax_in_place(pi_a)
     value = _sigmoid(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0))
     return _Step(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
 

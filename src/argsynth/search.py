@@ -19,6 +19,14 @@ the value, summed in sequence. They are computed with the operations of
 path is found exactly. The visits before it are applied in one step, and
 the tree, the statistics and the random stream end as the one-at-a-time
 loop would leave them, bit for bit.
+
+Approximate expansion draws its sample with `_sample_distinct`, numpy's
+no-replacement algorithm of `Generator.choice` written out inline. A call
+to the library spends most of its time on argument handling around a few
+small array operations, and a training search expands thousands of nodes
+per iteration. The inline version makes the same picks from the same
+random numbers; a property test pins it to `Generator.choice`, pick for
+pick and in the generator's final state.
 """
 from __future__ import annotations
 
@@ -61,12 +69,29 @@ def tunable(default, need: Optional[str] = None,
                                             "ok": ok, "key": key})
 
 
+def out_of_range(f, value) -> Optional[str]:
+    """Why `value` is out of range for the checked field `f`, or None.
+
+    A float must also be finite: an infinite weight, rate or noise
+    parameter passes every one-sided bound, and then either fails deep in
+    a run (an infinite Dirichlet alpha gives NaN noise) or runs on with
+    no meaning."""
+    ok = f.metadata.get("ok")
+    if ok is None:
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"out of range (need a finite value {f.metadata['need']})"
+    if not ok(value):
+        return f"out of range (need {f.metadata['need']})"
+    return None
+
+
 def check_tunables(cfg) -> None:
-    """Raise ValueError for the first tunable field of `cfg` out of range."""
+    """Raise ValueError for the first checked field of `cfg` out of range."""
     for f in fields(cfg):
-        ok = f.metadata.get("ok")
-        if ok is not None and not ok(getattr(cfg, f.name)):
-            raise ValueError(f"{f.name} out of range (need {f.metadata['need']})")
+        why = out_of_range(f, getattr(cfg, f.name))
+        if why is not None:
+            raise ValueError(f"{f.name} {why}")
 
 
 @dataclass
@@ -219,6 +244,44 @@ def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) ->
     return np.full(len(pri), 1.0 / len(pri))
 
 
+# numpy's tolerance on the sum of a probability vector.
+_P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _sample_distinct(rng: np.random.Generator, p: np.ndarray, k: int) -> list[int]:
+    """`rng.choice(len(p), size=k, replace=False, p=p)` as a list: the same
+    picks, in the same order, with the generator left in the same state.
+
+    It is numpy's algorithm, in rounds: draw one uniform per pick still
+    missing, zero the entries already picked, invert the draws through the
+    normalized cumulative sum (`searchsorted`, side right) and keep each
+    new index at its first occurrence. A zeroed entry is never drawn again,
+    so the rounds end once k distinct indices are picked. numpy's input
+    checks are kept, each raising ValueError.
+    """
+    total = float(p.sum())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _P_SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    if np.count_nonzero(p > 0) < k:
+        raise ValueError("Fewer non-zero entries in p than size")
+    picked: list[int] = []
+    while len(picked) < k:
+        x = rng.random(k - len(picked))
+        if picked:
+            p = p.copy()
+            p[picked] = 0.0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        for i in cdf.searchsorted(x, side="right").tolist():
+            if i not in picked:
+                picked.append(i)
+    return picked
+
+
 def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
            cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats) -> None:
     """Create the node's children from its feasible pairs.
@@ -226,6 +289,13 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     Training searches mix Dirichlet noise into the prior at every
     expansion. Approximate mode then samples at most n_expand distinct
     pairs from it; with n_expand >= M it reduces exactly to exact mode.
+
+    The sample is drawn by `_sample_distinct`, numpy's no-replacement
+    algorithm of `Generator.choice` run inline: the library call spends
+    most of its time on argument handling around a few array operations,
+    and expansion is the most frequent random draw of a training search.
+    A property test holds it to `Generator.choice` pick for pick and to
+    the same final generator state.
     """
     if node.expanded or node.terminal:
         raise SearchError("expand on an expanded or terminal node")
@@ -243,8 +313,7 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         if np.count_nonzero(p_sample) < cfg.n_expand:
             p_sample = p_sample + 1e-12
         p_sample = p_sample / p_sample.sum()
-        picked = rng.choice(m, size=cfg.n_expand, replace=False, p=p_sample)
-        picked = np.sort(picked)
+        picked = np.sort(_sample_distinct(rng, p_sample, cfg.n_expand))
         node.edges = node.feasible.take(picked)
         pri = pri[picked]
         pri = pri / pri.sum()

@@ -1,6 +1,7 @@
 import pytest
 
 from argsynth import cli
+from argsynth.config import _file_keys
 from argsynth.network import checkpoint_save, dims_for_library, init_params
 from argsynth.programs import build_library
 
@@ -91,6 +92,18 @@ def test_negative_seed_in_a_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["train", "--config", bad, "--output-dir", str(out)]) == 2
     assert "seed" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "key", sorted(k for k, (_, _, kind) in _file_keys().items() if kind is float))
+def test_non_finite_float_in_a_file_is_a_usage_error(tmp_path, capsys, key, text):
+    bad = write(tmp_path / "bad.cfg", TINY + f"{key} = {text}\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", bad, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 9") and key in err and "finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--iterations", "0")])

@@ -1,6 +1,6 @@
 import pytest
 
-from argsynth.config import ConfigError, RunConfig, parse_config
+from argsynth.config import ConfigError, RunConfig, _file_keys, parse_config
 from argsynth.search import SearchConfig
 from argsynth.trainer import TrainConfig
 
@@ -164,6 +164,32 @@ def test_train_lengths_must_be_ordered():
         TrainConfig(train_length_min=6, train_length_max=4).validate()
     assert parse_config("train_length_min = 4\ntrain_length_max = 4\n"
                         ).to_train_config().train_length_max == 4
+
+
+# Every float file key; each names its field.
+FLOAT_KEYS = sorted(k for k, (_, _, kind) in _file_keys().items() if kind is float)
+NON_FINITE = ["inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_names_its_line(key, text):
+    # An infinite Dirichlet alpha used to reach the search as NaN noise;
+    # an infinite c_puct, temperature or learning rate ran on silently.
+    _rejects(f"# run\n{key} = {text}\n", "line 2",
+             f"value for {key!r} out of range (need a finite value")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("name", FLOAT_KEYS + ["grad_clip"])
+def test_non_finite_float_is_rejected_by_the_python_api(name, text):
+    cls = SearchConfig if hasattr(SearchConfig, name) else TrainConfig
+    cfg = cls(**{name: float(text)})
+    with pytest.raises(ValueError, match=f"{name} out of range"):
+        cfg.validate()
+    if cls is SearchConfig:
+        with pytest.raises(ValueError, match=f"{name} out of range"):
+            RunConfig(search=cfg).validate()
 
 
 @pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from argsynth import network
 from argsynth.env import OBS_DIM, TASKS, TaskId, make_env, observe, sample_task_env
 from argsynth.network import (
     CheckpointError,
@@ -359,6 +360,64 @@ class TestBatchedMatchesLoopReference:
             trace.value_only = value_only
             batch.append(trace)
         assert_matches_reference(params, batch)
+
+
+class TestStepWritesIntoNothingItWasGiven:
+    """`_step` adds, clips and activates in place, but only on arrays it
+    has just made: its inputs, the hidden rows `_unroll` passes as views
+    of the previous step's output, and the parameters keep every byte."""
+
+    @staticmethod
+    def _checked_step(monkeypatch, params):
+        frozen = {k: v.tobytes() for k, v in params.arrays.items()}
+        step = network._step
+        calls = []
+
+        def checked(p, obs, task, h_prev, c_prev):
+            given = (obs, h_prev, c_prev)
+            before = [x.tobytes() for x in given]
+            r = step(p, obs, task, h_prev, c_prev)
+            assert [x.tobytes() for x in given] == before
+            assert {k: v.tobytes() for k, v in p.arrays.items()} == frozen
+            for out in (r.h, r.c, r.pi_p, r.pi_a):
+                for x in (*given, *p.arrays.values()):
+                    assert not np.shares_memory(out, x)
+            calls.append(h_prev.ndim)
+            return r
+
+        monkeypatch.setattr(network, "_step", checked)
+        return calls
+
+    def test_forward(self, monkeypatch):
+        params = init_params(50, dims_for_library(build_library("args")))
+        calls = self._checked_step(monkeypatch, params)
+        r = rng(50)
+        H = params.dims.hidden
+        obs, h, c = r.random(OBS_DIM), r.uniform(-1.0, 1.0, H), r.normal(0.0, 3.0, H)
+        before = [x.tobytes() for x in (obs, h, c)]
+        out = forward(params, obs, 1, HiddenState(h, c))
+        assert [x.tobytes() for x in (obs, h, c)] == before
+        out = forward(params, obs, 2, out.hidden)
+        forward(params, obs, 3)
+        assert calls == [1, 1, 1]
+        for x in (out.pi_p, out.pi_a, out.hidden.h, out.hidden.c):
+            for given in (obs, h, c, *params.arrays.values()):
+                assert not np.shares_memory(x, given)
+
+    def test_loss_and_loss_and_grads(self, monkeypatch):
+        dims = small_dims()
+        params = init_params(51, dims)
+        r = rng(51)
+        # Lengths 1..6: the running rows shrink, so later steps get h[:b].
+        batch = [random_trace(r, dims, n, n % 4, 1.0) for n in range(1, 7)]
+        saved = [[(st.obs.tobytes(), st.pi_p_mcts.tobytes(), st.pi_a_mcts.tobytes())
+                  for st in tr.steps] for tr in batch]
+        calls = self._checked_step(monkeypatch, params)
+        loss(params, batch)
+        loss_and_grads(params, batch)
+        assert calls == [2] * 12
+        assert saved == [[(st.obs.tobytes(), st.pi_p_mcts.tobytes(), st.pi_a_mcts.tobytes())
+                          for st in tr.steps] for tr in batch]
 
 
 def reference_train_step(params, opt, batch):

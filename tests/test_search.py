@@ -453,6 +453,115 @@ class TestExpand:
         assert not np.allclose(plain[0], noisy[0])
 
 
+def random_p(meta, m, k, shape):
+    """A probability vector of length m with at least k positive entries,
+    or, for "sparse", fewer lifted by 1e-12 as `expand` lifts them."""
+    p = meta.random(m)
+    if shape == "skewed":
+        p = p ** 40
+    elif shape == "zeros":
+        p[meta.random(m) < 0.6] = 0.0
+        p[meta.permutation(m)[:k]] = meta.random(k) + 1e-3
+    elif shape == "sparse":
+        p[meta.random(m) < 0.8] = 0.0
+        p[meta.permutation(m)[:max(k - 1, 1)]] = meta.random(max(k - 1, 1)) + 1e-3
+        if np.count_nonzero(p) < k:
+            p = p + 1e-12
+    return p / p.sum()
+
+
+class TestSampleDistinct:
+    """`_sample_distinct` is `Generator.choice` without replacement: the
+    same picks in the same order, and the generator left in the same
+    state, so that expansion draws the same trees as the library call."""
+
+    @given(st.integers(2, 80).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+           st.sampled_from(["flat", "skewed", "zeros", "sparse"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_generator_choice(self, mk, shape, seed):
+        m, k = mk
+        p = random_p(rng(seed), m, k, shape)
+        a, b = rng(seed + 1), rng(seed + 1)
+        want = a.choice(m, size=k, replace=False, p=p).tolist()
+        assert search._sample_distinct(b, p, k) == want
+        assert b.bit_generator.state == a.bit_generator.state
+
+    def test_leaves_the_prior_alone(self):
+        p = random_p(rng(1), 30, 20, "skewed")
+        before = p.tobytes()
+        search._sample_distinct(rng(2), p, 20)
+        assert p.tobytes() == before
+
+    @pytest.mark.parametrize("p,k", [
+        ([0.5, np.nan, 0.5], 1),
+        ([0.6, -0.1, 0.5], 1),
+        ([0.5, 0.3, 0.1], 1),
+        ([0.5, 0.5, 1e-3], 1),
+        ([1.0, 0.0, 0.0], 2),
+        ([0.5, 0.5, 0.0, 0.0], 3),
+    ], ids=["nan", "negative", "sum-low", "sum-high", "one-positive", "two-positive"])
+    def test_rejects_what_generator_choice_rejects(self, p, k):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            rng().choice(len(p), size=k, replace=False, p=p)
+        r = rng()
+        with pytest.raises(ValueError):
+            search._sample_distinct(r, p, k)
+        assert r.bit_generator.state == rng().bit_generator.state
+
+
+class TestApproxExpandFromSparsePrior:
+    """Approximate expansion where the prior has at most n_expand positive
+    pairs: the sampler then needs more than one round."""
+
+    def setup_method(self):
+        self.lib = build_library("args")
+        self.node_env = make_env([3, 1, 2], 0, 2, 1, registry=0)
+
+    def priors(self, feasible, rows, weights):
+        """Masked policies whose joint prior is positive on `rows` only."""
+        mp = np.zeros(len(self.lib))
+        ma = np.zeros(ARG_SPACE)
+        mp[feasible.prog_idx[rows[0]]] = 1.0
+        ma[feasible.arg_idx[rows]] = weights
+        return mp, ma
+
+    def with_generator_choice(self, mp, ma, cfg, r):
+        """`expand`'s approximate branch written with `Generator.choice`."""
+        node = prepared_node(self.node_env, self.lib)
+        pri = search.joint_prior(node, mp, ma)
+        p = pri
+        if np.count_nonzero(p) < cfg.n_expand:
+            p = p + 1e-12
+        p = p / p.sum()
+        picked = np.sort(r.choice(len(pri), size=cfg.n_expand, replace=False, p=p))
+        return node.feasible.take(picked), pri[picked] / pri[picked].sum()
+
+    @pytest.mark.parametrize("positive", [1, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_generator_choice(self, positive, seed):
+        node = prepared_node(self.node_env, self.lib)
+        f = node.feasible
+        prog = next(p for p in np.unique(f.prog_idx)
+                    if np.count_nonzero(f.prog_idx == p) >= 3)
+        rows = np.flatnonzero(f.prog_idx == prog)[:positive]
+        mp, ma = self.priors(f, rows, [0.98, 0.01, 0.01][:positive])
+        assert np.count_nonzero(search.joint_prior(node, mp, ma)) == positive
+        cfg = SearchConfig(mode=MODE_APPROX, n_expand=3, training=False)
+        want_edges, want_p = self.with_generator_choice(mp, ma, cfg, want_rng := rng(seed))
+        r = rng(seed)
+        expand(node, mp, ma, cfg, r, SearchStats())
+        assert list(node.edges) == list(want_edges)
+        assert node.edges.prog_idx.tolist() == want_edges.prog_idx.tolist()
+        assert node.edges.arg_idx.tolist() == want_edges.arg_idx.tolist()
+        assert node.P.tobytes() == want_p.tobytes()
+        assert r.bit_generator.state == want_rng.bit_generator.state
+        one_round = rng(seed)
+        one_round.random(3)
+        assert r.bit_generator.state != one_round.bit_generator.state
+
+
 class TestRunSearch:
     def setup_method(self):
         self.lib = build_library("args")
