@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, run, oracle-check.
 
 Exit codes are stable: 0 on success, 1 for runtime failures (missing or
-incompatible files, a failing oracle check), 2 for usage or config errors.
+incompatible files, a network whose outputs are not finite, a failing
+oracle check), 2 for usage or config errors.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .env import TaskId, TASKS, env_to_record, make_env, sample_task_env
 from .expert import ExpertPolicy, expert_available
 from .network import CheckpointError, checkpoint_load, checkpoint_save
 from .programs import build_library, format_args
-from .search import NetworkGreedyPolicy, execute_greedy
+from .search import NetworkGreedyPolicy, SearchError, execute_greedy
 from .trainer import Trainer, accuracy_csv, csv_line, evaluate_generalization
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, P.LibraryError, E.EnvError, OSError) as exc:
+    except (CheckpointError, P.LibraryError, E.EnvError, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -207,37 +207,39 @@ def apply_atomic(env: EnvState, op: str, slots: tuple[int, ...]) -> EnvState:
         raise EnvError(f"infeasible atomic call {op}{slots} in {env}")
     if op == "stop":
         return env
+    # Each new state is built field by field: `dataclasses.replace` costs
+    # several times the construction, and search applies an atomic call at
+    # every new node.
+    values, p1, p2, p3, stack = env.values, env.p1, env.p2, env.p3, env.stack
     if op == "save_ptr":
-        return replace(env, registry=env.ptr(slots[0]))
+        return EnvState(values, p1, p2, p3, stack, env.ptr(slots[0]))
     if op == "load_ptr":
         # Loading consumes the registry so it reads empty afterwards.
-        pos = env.registry
-        moved = {P1: "p1", P2: "p2", P3: "p3"}[slots[0]]
-        return replace(env, **{moved: pos}, registry=None)
+        pos, slot = env.registry, slots[0]
+        return EnvState(values, pos if slot == P1 else p1, pos if slot == P2 else p2,
+                        pos if slot == P3 else p3, stack, None)
     if op == "push":
         # Right sub-range first, then left, so the left range sits on top
         # and is processed first after the next pop.
-        p1, p2, p3 = env.p1, env.p2, env.p3
-        frames = list(env.stack)
+        frames = list(stack)
         if p1 + 1 < p2:
             frames.append(RangeFrame(p1 + 1, p2))
         if p1 - 1 > 0 and p3 < p1 - 1:
             frames.append(RangeFrame(p3, p1 - 1))
-        return replace(env, stack=tuple(frames))
+        return EnvState(values, p1, p2, p3, tuple(frames), env.registry)
     if op == "pop":
-        frame = env.stack[-1]
-        return replace(env, p1=frame.lo, p3=frame.lo, p2=frame.hi, stack=env.stack[:-1])
+        frame = stack[-1]
+        return EnvState(values, frame.lo, frame.hi, frame.lo, stack[:-1], env.registry)
     if op == "swap":
         i, j = env.ptr(slots[0]), env.ptr(slots[1])
-        vals = list(env.values)
+        vals = list(values)
         vals[i], vals[j] = vals[j], vals[i]
-        return replace(env, values=tuple(vals))
+        return EnvState(tuple(vals), p1, p2, p3, stack, env.registry)
     if op == "ptr_left" or op == "ptr_right":
         delta = -1 if op == "ptr_left" else 1
-        fields = {}
-        for s in slots:
-            fields[{P1: "p1", P2: "p2", P3: "p3"}[s]] = env.ptr(s) + delta
-        return replace(env, **fields)
+        return EnvState(values, p1 + delta if P1 in slots else p1,
+                        p2 + delta if P2 in slots else p2,
+                        p3 + delta if P3 in slots else p3, stack, env.registry)
     raise EnvError(f"unknown atomic operation {op!r}")
 
 

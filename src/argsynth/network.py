@@ -460,7 +460,9 @@ def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
     """Restrict both policies to the feasible supports and renormalize.
 
     A zero masked mass (every feasible entry starved) falls back to
-    uniform over the support so the search always has a usable prior.
+    uniform over the support so the search always has a usable prior. A
+    NaN mass is not zero: it stays NaN, so that the search's own check
+    (`search.joint_prior`) rejects the network's output.
     """
     if not feasible:
         raise ValueError("no feasible pairs: dead-end state")
@@ -470,10 +472,10 @@ def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
 def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     out = np.where(mask, pi, 0.0)
     total = out.sum()
-    if total > 0:
-        out /= total
-    else:
+    if total == 0:
         out[mask] = 1.0 / np.count_nonzero(mask)
+    else:
+        out /= total
     return out
 
 

@@ -26,7 +26,21 @@ to the library spends most of its time on argument handling around a few
 small array operations, and a training search expands thousands of nodes
 per iteration. The inline version makes the same picks from the same
 random numbers; a property test pins it to `Generator.choice`, pick for
-pick and in the generator's final state.
+pick and in the generator's final state. Dirichlet noise is drawn the same
+way, by `_dirichlet`.
+
+Each node's edge statistics are lists of Python floats, not numpy arrays.
+Approximate expansion leaves about five edges per node, and on so few
+entries a numpy call costs far more in call overhead than in arithmetic;
+`puct_select` and `backup` run once per node per simulation. The bits are
+those of the array formulas: Python floats are IEEE doubles, as numpy's
+float64 entries are, every score is computed in the order of the array
+expression, and only a strictly greater score replaces the best, so ties
+go to the lowest index as `argmax` gives them. That holds because every
+prior and value is finite: the evaluator's priors and leaf values are
+checked (`joint_prior`, `_expand_and_eval`), and a non-finite one raises
+SearchError instead of steering the search, so no NaN reaches a
+comparison.
 """
 from __future__ import annotations
 
@@ -182,6 +196,12 @@ class Node:
     applied at once: `visits` and `N[idx]` rise by k, `W[idx]` gets the
     leaf's value added k times in sequence, and `Q[idx]` becomes `W / N`.
     Those are the values that k calls of `backup` would leave.
+
+    `P`, `N`, `W` and `Q` are lists of finite Python floats, one entry per
+    edge: on the few edges of a node, list indexing and float arithmetic
+    cost less than numpy calls and give the same bits (see the module
+    docstring). Code that wants arrays builds them, as `_fast_forward`
+    and `run_search` do.
     """
 
     __slots__ = (
@@ -196,10 +216,8 @@ class Node:
         self.depth = depth
         self.feasible: FeasibleSet | list = []
         self.edges: FeasibleSet | list = []
-        self.P = np.zeros(0)
-        self.N = np.zeros(0)
-        self.W = np.zeros(0)
-        self.Q = np.zeros(0)
+        # Empty until `expand` fills them; an unexpanded node has no edges.
+        self.P = self.N = self.W = self.Q = ()
         self.children: list[Optional["Node"]] = []
         self.visits = 0
         self.expanded = False
@@ -217,12 +235,23 @@ FPU_Q = 0.5
 def puct_select(node: Node, c_puct: float) -> int:
     """Index of the child maximizing Q plus the prior-weighted exploration
     bonus; unvisited children count as value-neutral; ties go to the
-    lowest index."""
+    lowest index.
+
+    One scalar loop computes `Q + c_puct * P * sqrt(visits) / (1 + N)` per
+    edge in the operation order of the array expression, and keeps the
+    first best score, so it picks the edge that `argmax` over the arrays
+    would. The statistics must be finite."""
     if not node.edges:
         raise SearchError("puct_select on a childless node")
-    # sqrt(visits) is sqrt(N.sum() + 1), the parent count of the PUCT bonus.
-    bonus = c_puct * node.P * math.sqrt(node.visits) / (1.0 + node.N)
-    return int((node.Q + bonus).argmax())
+    # sqrt(visits) is sqrt(sum(N) + 1), the parent count of the PUCT bonus.
+    s = math.sqrt(node.visits)
+    best, best_score, i = 0, -math.inf, 0
+    for p, n, q in zip(node.P, node.N, node.Q):
+        score = q + c_puct * p * s / (1.0 + n)
+        if score > best_score:
+            best, best_score = i, score
+        i += 1
+    return best
 
 
 def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
@@ -230,15 +259,19 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
     for node, idx in path:
         node.visits += 1
         if idx is not None:
-            node.N[idx] += 1.0
-            node.W[idx] += value
-            node.Q[idx] = node.W[idx] / node.N[idx]
+            n = node.N[idx] + 1.0
+            w = node.W[idx] + value
+            node.N[idx] = n
+            node.W[idx] = w
+            node.Q[idx] = w / n
 
 
 def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) -> np.ndarray:
     """Factorized prior over the node's feasible pairs, renormalized."""
     pri = pi_p_masked[node.feasible.prog_idx] * pi_a_masked[node.feasible.arg_idx]
     total = pri.sum()
+    if not math.isfinite(total):
+        raise SearchError(f"non-finite prior mass {total} from the evaluator")
     if total > 0:
         return pri / total
     return np.full(len(pri), 1.0 / len(pri))
@@ -282,6 +315,23 @@ def _sample_distinct(rng: np.random.Generator, p: np.ndarray, k: int) -> list[in
     return picked
 
 
+def _dirichlet(rng: np.random.Generator, alpha: float, m: int) -> np.ndarray:
+    """`rng.dirichlet(np.full(m, alpha))`: the same values, with the
+    generator left in the same state.
+
+    Where numpy normalizes gamma variates, this is its loop written with
+    array calls: m draws of `standard_gamma(alpha)` in order, their sum
+    taken in sequence (`add.accumulate`, as numpy's loop adds them), and
+    each scaled by the reciprocal of that sum. Small alphas, where numpy
+    breaks a stick instead, go to the library call.
+    """
+    if alpha < 0.1:  # numpy's test is `alpha.max() < 0.1`
+        return rng.dirichlet(np.full(m, alpha))
+    g = rng.standard_gamma(alpha, size=m)
+    g *= 1.0 / np.add.accumulate(g)[-1]
+    return g
+
+
 def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
            cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats) -> None:
     """Create the node's children from its feasible pairs.
@@ -290,12 +340,16 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     expansion. Approximate mode then samples at most n_expand distinct
     pairs from it; with n_expand >= M it reduces exactly to exact mode.
 
-    The sample is drawn by `_sample_distinct`, numpy's no-replacement
-    algorithm of `Generator.choice` run inline: the library call spends
-    most of its time on argument handling around a few array operations,
-    and expansion is the most frequent random draw of a training search.
-    A property test holds it to `Generator.choice` pick for pick and to
-    the same final generator state.
+    Both draws are library algorithms run inline, because the library
+    calls spend most of their time on argument handling around a few
+    array operations on about 17 entries, and expansion is the most
+    frequent random draw of a training search. The noise comes from
+    `_dirichlet`, numpy's gamma-normalizing branch of `Generator.dirichlet`
+    for alpha >= 0.1; below that numpy breaks a stick, and the library
+    call is made. The sample comes from `_sample_distinct`, numpy's
+    no-replacement algorithm of `Generator.choice`. Property tests hold
+    each to its library call, value for value and in the generator's
+    final state.
     """
     if node.expanded or node.terminal:
         raise SearchError("expand on an expanded or terminal node")
@@ -306,7 +360,7 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     pri = joint_prior(node, pi_p_masked, pi_a_masked)
     m = len(pri)
     if cfg.training and cfg.dirichlet_weight > 0.0:
-        noise = rng.dirichlet(np.full(m, cfg.dirichlet_alpha))
+        noise = _dirichlet(rng, cfg.dirichlet_alpha, m)
         pri = (1.0 - cfg.dirichlet_weight) * pri + cfg.dirichlet_weight * noise
     if cfg.mode == MODE_APPROX and cfg.n_expand < m:
         p_sample = pri
@@ -321,13 +375,14 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         node.edges = node.feasible
         pri = pri / pri.sum()
     assert cfg.mode != MODE_APPROX or len(node.edges) <= cfg.n_expand
-    node.P = pri
-    node.N = np.zeros(len(node.edges))
-    node.W = np.zeros(len(node.edges))
-    node.Q = np.full(len(node.edges), FPU_Q)
-    node.children = [None] * len(node.edges)
+    k = len(node.edges)
+    node.P = pri.tolist()
+    node.N = [0.0] * k
+    node.W = [0.0] * k
+    node.Q = [FPU_Q] * k
+    node.children = [None] * k
     node.expanded = True
-    stats.nodes_expanded += len(node.edges)
+    stats.nodes_expanded += k
 
 
 @dataclass
@@ -444,6 +499,8 @@ def _expand_and_eval(node: Node, ctx: _Context) -> float:
         node.value = 0.0
         return 0.0
     pi_p, pi_a, value, h_out = ctx.evaluator.evaluate(node.env, ctx.task_index, node.h_in)
+    if not math.isfinite(value):
+        raise SearchError(f"non-finite leaf value {value} from the evaluator")
     node.h_out = h_out
     mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
     expand(node, mp, ma, ctx.cfg, ctx.rng, ctx.stats)
@@ -495,11 +552,12 @@ def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) ->
             break
         if len(node.N) == 1:
             continue
-        n = node.N[idx] + j[:k]
+        N = np.array(node.N)
+        n = N[idx] + j[:k]
         run[0] = node.W[idx]
         s = np.sqrt(node.visits + j[:k])
-        cp = c_puct * node.P
-        score = node.Q + cp * s[:, None] / (1.0 + node.N)
+        cp = c_puct * np.array(node.P)
+        score = np.array(node.Q) + cp * s[:, None] / (1.0 + N)
         score[:, idx] = np.add.accumulate(run[:k]) / n + cp[idx] * s / (1.0 + n)
         off = np.flatnonzero(score.argmax(axis=1) != idx)
         if off.size:
@@ -507,10 +565,12 @@ def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) ->
     if k:
         for node, idx in path[:-1]:
             node.visits += k
-            node.N[idx] += k
+            n = node.N[idx] + k
             run[0] = node.W[idx]
-            node.W[idx] = np.add.accumulate(run[:k + 1])[k]
-            node.Q[idx] = node.W[idx] / node.N[idx]
+            w = float(np.add.accumulate(run[:k + 1])[k])
+            node.N[idx] = n
+            node.W[idx] = w
+            node.Q[idx] = w / n
         path[-1][0].visits += k
     return k
 
@@ -548,7 +608,7 @@ def run_search(
         last_leaf = leaf
     if root.terminal or not root.edges:
         raise SearchError("dead-end root: no feasible program/argument pair")
-    counts = root.N
+    counts = np.array(root.N)
     if counts.sum() > 0:
         if cfg.temperature <= 0.0:
             weights = np.zeros(len(counts))
@@ -557,7 +617,7 @@ def run_search(
             scaled = (counts / counts.max()) ** (1.0 / cfg.temperature)
             weights = scaled / scaled.sum()
     else:
-        weights = root.P.copy()  # degenerate budget: fall back to the prior
+        weights = np.array(root.P)  # degenerate budget: fall back to the prior
     # bincount adds the weights in edge order, as a loop over the edges would.
     pi_p_mcts = np.bincount(root.edges.prog_idx, weights, minlength=len(lib))
     pi_a_mcts = np.bincount(root.edges.arg_idx, weights, minlength=P.ARG_SPACE)

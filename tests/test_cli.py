@@ -1,6 +1,6 @@
 import pytest
 
-from argsynth import cli
+from argsynth import cli, trainer
 from argsynth.config import _file_keys
 from argsynth.network import checkpoint_save, dims_for_library, init_params
 from argsynth.programs import build_library
@@ -40,6 +40,24 @@ def test_train_writes_its_four_files(tmp_path, tiny_file, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "checkpoint.ckpt", "failed_envs.txt", "metrics.csv", "search_stats.csv"]
     assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("weight,message", [("value_w", "non-finite leaf value"),
+                                            ("prog_w", "non-finite prior mass")])
+def test_a_network_that_outputs_nan_is_a_runtime_failure(
+        tmp_path, tiny_file, capsys, monkeypatch, weight, message):
+    real = trainer.init_params
+
+    def nan_params(seed, dims):
+        params = real(seed, dims)
+        params.arrays[weight][...] = float("nan")
+        return params
+
+    monkeypatch.setattr(trainer, "init_params", nan_params)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", tiny_file, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_eval_on_a_saved_checkpoint(tmp_path, tiny_file, capsys):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from argsynth.env import (
+    ATOMIC_OPS,
+    ATOMIC_SLOT_SETS,
     EnvError,
     EnvState,
     RangeFrame,
@@ -141,6 +145,64 @@ class TestAtomics:
         a = apply_atomic(env, "swap", (P1, P2))
         b = apply_atomic(env, "swap", (P1, P2))
         assert a == b
+
+
+def apply_with_replace(env, op, slots):
+    """`apply_atomic` as it was written with `dataclasses.replace`, for a
+    feasible call."""
+    name = {P1: "p1", P2: "p2", P3: "p3"}
+    if op == "stop":
+        return env
+    if op == "save_ptr":
+        return replace(env, registry=env.ptr(slots[0]))
+    if op == "load_ptr":
+        return replace(env, **{name[slots[0]]: env.registry}, registry=None)
+    if op == "push":
+        p1, p2, p3 = env.p1, env.p2, env.p3
+        frames = list(env.stack)
+        if p1 + 1 < p2:
+            frames.append(RangeFrame(p1 + 1, p2))
+        if p1 - 1 > 0 and p3 < p1 - 1:
+            frames.append(RangeFrame(p3, p1 - 1))
+        return replace(env, stack=tuple(frames))
+    if op == "pop":
+        frame = env.stack[-1]
+        return replace(env, p1=frame.lo, p3=frame.lo, p2=frame.hi, stack=env.stack[:-1])
+    if op == "swap":
+        i, j = env.ptr(slots[0]), env.ptr(slots[1])
+        vals = list(env.values)
+        vals[i], vals[j] = vals[j], vals[i]
+        return replace(env, values=tuple(vals))
+    delta = -1 if op == "ptr_left" else 1
+    return replace(env, **{name[s]: env.ptr(s) + delta for s in slots})
+
+
+@st.composite
+def states(draw):
+    n = draw(st.integers(2, 8))
+    pos = st.integers(0, n - 1)
+    frames = draw(st.lists(st.tuples(pos, pos).map(sorted), max_size=3))
+    return make_env(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)),
+                    draw(pos), draw(pos), draw(pos), stack=frames,
+                    registry=draw(st.one_of(st.none(), pos)))
+
+
+class TestApplyAtomicMatchesReplace:
+    """Every atomic operation and argument tuple gives the state that the
+    `dataclasses.replace` version gave, equal and with an equal hash."""
+
+    @given(states())
+    @settings(max_examples=300, deadline=None)
+    def test_every_op_and_argument_tuple(self, env):
+        for op in ATOMIC_OPS:
+            for slots in ATOMIC_SLOT_SETS[op]:
+                if not atomic_feasible(env, op, slots):
+                    with pytest.raises(EnvError):
+                        apply_atomic(env, op, slots)
+                    continue
+                got, want = apply_atomic(env, op, slots), apply_with_replace(env, op, slots)
+                assert got == want and hash(got) == hash(want)
+                assert type(got.stack) is tuple and type(got.values) is tuple
 
 
 class TestFeasibility:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -39,6 +41,12 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def arr(stat):
+    """A node's edge statistic, which it holds as a list of floats, as a
+    float64 array."""
+    return np.asarray(stat, dtype=np.float64)
+
+
 def bare_node(n_children, priors=None, N=None, W=None):
     """An expanded node with the given edge statistics, as `backup` would
     have left it: Q is each edge's mean value (FPU_Q while unvisited) and
@@ -46,11 +54,12 @@ def bare_node(n_children, priors=None, N=None, W=None):
     node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
     node.expanded = True
     node.edges = [("edge", i) for i in range(n_children)]
-    node.P = np.array(priors if priors is not None else [1 / n_children] * n_children)
-    node.N = np.array(N if N is not None else [0.0] * n_children, dtype=float)
-    node.W = np.array(W if W is not None else [0.0] * n_children, dtype=float)
-    node.Q = np.where(node.N > 0, node.W / np.maximum(node.N, 1.0), FPU_Q)
-    node.visits = int(node.N.sum()) + 1
+    P = np.array(priors if priors is not None else [1 / n_children] * n_children)
+    N = np.array(N if N is not None else [0.0] * n_children, dtype=float)
+    W = np.array(W if W is not None else [0.0] * n_children, dtype=float)
+    node.P, node.N, node.W = P.tolist(), N.tolist(), W.tolist()
+    node.Q = np.where(N > 0, W / np.maximum(N, 1.0), FPU_Q).tolist()
+    node.visits = int(N.sum()) + 1
     node.children = [None] * n_children
     return node
 
@@ -64,8 +73,8 @@ class TestPuctSelect:
         node = bare_node(2, priors=[0.5, 0.5], N=[10, 1], W=[0, 1])
         # scores: 0 + 0.5*sqrt(12)/11 = 0.157 vs 1 + 0.5*sqrt(12)/2 = 1.866
         assert puct_select(node, 1.0) == 1
-        q = node.W / np.maximum(node.N, 1.0)
-        bonus = 1.0 * node.P * np.sqrt(node.N.sum() + 1) / (1 + node.N)
+        q = arr(node.W) / np.maximum(arr(node.N), 1.0)
+        bonus = 1.0 * arr(node.P) * np.sqrt(arr(node.N).sum() + 1) / (1 + arr(node.N))
         assert (q + bonus)[0] == pytest.approx(0.1575, abs=1e-3)
         assert (q + bonus)[1] == pytest.approx(1.8660, abs=1e-3)
 
@@ -76,7 +85,7 @@ class TestPuctSelect:
 
     def test_unvisited_scores_neutral_value(self):
         node = bare_node(2, priors=[0.5, 0.5], N=[3, 0], W=[0.3, 0.0])
-        q = np.where(node.N > 0, node.W / np.maximum(node.N, 1), FPU_Q)
+        q = np.where(arr(node.N) > 0, arr(node.W) / np.maximum(arr(node.N), 1), FPU_Q)
         assert q[1] == 0.5 and q[0] == pytest.approx(0.1)
         assert puct_select(node, 0.0) == 1
 
@@ -92,8 +101,9 @@ class TestPuctSelect:
 
 def reference_puct(node, c_puct):
     """PUCT from the raw statistics, with the parent count recomputed."""
-    q = np.where(node.N > 0, node.W / np.maximum(node.N, 1.0), FPU_Q)
-    bonus = c_puct * node.P * np.sqrt(node.N.sum() + 1.0) / (1.0 + node.N)
+    N, W = arr(node.N), arr(node.W)
+    q = np.where(N > 0, W / np.maximum(N, 1.0), FPU_Q)
+    bonus = c_puct * arr(node.P) * np.sqrt(N.sum() + 1.0) / (1.0 + N)
     return int(np.argmax(q + bonus))
 
 
@@ -121,14 +131,73 @@ class TestPuctProperty:
         while stack:
             node = stack.pop()
             if node.expanded and not node.terminal:
-                assert node.visits == node.N.sum() + 1
-                seen = node.N > 0
-                assert np.array_equal(node.Q[seen], node.W[seen] / node.N[seen])
-                assert np.all(node.Q[~seen] == FPU_Q)
+                N, W, Q = arr(node.N), arr(node.W), arr(node.Q)
+                assert node.visits == N.sum() + 1
+                seen = N > 0
+                assert np.array_equal(Q[seen], W[seen] / N[seen])
+                assert np.all(Q[~seen] == FPU_Q)
                 assert puct_select(node, cfg.c_puct) == reference_puct(node, cfg.c_puct)
                 checked += 1
                 stack.extend(c for c in node.children if c is not None)
         assert checked > 10
+
+
+@st.composite
+def tied_priors(draw):
+    """1 to 40 priors, each either free, equal to an earlier one, or one
+    last bit above or below an earlier one."""
+    m = draw(st.integers(1, 40))
+    p = draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m))
+    for i in range(1, m):
+        j = draw(st.integers(0, i - 1))
+        tie = draw(st.sampled_from(["free", "equal", "above", "below"]))
+        if tie == "equal":
+            p[i] = p[j]
+        elif tie == "above":
+            p[i] = float(np.nextafter(p[j], 2.0))
+        elif tie == "below":
+            p[i] = float(np.nextafter(p[j], 0.0))
+    return p
+
+
+def array_backup(N, W, Q, idx, value):
+    """`backup` of one edge as it was written on numpy arrays."""
+    N[idx] += 1.0
+    W[idx] += value
+    Q[idx] = W[idx] / N[idx]
+
+
+class TestScalarStatistics:
+    """The list statistics and the scalar `puct_select` against the array
+    formulas they replaced: the same choice and the same bytes."""
+
+    @given(
+        priors=tied_priors(),
+        moves=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 39)),
+                                 st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                           st.floats(0.0, 1.0))),
+                       max_size=80),
+        c_puct=st.sampled_from([0.0, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_array_formulas(self, priors, moves, c_puct):
+        m = len(priors)
+        node = bare_node(m, priors=priors)
+        P, N, W, Q = np.array(priors), np.zeros(m), np.zeros(m), np.full(m, FPU_Q)
+        visits = 1
+        for step in [None] + moves:
+            if step is not None:
+                idx, value = step
+                idx = None if idx is None else idx % m
+                backup([(node, idx)], value)
+                visits += 1
+                if idx is not None:
+                    array_backup(N, W, Q, idx, value)
+            assert node.visits == visits
+            for got, want in ((node.P, P), (node.N, N), (node.W, W), (node.Q, Q)):
+                assert arr(got).tobytes() == want.tobytes()
+            want_idx = int((Q + c_puct * P * math.sqrt(visits) / (1.0 + N)).argmax())
+            assert puct_select(node, c_puct) == want_idx
 
 
 class TestBackup:
@@ -155,7 +224,7 @@ class TestBackup:
     def test_leaf_entry_counts_visit_only(self):
         node = bare_node(2)
         backup([(node, None)], 0.7)
-        assert node.visits == 2 and node.N.sum() == 0
+        assert node.visits == 2 and arr(node.N).sum() == 0
         assert list(node.Q) == [FPU_Q, FPU_Q]
 
 
@@ -170,7 +239,8 @@ def one_at_a_time(path, value, budget, c_puct):
 
 
 def edge_bytes(nodes):
-    return [(n.visits, n.P.tobytes(), n.N.tobytes(), n.W.tobytes(), n.Q.tobytes())
+    return [(n.visits, arr(n.P).tobytes(), arr(n.N).tobytes(), arr(n.W).tobytes(),
+             arr(n.Q).tobytes())
             for n in nodes]
 
 
@@ -401,7 +471,7 @@ class TestExpand:
         expand(node, mp, ma, cfg, rng(), stats)
         assert len(node.edges) == len(node.feasible)
         assert stats.nodes_expanded == len(node.feasible)
-        assert node.P.sum() == pytest.approx(1.0)
+        assert arr(node.P).sum() == pytest.approx(1.0)
 
     def test_approx_samples_exactly_n_distinct(self):
         env = make_env([3, 1, 2], 0, 2, 1, registry=0)
@@ -412,7 +482,7 @@ class TestExpand:
         expand(node, mp, ma, cfg, rng(3), SearchStats())
         assert len(node.edges) == 3
         assert len(set(node.edges)) == 3
-        assert node.P.sum() == pytest.approx(1.0)
+        assert arr(node.P).sum() == pytest.approx(1.0)
 
     def test_approx_with_large_n_equals_exact(self):
         env = make_env([3, 1, 2], 0, 2, 1, registry=0)
@@ -423,7 +493,7 @@ class TestExpand:
             cfg = SearchConfig(mode=mode, n_expand=10_000, training=True)
             r = rng(7)
             expand(node, mp, ma, cfg, r, SearchStats())
-            results.append((node.edges, node.P.tolist(), r.random()))
+            results.append((node.edges, arr(node.P).tolist(), r.random()))
         assert results[0] == results[1]
 
     def test_no_pop_child_at_quicksort_entry(self):
@@ -449,8 +519,26 @@ class TestExpand:
             mp, ma = uniform_masked(node, self.lib)
             cfg = SearchConfig(mode=MODE_EXACT, training=training)
             expand(node, mp, ma, cfg, rng(11), SearchStats())
-            (noisy if training else plain).append(node.P.copy())
+            (noisy if training else plain).append(arr(node.P).copy())
         assert not np.allclose(plain[0], noisy[0])
+
+
+class TestDirichlet:
+    """`_dirichlet` is `Generator.dirichlet` on a constant alpha: the same
+    values and the generator left in the same state, on both sides of
+    numpy's switch to stick-breaking at alpha 0.1."""
+
+    @given(m=st.integers(1, 80),
+           alpha=st.one_of(st.sampled_from([0.1, float(np.nextafter(0.1, 0.0)),
+                                            float(np.nextafter(0.1, 1.0)), 0.3]),
+                           st.floats(0.005, 0.1), st.floats(0.1, 5.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_generator_dirichlet(self, m, alpha, seed):
+        a, b = rng(seed), rng(seed)
+        want = a.dirichlet(np.full(m, alpha))
+        assert search._dirichlet(b, alpha, m).tobytes() == want.tobytes()
+        assert b.bit_generator.state == a.bit_generator.state
 
 
 def random_p(meta, m, k, shape):
@@ -555,11 +643,38 @@ class TestApproxExpandFromSparsePrior:
         assert list(node.edges) == list(want_edges)
         assert node.edges.prog_idx.tolist() == want_edges.prog_idx.tolist()
         assert node.edges.arg_idx.tolist() == want_edges.arg_idx.tolist()
-        assert node.P.tobytes() == want_p.tobytes()
+        assert arr(node.P).tobytes() == want_p.tobytes()
         assert r.bit_generator.state == want_rng.bit_generator.state
         one_round = rng(seed)
         one_round.random(3)
         assert r.bit_generator.state != one_round.bit_generator.state
+
+
+class TestNonFiniteEvaluator:
+    """A network whose outputs are not finite stops the search with
+    SearchError instead of steering it."""
+
+    lib = build_library("args")
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    @pytest.mark.parametrize("weight,message", [("value_w", "non-finite leaf value"),
+                                                ("prog_w", "non-finite prior mass")])
+    def test_nan_network_raises(self, mode, weight, message):
+        params = init_params(0, dims_for_library(self.lib))
+        params.arrays[weight][...] = np.nan
+        env = sample_task_env(TaskId.PARTITION_UPDATE, 4, rng(17))
+        cfg = SearchConfig(mode=mode, n_expand=5, simulations=30)
+        with pytest.raises(SearchError, match=message):
+            search_episode(TaskId.PARTITION_UPDATE, env, NetworkEvaluator(params),
+                           self.lib, cfg, SearchStats(), rng(18))
+
+    def test_zero_prior_mass_is_uniform_and_an_infinite_one_raises(self):
+        node = prepared_node(make_env([3, 1, 2], 0, 2, 1, registry=0), self.lib)
+        m = len(node.feasible)
+        pri = search.joint_prior(node, np.zeros(len(self.lib)), np.zeros(ARG_SPACE))
+        assert pri.tolist() == [1.0 / m] * m
+        with pytest.raises(SearchError):
+            search.joint_prior(node, np.full(len(self.lib), np.inf), np.ones(ARG_SPACE))
 
 
 class TestRunSearch:
@@ -592,7 +707,7 @@ class TestRunSearch:
     def test_positive_temperature_matches_visit_shares(self):
         res, _ = self.search(2, temperature=1.0)
         root = res.root
-        shares = root.N / root.N.sum()
+        shares = arr(root.N) / arr(root.N).sum()
         for share, (spec, args) in zip(shares, root.edges):
             assert res.pi_p_mcts[self.lib.index(spec.name)] >= share - 1e-9
 
@@ -601,7 +716,7 @@ class TestRunSearch:
         def check(node):
             if not node.expanded or node.terminal:
                 return
-            assert node.N.sum() == node.visits - 1
+            assert arr(node.N).sum() == node.visits - 1
             for child in node.children:
                 if child is not None:
                     check(child)
