@@ -85,7 +85,6 @@ from .trainer import (
     replay_trace,
     run_episode,
     sample_initial_env,
-    trace_to_json,
 )
 from .expert import ExpertPolicy, ExpertUnavailable, expert_available, expert_script
 from .config import ConfigError, RunConfig, load_config, parse_config

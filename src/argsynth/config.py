@@ -115,5 +115,11 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                          f"at offset {exc.start})") from exc
+    return parse_config(text)

@@ -101,11 +101,6 @@ def make_env(
     return EnvState(vals, int(p1), int(p2), int(p3), tuple(frames), registry)
 
 
-def check_invariants(env: EnvState) -> None:
-    """Re-validate an existing state (used by fuzz tests)."""
-    make_env(env.values, env.p1, env.p2, env.p3, env.stack, env.registry)
-
-
 # ---------------------------------------------------------------------------
 # Observation encoding
 
@@ -260,7 +255,7 @@ class TaskId(Enum):
         return self.value
 
 
-TASKS = (TaskId.PARTITION_UPDATE, TaskId.PARTITION, TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT)
+TASKS = tuple(TaskId)
 
 
 def task_precondition(task: TaskId, env: EnvState) -> bool:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,15 +55,6 @@ class PolicyOutput(NamedTuple):
     hidden: HiddenState
 
 
-# Parameter array names in a fixed order; checkpoints and the optimizer
-# iterate in exactly this order.
-PARAM_LAYOUT = (
-    "enc_w1", "enc_b1", "enc_w2", "enc_b2", "prog_embed",
-    "lstm_wx", "lstm_wh", "lstm_b",
-    "prog_w", "prog_b", "arg_w", "arg_b", "value_w", "value_b",
-)
-
-
 @dataclass
 class ParameterSet:
     dims: NetworkDims
@@ -91,6 +82,11 @@ def _shapes(d: NetworkDims) -> dict[str, tuple[int, ...]]:
         "arg_w": (d.hidden, d.args), "arg_b": (d.args,),
         "value_w": (d.hidden,), "value_b": (1,),
     }
+
+
+# Parameter array names in the order of `_shapes`; initialization draws,
+# checkpoints and the optimizer iterate in exactly this order.
+PARAM_LAYOUT = tuple(_shapes(NetworkDims(programs=1)))
 
 
 def init_params(seed: int, dims: NetworkDims) -> ParameterSet:
@@ -535,10 +531,46 @@ def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
         raise
 
 
+_HEADER_KEYS = frozenset({"manifest", "dims", "arrays", "optimizer", "payload_sha256"})
+_OPTIMIZER_KEYS = frozenset({"lr", "beta1", "beta2", "eps", "clip", "t"})
+
+
+def _checked_layout(path, header: dict) -> NetworkDims:
+    """The header's network dims, once its `dims`, `optimizer` and `arrays`
+    describe exactly what `checkpoint_save` writes for them: every
+    `NetworkDims` field a positive integer, the arrays in `PARAM_LAYOUT`
+    order (then `m.` and `v.` of each with an optimizer), each of the shape
+    `_shapes(dims)` gives it."""
+    doc = header["dims"]
+    known = {f.name for f in fields(NetworkDims)}
+    if not isinstance(doc, dict) or doc.keys() != known or not all(
+            type(v) is int and v > 0 for v in doc.values()):
+        raise CheckpointError(f"{path}: bad network dims {doc!r} (need a positive "
+                              f"integer for each of {', '.join(sorted(known))})")
+    dims = NetworkDims(**doc)
+    opt = header["optimizer"]
+    if opt is not None and not (isinstance(opt, dict) and opt.keys() == _OPTIMIZER_KEYS):
+        raise CheckpointError(f"{path}: bad optimizer header {opt!r}")
+    names = list(PARAM_LAYOUT)
+    if opt is not None:
+        names += [p + n for p in ("m.", "v.") for n in PARAM_LAYOUT]
+    entries = header["arrays"]
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)
+            and [e.get("name") for e in entries] == names):
+        raise CheckpointError(f"{path}: array table does not list {', '.join(names)}")
+    shapes = _shapes(dims)
+    for entry in entries:
+        want = list(shapes[entry["name"].rpartition(".")[2]])
+        if entry.get("shape") != want:
+            raise CheckpointError(f"{path}: array {entry['name']} has shape "
+                                  f"{entry.get('shape')!r}, the dims give {want}")
+    return dims
+
+
 def checkpoint_load(path, expected_manifest: Optional[dict] = None
                     ) -> tuple[ParameterSet, Optional[AdamState], dict]:
-    """Load and verify a checkpoint; rejects corruption and manifest
-    mismatches."""
+    """Load and verify a checkpoint; rejects corruption, a header that does
+    not describe the payload, and manifest mismatches."""
     with open(path, "rb") as fh:
         raw = fh.read()
     fixed = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -554,8 +586,12 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
         header = json.loads(raw[fixed:fixed + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not (isinstance(header, dict) and _HEADER_KEYS <= header.keys()
+            and isinstance(header["manifest"], dict)):
+        raise CheckpointError(f"{path}: corrupt header: not an object with the keys "
+                              f"{', '.join(sorted(_HEADER_KEYS))}")
     payload = raw[fixed + header_len:]
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch (corrupt or truncated)")
     if expected_manifest is not None and header["manifest"] != expected_manifest:
         got = header["manifest"].get("mode", "<missing>")
@@ -566,7 +602,7 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
             if got != want else
             f"{path}: checkpoint program table (mode={got!r}) differs from this build"
         )
-    dims = NetworkDims(**header["dims"])
+    dims = _checked_layout(path, header)
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["arrays"]:

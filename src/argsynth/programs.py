@@ -7,7 +7,6 @@ take the empty tuple. Learned programs take the empty tuple in both modes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Optional
@@ -178,9 +177,6 @@ class ProgramLibrary:
             ],
         }
 
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest(), sort_keys=True)
-
 
 def build_library(mode: str) -> ProgramLibrary:
     return ProgramLibrary(mode)
@@ -234,45 +230,23 @@ def pair_feasible(environment: EnvState, spec: ProgramSpec, args: ArgTuple) -> b
 
 
 # ---------------------------------------------------------------------------
-# Static action table
+# Action table
 #
-# Whether a (program, argument tuple) pair is callable depends on a state
-# only through the predicates below. A state is summarized by the bits of
-# the predicates it satisfies, and each library mode keeps one table of its
-# pairs and one memo of feasible sets per (signature, caller level).
+# `pair_feasible` is the one definition of when a pair is callable. Every
+# precondition it reads is a predicate that `_signature` packs into a bit:
+# registry, stack, push, each pointer > 0 and < n-1, each pointer pair
+# distinct (the 12 atomic bits), and the entry condition of each learned
+# program below the caller (one fixed bit per task above those). States
+# with one signature therefore have one feasible set, and each library mode
+# keeps one table that memoizes it per (signature, caller level). A new
+# precondition must read only predicates that `_signature` encodes, or the
+# memo would hand one state the set of another.
 
-PREDICATES = (
-    "registry", "stack", "push",
-    "p1>0", "p2>0", "p3>0",
-    "p1<n-1", "p2<n-1", "p3<n-1",
-    "p1!=p2", "p1!=p3", "p2!=p3",
-    *(task.program_name for task in E.TASKS),  # learned entry conditions
-)
-_BIT = {name: 1 << i for i, name in enumerate(PREDICATES)}
-
-
-def _requirement(spec: ProgramSpec, args: ArgTuple) -> int:
-    """Bits of the predicates a pair needs; it is feasible iff all hold."""
-    if not spec.is_atomic:
-        return _BIT[spec.name]
-    op, slots = spec.op, _resolve_slots(spec, args)
-    if op == "load_ptr":
-        return _BIT["registry"]
-    if op == "push":
-        return _BIT["push"]
-    if op == "pop":
-        return _BIT["stack"]
-    if op == "swap":
-        return _BIT[f"p{slots[0]}!=p{slots[1]}"]
-    if op == "ptr_left":
-        return sum(_BIT[f"p{s}>0"] for s in slots)
-    if op == "ptr_right":
-        return sum(_BIT[f"p{s}<n-1"] for s in slots)
-    return 0  # stop, save_ptr
+_ENTRY_BIT = {task.program_name: 1 << (12 + i) for i, task in enumerate(TaskId)}
 
 
 def _signature(environment: EnvState, entry_checks: Iterable[tuple[int, TaskId]]) -> int:
-    """Bits of the PREDICATES the state satisfies. Learned entry conditions
+    """Bits of the predicates the state satisfies. Learned entry conditions
     are tested only for the (bit, task) pairs in `entry_checks`."""
     e = environment
     p1, p2, p3, last = e.p1, e.p2, e.p3, len(e.values) - 1
@@ -337,7 +311,9 @@ class FeasibleSet(list):
 
 class ActionTable:
     """Every (program, argument tuple) pair of one library mode, in library
-    order and then encoded-argument order, with the predicates it needs."""
+    order and then encoded-argument order, and a memo of `pair_feasible`
+    over them per (signature, caller level). The memo is right only while
+    each precondition reads predicates that `_signature` encodes."""
 
     def __init__(self, programs: tuple[ProgramSpec, ...]):
         rows = [(i, spec, args) for i, spec in enumerate(programs)
@@ -345,8 +321,6 @@ class ActionTable:
         self.pairs = [(spec, args) for _, spec, args in rows]
         self.prog_idx = np.array([i for i, _, _ in rows], dtype=np.intp)
         self.arg_idx = np.array([args_encode(args) for _, _, args in rows], dtype=np.intp)
-        self.need = [_requirement(spec, args) for _, spec, args in rows]
-        self.level = [spec.level for _, spec, _ in rows]
         self.programs = programs
         self._entry_checks: dict[int, tuple[tuple[int, TaskId], ...]] = {}
         self._memo: dict[tuple[int, int], FeasibleSet] = {}
@@ -355,14 +329,14 @@ class ActionTable:
         checks = self._entry_checks.get(caller_level)
         if checks is None:
             checks = self._entry_checks[caller_level] = tuple(
-                (_BIT[spec.name], TaskId(spec.name)) for spec in self.programs
+                (_ENTRY_BIT[spec.name], TaskId(spec.name)) for spec in self.programs
                 if not spec.is_atomic and spec.level < caller_level)
         key = (_signature(environment, checks), caller_level)
         found = self._memo.get(key)
         if found is None:
-            sig = key[0]
-            rows = [k for k, (need, level) in enumerate(zip(self.need, self.level))
-                    if level < caller_level and (need & sig) == need]
+            # The first state of a signature decides for all that share it.
+            rows = [k for k, (spec, args) in enumerate(self.pairs)
+                    if spec.level < caller_level and pair_feasible(environment, spec, args)]
             found = self._memo[key] = FeasibleSet(
                 [self.pairs[k] for k in rows], self.prog_idx[rows], self.arg_idx[rows],
                 len(self.programs))
@@ -375,10 +349,11 @@ _TABLES: dict[str, ActionTable] = {}
 def feasible_pairs(
     environment: EnvState, caller_level: int, lib: ProgramLibrary
 ) -> FeasibleSet:
-    """All callable (program, arguments) pairs below the caller's level.
+    """All pairs below the caller's level that `pair_feasible` admits.
 
     Order is deterministic: library order, then encoded argument order.
     The length of the result is the branching factor M of the search.
-    The result is shared with other callers and must not be mutated.
+    The result is the library table's memo for the state's signature: it is
+    shared with other callers and must not be mutated.
     """
     return lib.table.feasible(environment, caller_level)

@@ -8,7 +8,6 @@ byte for byte (wall-clock timing is therefore off by default).
 """
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
@@ -28,7 +27,7 @@ from .network import (
     init_params,
     train_step,
 )
-from .programs import ProgramLibrary, build_library, format_args
+from .programs import ProgramLibrary, build_library
 from .search import (
     Evaluator,
     EpisodeStep,
@@ -48,13 +47,11 @@ SEARCH_COLUMNS = ("iteration", "task", "mode", "simulations",
                   "nodes_expanded", "max_depth")
 ACCURACY_COLUMNS = ("program", "length", "accuracy")
 
-# Learned programs a task may call, i.e. the ones whose mastery gates it.
+# Learned programs a task may call, i.e. those of lower level, whose
+# mastery gates it.
 _UNLOCK_DEPS = {
-    TaskId.PARTITION_UPDATE: (),
-    TaskId.PARTITION: (TaskId.PARTITION_UPDATE,),
-    TaskId.QUICKSORT_UPDATE: (TaskId.PARTITION_UPDATE, TaskId.PARTITION),
-    TaskId.QUICKSORT: (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
-                       TaskId.QUICKSORT_UPDATE),
+    TaskId(spec.name): tuple(TaskId(dep.name) for dep in P._LEARNED if dep.level < spec.level)
+    for spec in P._LEARNED
 }
 
 
@@ -436,27 +433,3 @@ def evaluate_generalization(
 def accuracy_csv(rows: Sequence[dict]) -> str:
     return csv_table(ACCURACY_COLUMNS, rows)
 
-
-# ---------------------------------------------------------------------------
-# Trace export
-
-
-def trace_to_json(record: TraceRecord) -> str:
-    """One JSON document per trace: task, states, actions, policies,
-    reward."""
-    doc = {
-        "task": record.task_name,
-        "e_initial": env_to_record(record.e_initial),
-        "e_final": env_to_record(record.e_final),
-        "reward": record.reward,
-        "steps": [
-            {
-                "action": s.action_name,
-                "args": format_args(s.action_args),
-                "pi_p_mcts": [float(x) for x in s.pi_p_mcts],
-                "pi_a_mcts": [float(x) for x in s.pi_a_mcts],
-            }
-            for s in record.steps
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -1,4 +1,7 @@
+import shutil
+
 import pytest
+from test_network import BENCH_PARAMS, HEADER_FAULTS, rewrite_header
 
 from argsynth import cli, trainer
 from argsynth.config import _file_keys
@@ -148,3 +151,26 @@ def test_oracle_check_without_trials_is_a_usage_error(capsys, trials):
     assert cli.main(["oracle-check", "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "trials" in captured.err
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(bad), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {bad}: not UTF-8 text (byte 0xff at offset 9)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["extra_dims_key", "missing_arrays_key", "list_header",
+                                   "transposed_array", "hidden_64"])
+def test_a_checkpoint_header_that_lies_is_a_runtime_failure(tmp_path, capsys, fault):
+    ckpt = tmp_path / "params.ckpt"
+    shutil.copyfile(BENCH_PARAMS, ckpt)
+    rewrite_header(ckpt, HEADER_FAULTS[fault][0])
+    assert cli.main(["run", "--program", "partition", "--list", "3,1,2",
+                     "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {ckpt}: ") and captured.err.count("\n") == 1

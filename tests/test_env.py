@@ -330,7 +330,6 @@ def test_partition_oracle_vs_independent_lomuto_spot():
 
 def test_apply_atomic_fuzz_preserves_invariants():
     # >= 1e5 feasible applications on reachable and random states.
-    from argsynth.env import check_invariants
     lib = build_library("args")
     r = rng(29)
     applications = 0
@@ -343,9 +342,14 @@ def test_apply_atomic_fuzz_preserves_invariants():
             spec, args = atomic[int(r.integers(0, len(atomic)))]
             from argsynth.programs import apply_atomic as papply
             env = papply(env, spec, args)
-            check_invariants(env)
+            make_env(env.values, env.p1, env.p2, env.p3, env.stack, env.registry)
             applications += 1
     assert applications >= 100_000
+
+
+def test_tasks_keep_the_curriculum_order():
+    assert TASKS == (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
+                     TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT)
 
 
 class TestStepCaps:

@@ -1,6 +1,10 @@
+import json
+import struct
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +66,14 @@ class TestInit:
         b = init_params(42, dims_for_library(lib))
         for name in a.arrays:
             assert np.array_equal(a.arrays[name], b.arrays[name])
+
+    def test_param_layout_keeps_its_order(self):
+        # The order of the initial draws and of the checkpoint payload.
+        assert network.PARAM_LAYOUT == (
+            "enc_w1", "enc_b1", "enc_w2", "enc_b2", "prog_embed",
+            "lstm_wx", "lstm_wh", "lstm_b",
+            "prog_w", "prog_b", "arg_w", "arg_b", "value_w", "value_b")
+        assert tuple(init_params(0, small_dims()).arrays) == network.PARAM_LAYOUT
 
     def test_head_dimension_tracks_library(self):
         assert init_params(0, dims_for_library(build_library("args")))["prog_w"].shape[1] == 12
@@ -703,3 +715,79 @@ class TestCheckpoints:
         path.write_bytes(b"hello world")
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+
+BENCH_PARAMS = Path(__file__).resolve().parent.parent / "bench" / "params.ckpt"
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of the checkpoint at `path` with
+    `edit(header)`, keeping its payload and so its checksum."""
+    raw = path.read_bytes()
+    fixed = len(network.CHECKPOINT_MAGIC) + 4 + 8
+    (length,) = struct.unpack_from("<Q", raw, fixed - 8)
+    header = edit(json.loads(raw[fixed:fixed + length]))
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:fixed - 8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[fixed + length:])
+
+
+def edited(header, **changes):
+    return header | changes
+
+
+def transpose_first_array(header):
+    arrays = [dict(e) for e in header["arrays"]]
+    arrays[0]["shape"] = arrays[0]["shape"][::-1]
+    return edited(header, arrays=arrays)
+
+
+def drop_moments(header):
+    return edited(header, arrays=[e for e in header["arrays"] if "." not in e["name"]])
+
+
+# Each header fault loads as a CheckpointError naming what is wrong. Before
+# the header was checked, the first three raised TypeError, KeyError and
+# AttributeError, and the layout faults loaded, to fail later in a matmul.
+HEADER_FAULTS = {
+    "extra_dims_key": (lambda h: edited(h, dims=h["dims"] | {"layers": 2}), "network dims"),
+    "missing_arrays_key": (lambda h: {k: v for k, v in h.items() if k != "arrays"},
+                           "corrupt header"),
+    "list_header": (lambda h: [], "corrupt header"),
+    "transposed_array": (transpose_first_array, "has shape"),
+    "hidden_64": (lambda h: edited(h, dims=h["dims"] | {"hidden": 64}), "has shape"),
+    "string_dim": (lambda h: edited(h, dims=h["dims"] | {"hidden": "8"}), "network dims"),
+    "arrays_out_of_order": (lambda h: edited(h, arrays=h["arrays"][::-1]), "array table"),
+    "optimizer_without_moments": (drop_moments, "array table"),
+    "optimizer_missing_t": (lambda h: edited(h, optimizer={k: v for k, v in
+                                                            h["optimizer"].items() if k != "t"}),
+                            "optimizer header"),
+}
+
+
+class TestCheckpointHeader:
+    def saved(self, tmp_path):
+        lib = build_library("args")
+        params = init_params(0, small_dims())
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(params, init_optimizer(params), lib.manifest(), path)
+        return path
+
+    @pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+    def test_a_header_that_does_not_describe_the_payload_is_rejected(self, tmp_path, fault):
+        edit, message = HEADER_FAULTS[fault]
+        path = self.saved(tmp_path)
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint_load(path)
+
+    def test_an_unedited_rewrite_still_loads(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h)
+        params, opt, _ = checkpoint_load(path)
+        assert params.dims == small_dims() and opt.t == 0
+
+    def test_the_benchmark_parameter_file_loads(self):
+        params, opt, manifest = checkpoint_load(
+            BENCH_PARAMS, expected_manifest=build_library("args").manifest())
+        assert opt is None and params.dims == dims_for_library(build_library("args"))

@@ -67,7 +67,7 @@ class TestLibrary:
         # The mismatch is rejected by checkpoint_load; see
         # test_network.py::TestCheckpoints::test_manifest_guard.
         lib = build_library("args")
-        manifest = json.loads(lib.manifest_json())
+        manifest = json.loads(json.dumps(lib.manifest()))
         assert manifest == lib.manifest()
         assert manifest != build_library("noargs").manifest()
 
@@ -210,7 +210,7 @@ class TestActionTable:
             assert [args_encode(a) for _, a in pairs] == list(pairs.arg_idx)
 
     def test_noargs_table_built_first(self, monkeypatch):
-        # The predicate set is static: a process that builds only the
+        # Each task's entry bit is fixed: a process that builds only the
         # noargs library must answer every caller level.
         monkeypatch.setattr(programs_module, "_TABLES", {})
         noargs = build_library("noargs")

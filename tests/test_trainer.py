@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from argsynth.env import TaskId, TASKS, make_env, sample_task_env
 from argsynth.expert import ExpertPolicy
 from argsynth.programs import build_library
+from argsynth import trainer as trainer_module
 from argsynth.search import SearchConfig, UniformEvaluator
 from argsynth.trainer import (
     FailedEnvBuffer,
@@ -20,7 +20,6 @@ from argsynth.trainer import (
     replay_trace,
     run_episode,
     sample_initial_env,
-    trace_to_json,
     METRICS_COLUMNS,
 )
 
@@ -121,6 +120,12 @@ class TestCurriculum:
         stats.stats[TaskId.QUICKSORT_UPDATE].ema = 0.92
         stats.refresh_unlocks()
         assert stats.stats[TaskId.QUICKSORT].unlocked
+
+    def test_unlock_deps_are_the_learned_programs_of_lower_level(self):
+        PU, PA, QU, QS = (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
+                          TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT)
+        assert list(trainer_module._UNLOCK_DEPS.items()) == [
+            (PU, ()), (PA, (PU,)), (QU, (PU, PA)), (QS, (PU, PA, QU))]
 
     def test_unlock_is_monotone(self):
         stats = TaskStats(0.95, 0.9)
@@ -393,20 +398,3 @@ class TestEvaluation:
         assert lines[0] == "program,length,accuracy"
         assert lines[1] == "partition_update,5,1.0"
 
-
-class TestTraceJson:
-    def test_document_fields(self, rigged_evaluator):
-        lib = build_library("args")
-        cfg = SearchConfig(mode="exact", simulations=40, training=False,
-                           temperature=0.0)
-        r = rng(8)
-        env = sample_task_env(TaskId.PARTITION_UPDATE, 4, r)
-        record, _ = run_episode(TaskId.PARTITION_UPDATE, env,
-                                rigged_evaluator(lib), lib, cfg, r)
-        doc = json.loads(trace_to_json(record))
-        assert doc["task"] == "partition_update"
-        assert doc["reward"] == record.reward
-        assert doc["steps"][-1]["action"] == "stop"
-        assert len(doc["steps"][0]["pi_p_mcts"]) == len(lib)
-        from argsynth.env import env_from_record
-        assert env_from_record(doc["e_initial"]) == record.e_initial

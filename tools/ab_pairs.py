@@ -14,8 +14,17 @@ the summary gives each side's median and quartiles, the change's median
 against the parent's, and the pairs the change won (ties count for
 neither). A gain is claimed only when the change wins at least nine tenths
 of the pairs and the medians differ by more than the parent's
-interquartile range. `failed/attempted` sums each side's operations. Exits
-1 when any run reports `correct: false` or does not finish with a result.
+interquartile range. `failed/attempted` sums each side's operations.
+
+Below the table come the two factors of `ops_per_s`, parsed from each run's
+standard-error line `raw rates R1 R2 ... /s, host slowdown F from ...`:
+each side's median raw round rate (the median over runs of each run's
+median round rate) with the pairs the change won on it, and each side's
+median host-slowdown factor. A difference in `ops_per_s` that the raw rates
+do not share comes from the host-speed probe, not from the work timed.
+
+Exits 1 when any run reports `correct: false` or does not finish with a
+result.
 
 The script runs the benchmark as a separate process and imports nothing of
 the program.
@@ -24,12 +33,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+RATES_LINE = re.compile(r"raw rates ([^/]*) /s, host slowdown (\S+) from")
 
 
 def parse_result(stdout: str) -> dict:
@@ -38,6 +50,18 @@ def parse_result(stdout: str) -> dict:
     if not lines:
         raise ValueError("the run printed no result")
     return json.loads(lines[-1])
+
+
+def parse_rates(stderr: str) -> dict:
+    """{"raw_rate": median round rate, "slowdown": host-slowdown factor},
+    from the last `raw rates ... host slowdown ...` line of a run's
+    standard error."""
+    found = RATES_LINE.findall(stderr)
+    if not found:
+        raise ValueError("the run printed no raw rates")
+    rates, factor = found[-1]
+    return {"raw_rate": statistics.median(float(r) for r in rates.split()),
+            "slowdown": float(factor)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -84,7 +108,18 @@ def failures(pairs: list[dict[str, dict]]) -> dict[str, tuple[int, int]]:
                    sum(p[side]["attempted"] for p in pairs)) for side in SIDES}
 
 
-def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]]) -> str:
+def summarize_rates(pairs: list[dict[str, dict]]) -> dict:
+    """Each side's median raw rate and median slowdown factor over `pairs`,
+    and the pairs whose change ran at a higher raw rate."""
+    out = {key: {side: statistics.median(p[side][key] for p in pairs) for side in SIDES}
+           for key in ("raw_rate", "slowdown")}
+    out["raw_wins"] = sum(1 for p in pairs if p["change"]["raw_rate"] > p["parent"]["raw_rate"])
+    out["pairs"] = len(pairs)
+    return out
+
+
+def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]],
+                   rates: dict) -> str:
     out = ["| Metric | Better | Parent median [q1, q3] | Change median [q1, q3] "
            "| Change vs parent | Wins | Gain |",
            "|---|---|---|---|---:|---:|---|"]
@@ -94,13 +129,19 @@ def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]]) -> str:
             f"| `{r['metric']}` | {r['better']} | {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] "
             f"| {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}] | {r['relative']:+.3f} "
             f"| {r['wins']}/{r['pairs']} | {'yes' if r['gain'] else 'no'} |")
+    raw, slow = rates["raw_rate"], rates["slowdown"]
+    out.append(f"raw rate: parent {raw['parent']:.4g} /s, change {raw['change']:.4g} /s "
+               f"({raw['change'] / raw['parent'] - 1.0:+.3f}), change won "
+               f"{rates['raw_wins']}/{rates['pairs']}")
+    out.append(f"host slowdown: parent {slow['parent']:.4g}, change {slow['change']:.4g}")
     out.append("failed/attempted: " + ", ".join(
         f"{side} {f}/{a}" for side, (f, a) in fails.items()))
     return "\n".join(out)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run from `checkout`'s root; its parsed result."""
+    """One untraced benchmark run from `checkout`'s root; its parsed result,
+    with the raw rate and slowdown factor of `parse_rates` added."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -108,7 +149,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return parse_result(proc.stdout)
+    return parse_result(proc.stdout) | parse_rates(proc.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr, flush=True)
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s runs, "
           f"seeds {' '.join(map(str, args.seeds))}")
-    print(format_summary(summarize(pairs, metrics), failures(pairs)))
+    print(format_summary(summarize(pairs, metrics), failures(pairs), summarize_rates(pairs)))
     if not correct:
         print("a run reported correct: false", file=sys.stderr)
         return 1
