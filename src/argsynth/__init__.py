@@ -47,6 +47,7 @@ from .network import (
     dims_for_library,
     finite_diff_check,
     forward,
+    forward_rows,
     greedy_select,
     init_optimizer,
     init_params,
@@ -67,6 +68,7 @@ from .search import (
     UniformEvaluator,
     execute_greedy,
     expand,
+    lockstep_episodes,
     puct_select,
     recurse_subprogram,
     run_search,

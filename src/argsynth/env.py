@@ -372,12 +372,18 @@ def oracle_transform(task: TaskId, env: EnvState) -> EnvState:
 
 
 def reward(task: TaskId, e_initial: EnvState, e_final: EnvState) -> int:
-    """1 iff the final state matches the task's reference outcome.
+    """1 iff the final state matches the task's reference outcome."""
+    return reward_to_target(task, oracle_transform(task, e_initial), e_final)
+
+
+def reward_to_target(task: TaskId, target: EnvState, e_final: EnvState) -> int:
+    """`reward` given the reference outcome `target`, which is
+    `oracle_transform(task, e_initial)`; a search that scores many final
+    states of one start state computes it once.
 
     quicksort constrains only the sorted list and empty stack/registry;
     the inner tasks pin the complete state.
     """
-    target = oracle_transform(task, e_initial)
     if task is TaskId.QUICKSORT:
         ok = (
             e_final.values == target.values

@@ -211,6 +211,28 @@ def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
     return PolicyOutput(r.pi_p, r.pi_a, float(r.value), HiddenState(r.h, r.c))
 
 
+def forward_rows(params: ParameterSet, obs: Sequence[np.ndarray],
+                 task_index: Sequence[int], hidden: Sequence[HiddenState]
+                 ) -> list[PolicyOutput]:
+    """`forward` on b inputs at once, as the rows of one network step.
+
+    A row can differ from `forward` on the same input in its last bits
+    (see `_step`). Each row's hidden state is copied out of the step's
+    arrays, so that keeping one does not keep the whole batch."""
+    d = params.dims
+    x = np.array(obs)
+    if x.shape != (len(obs), d.obs):
+        raise ValueError(f"observation rows {x.shape} != ({len(obs)}, {d.obs})")
+    task = np.array(task_index, dtype=np.intp)
+    if task.shape != (len(obs),) or not ((0 <= task) & (task < d.tasks)).all():
+        raise ValueError(f"task indices {task_index} not {len(obs)} values in [0, {d.tasks})")
+    r = _step(params, x, task, np.array([hs.h for hs in hidden]),
+              np.array([hs.c for hs in hidden]))
+    return [PolicyOutput(r.pi_p[i], r.pi_a[i], float(r.value[i]),
+                         HiddenState(r.h[i].copy(), r.c[i].copy()))
+            for i in range(len(x))]
+
+
 # ---------------------------------------------------------------------------
 # Training: the batch packed into rows, one batched step per time step
 

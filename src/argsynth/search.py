@@ -41,12 +41,25 @@ prior and value is finite: the evaluator's priors and leaf values are
 checked (`joint_prior`, `_expand_and_eval`), and a non-finite one raises
 SearchError instead of steering the search, so no NaN reaches a
 comparison.
+
+A tree is grown by a generator, `_grow`: where a simulation reaches a leaf
+to evaluate, `_expand_and_eval` yields the request (state, task index,
+hidden state) and resumes with the evaluator's answer, through `_simulate`
+and `_grow`. `run_search` answers each request at once with
+`Evaluator.evaluate`, and `search_episode` calls `run_search` once per
+step, so a single episode and every nested search run as a plain loop.
+`lockstep_episodes` instead keeps several top-level episodes in flight and
+answers one request of each with a single `Evaluator.evaluate_many` call,
+which the network runs as the rows of one step: at six rows, about 41 µs
+a request against 113 µs for a step on one vector (one BLAS thread of a
+2-core x86 host). Both paths share one episode loop, `_episode`. Nested
+searches stay synchronous inside their episode's step.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace as dc_replace
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Generator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -57,6 +70,7 @@ from .network import (
     HiddenState,
     ParameterSet,
     forward,
+    forward_rows,
     greedy_select,
     masked_distributions,
     zero_hidden,
@@ -139,6 +153,13 @@ class SearchStats:
         self.recursions += other.recursions
 
 
+# What a search asks its evaluator for a leaf: the state, the task index
+# and the hidden state it enters with; and the answer: priors over programs
+# and arguments, the leaf value and the hidden state advanced past `env`.
+LeafRequest = tuple[EnvState, int, HiddenState]
+Evaluation = tuple[np.ndarray, np.ndarray, float, HiddenState]
+
+
 class Evaluator(Protocol):
     """Prior/value source for the search; the trained network in
     production, stubs in tests.
@@ -149,21 +170,43 @@ class Evaluator(Protocol):
     every child of that node, and the episode carries the root's one from
     each committed action to the next. Each nested search of a learned
     call starts from a fresh `initial_hidden()`.
+
+    `evaluate_many` answers a wave of requests from independent searches
+    (`lockstep_episodes`), one answer per request, in order. A returned
+    hidden state should hold no other answer's arrays: a tree keeps the
+    hidden states of its nodes for as long as it lives.
     """
 
     def evaluate(self, env: EnvState, task_index: int, hidden: HiddenState
-                 ) -> tuple[np.ndarray, np.ndarray, float, HiddenState]: ...
+                 ) -> Evaluation: ...
+
+    def evaluate_many(self, requests: Sequence[LeafRequest]) -> list[Evaluation]: ...
 
     def initial_hidden(self) -> HiddenState: ...
 
 
 class NetworkEvaluator:
+    """The network as the search's evaluator.
+
+    `evaluate_many` runs the requests as rows of one network step
+    (`forward_rows`), which can differ from `evaluate` on the same request
+    in the last bits; a single request takes `evaluate`'s path and gives
+    its bytes.
+    """
+
     def __init__(self, params: ParameterSet):
         self.params = params
 
     def evaluate(self, env, task_index, hidden):
         out = forward(self.params, observe(env), task_index, hidden)
         return out.pi_p, out.pi_a, out.value, out.hidden
+
+    def evaluate_many(self, requests):
+        if len(requests) == 1:
+            return [self.evaluate(*requests[0])]
+        return forward_rows(self.params, [observe(env) for env, _, _ in requests],
+                            [task_index for _, task_index, _ in requests],
+                            [hidden for _, _, hidden in requests])
 
     def initial_hidden(self) -> HiddenState:
         return zero_hidden(self.params.dims)
@@ -178,6 +221,9 @@ class UniformEvaluator:
 
     def evaluate(self, env, task_index, hidden):
         return self._pi_p.copy(), self._pi_a.copy(), 0.5, hidden
+
+    def evaluate_many(self, requests):
+        return [self.evaluate(*request) for request in requests]
 
     def initial_hidden(self) -> HiddenState:
         z = np.zeros(1)
@@ -411,16 +457,16 @@ class SearchResult:
 
 
 class _Context:
-    """Per-episode bundle shared by every simulation of its searches."""
+    """Per-tree bundle shared by every simulation of one search."""
 
-    __slots__ = ("task", "task_index", "caller_level", "e_initial", "lib",
+    __slots__ = ("task", "task_index", "caller_level", "target", "lib",
                  "evaluator", "cfg", "stats", "rng", "cache", "depth")
 
     def __init__(self, task, e_initial, lib, evaluator, cfg, stats, rng, cache, depth):
         self.task = task
         self.task_index = lib.task_index(task)
         self.caller_level = lib.spec(task.program_name).level
-        self.e_initial = e_initial
+        self.target = E.oracle_transform(task, e_initial)  # what `stop` is scored against
         self.lib = lib
         self.evaluator = evaluator
         self.cfg = cfg
@@ -468,7 +514,7 @@ def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
     child = Node(env=node.env, h_in=node.h_out, depth=node.depth + 1)
     if spec.name == "stop":
         child.terminal = True
-        child.value = float(reward(ctx.task, ctx.e_initial, node.env))
+        child.value = float(E.reward_to_target(ctx.task, ctx.target, node.env))
         node.children[idx] = child
         return child
     if spec.is_atomic:
@@ -492,13 +538,13 @@ def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
     return child
 
 
-def _expand_and_eval(node: Node, ctx: _Context) -> float:
+def _expand_and_eval(node: Node, ctx: _Context) -> Generator[LeafRequest, Evaluation, float]:
     node.feasible = feasible_pairs(node.env, ctx.caller_level, ctx.lib)
     if not node.feasible:
         node.terminal = True
         node.value = 0.0
         return 0.0
-    pi_p, pi_a, value, h_out = ctx.evaluator.evaluate(node.env, ctx.task_index, node.h_in)
+    pi_p, pi_a, value, h_out = yield node.env, ctx.task_index, node.h_in
     if not math.isfinite(value):
         raise SearchError(f"non-finite leaf value {value} from the evaluator")
     node.h_out = h_out
@@ -510,7 +556,8 @@ def _expand_and_eval(node: Node, ctx: _Context) -> float:
 SearchPath = list[tuple[Node, Optional[int]]]
 
 
-def _simulate(root: Node, ctx: _Context, max_depth: int) -> tuple[SearchPath, float]:
+def _simulate(root: Node, ctx: _Context, max_depth: int
+              ) -> Generator[LeafRequest, Evaluation, tuple[SearchPath, float]]:
     path: SearchPath = []
     node = root
     while True:
@@ -519,7 +566,7 @@ def _simulate(root: Node, ctx: _Context, max_depth: int) -> tuple[SearchPath, fl
             value = node.value
             break
         if not node.expanded:
-            value = _expand_and_eval(node, ctx)
+            value = yield from _expand_and_eval(node, ctx)
             path.append((node, None))
             break
         idx = puct_select(node, ctx.cfg.c_puct)
@@ -575,18 +622,15 @@ def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) ->
     return k
 
 
-def run_search(
+def _grow(
     task: TaskId, env: EnvState, hidden: HiddenState, e_initial: EnvState,
     lib: ProgramLibrary, evaluator: Evaluator, cfg: SearchConfig,
     stats: SearchStats, rng: np.random.Generator,
     steps_taken: int = 0, cache: Optional[dict] = None, depth: int = 0,
-) -> SearchResult:
-    """Grow one tree from `env` and commit a single action.
-
-    Returns the visit-count policies over the root, the chosen pair and
-    the state after applying it. The hidden state advanced past the root
-    observation is returned for the episode to carry forward.
-    """
+) -> Generator[LeafRequest, Evaluation, SearchResult]:
+    """`run_search` as a search generator: it yields each leaf request of
+    this tree and returns the SearchResult. Nested searches of learned
+    calls still run to completion inside it, through `evaluator`."""
     cfg.validate()
     ctx = _Context(task, e_initial, lib, evaluator, cfg, stats, rng, cache, depth)
     cap = step_cap(task, e_initial.n)
@@ -597,7 +641,7 @@ def run_search(
     left = cfg.simulations
     last_leaf = None
     while left:
-        path, value = _simulate(root, ctx, max_depth)
+        path, value = yield from _simulate(root, ctx, max_depth)
         left -= 1
         leaf = path[-1][0]
         if leaf.terminal and leaf is last_leaf and left:
@@ -637,23 +681,55 @@ def run_search(
                         next_hidden, spec.name == "stop", False, root)
 
 
-def search_episode(
+def _drive(search: Generator[LeafRequest, Evaluation, Any], evaluator: Evaluator):
+    """Run a search generator to its result, answering each leaf request
+    with `evaluator.evaluate`."""
+    answer = None
+    while True:
+        try:
+            request = search.send(answer)
+        except StopIteration as done:
+            return done.value
+        answer = evaluator.evaluate(*request)
+
+
+def run_search(
+    task: TaskId, env: EnvState, hidden: HiddenState, e_initial: EnvState,
+    lib: ProgramLibrary, evaluator: Evaluator, cfg: SearchConfig,
+    stats: SearchStats, rng: np.random.Generator,
+    steps_taken: int = 0, cache: Optional[dict] = None, depth: int = 0,
+) -> SearchResult:
+    """Grow one tree from `env` and commit a single action.
+
+    Returns the visit-count policies over the root, the chosen pair and
+    the state after applying it. The hidden state advanced past the root
+    observation is returned for the episode to carry forward.
+    """
+    return _drive(_grow(task, env, hidden, e_initial, lib, evaluator, cfg, stats, rng,
+                        steps_taken, cache, depth), evaluator)
+
+
+def _solo_tree(*args) -> Generator[LeafRequest, Evaluation, SearchResult]:
+    """The module-level `run_search` as a search generator that never
+    yields: its tree evaluates its own leaves."""
+    return run_search(*args)
+    yield  # unreachable; makes this function a generator
+
+
+def _episode(
     task: TaskId, env: EnvState, evaluator: Evaluator, lib: ProgramLibrary,
     cfg: SearchConfig, stats: SearchStats, rng: np.random.Generator,
-    cache: Optional[dict] = None, depth: int = 0,
-) -> tuple[list[EpisodeStep], int, EnvState]:
-    """Search-driven episode: one tree per action until stop or the cap.
-
-    Returns the per-step records (observations, tree policies, actions),
-    the episode reward, and the final state.
-    """
+    cache: Optional[dict], depth: int, tree: Callable,
+) -> Generator[LeafRequest, Evaluation, tuple[list[EpisodeStep], int, EnvState]]:
+    """The episode loop of `search_episode`, growing each step's tree with
+    `tree` (`_grow`, or `_solo_tree`); yields the trees' leaf requests."""
     e = env
     hidden = evaluator.initial_hidden()
     steps: list[EpisodeStep] = []
     cap = step_cap(task, env.n)
     for t in range(cap):
-        res = run_search(task, e, hidden, env, lib, evaluator, cfg, stats,
-                         rng, steps_taken=t, cache=cache, depth=depth)
+        res = yield from tree(task, e, hidden, env, lib, evaluator, cfg, stats,
+                              rng, t, cache, depth)
         steps.append(EpisodeStep(
             obs=observe(e),
             action_name=res.spec.name,
@@ -668,7 +744,80 @@ def search_episode(
         if res.is_stop:
             return steps, reward(task, env, e), e
         e = res.next_env
+        del res  # the tree goes before the next one grows
     return steps, 0, e
+
+
+def search_episode(
+    task: TaskId, env: EnvState, evaluator: Evaluator, lib: ProgramLibrary,
+    cfg: SearchConfig, stats: SearchStats, rng: np.random.Generator,
+    cache: Optional[dict] = None, depth: int = 0,
+) -> tuple[list[EpisodeStep], int, EnvState]:
+    """Search-driven episode: one tree per action until stop or the cap.
+
+    Returns the per-step records (observations, tree policies, actions),
+    the episode reward, and the final state.
+    """
+    return _drive(_episode(task, env, evaluator, lib, cfg, stats, rng, cache, depth,
+                           _solo_tree), evaluator)
+
+
+# Top-level episodes `lockstep_episodes` keeps in flight. Measured on the
+# `train_cold` benchmark (see CHANGES.md): a wider wave batches more rows
+# per network step, but every episode in flight holds its tree.
+LOCKSTEP_WIDTH = 6
+
+
+def lockstep_episodes(
+    jobs: Sequence[tuple[TaskId, EnvState, np.random.Generator]],
+    evaluator: Evaluator, lib: ProgramLibrary, cfg: SearchConfig,
+    cache: Optional[dict] = None,
+) -> list[tuple[list[EpisodeStep], int, EnvState, SearchStats]]:
+    """Top-level search episodes, `LOCKSTEP_WIDTH` of them in flight at once.
+
+    Each job is (task, start state, its own random stream). In each wave,
+    every episode in flight runs until its tree needs a leaf value, and one
+    `evaluator.evaluate_many` call answers the wave; a finished episode's
+    place goes to the next job. Returns, in job order, what `search_episode`
+    returns for each job, with the job's `SearchStats`.
+
+    An episode depends on the others only through `cache`, the memo of
+    nested results, and through the evaluator's batched rows. With an
+    evaluator whose `evaluate_many` is `evaluate` row by row and no shared
+    memo, each result equals `search_episode` on the job's stream. Nested
+    searches run inside their episode's step, through `evaluate`. An error
+    in one episode propagates, and the others are closed.
+    """
+    stats = [SearchStats() for _ in jobs]
+    results: list = [None] * len(jobs)
+    live: dict[int, Generator] = {}
+    flight: list[tuple[int, LeafRequest]] = []
+
+    def advance(i: int, answer) -> None:
+        try:
+            flight.append((i, live[i].send(answer)))
+        except StopIteration as done:
+            del live[i]
+            results[i] = (*done.value, stats[i])
+
+    started = 0
+    try:
+        while True:
+            while len(flight) < LOCKSTEP_WIDTH and started < len(jobs):
+                task, env, rng = jobs[started]
+                live[started] = _episode(task, env, evaluator, lib, cfg, stats[started],
+                                         rng, cache, 0, _grow)
+                advance(started, None)
+                started += 1
+            if not flight:
+                return results
+            wave, flight = flight, []
+            answers = evaluator.evaluate_many([request for _, request in wave])
+            for (i, _), answer in zip(wave, answers):
+                advance(i, answer)
+    finally:
+        for search in live.values():
+            search.close()
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +853,13 @@ class NetworkGreedyPolicy:
         feasible = feasible_pairs(env, level, self.lib)
         if not feasible:
             raise SearchError("dead-end state during greedy execution")
-        return greedy_select(pi_p, pi_a, feasible)
+        spec, args = greedy_select(pi_p, pi_a, feasible)
+        # argmax takes the first NaN it meets, so a NaN that could have
+        # steered the choice is in the chosen entries.
+        p, a = pi_p[self.lib.index(spec.name)], pi_a[P.args_encode(args)]
+        if not (math.isfinite(p) and math.isfinite(a)):
+            raise SearchError(f"non-finite greedy choice ({p}, {a}) from the network")
+        return spec, args
 
     def end(self) -> None:
         self._stack.pop()

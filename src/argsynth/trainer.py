@@ -37,6 +37,7 @@ from .search import (
     SearchStats,
     check_tunables,
     execute_greedy,
+    lockstep_episodes,
     search_episode,
     tunable,
 )
@@ -262,7 +263,12 @@ def run_episode(
     stats = SearchStats()
     steps, r, e_final = search_episode(
         task, e_initial, evaluator, lib, search_cfg, stats, rng, cache=cache)
-    record = TraceRecord(
+    return _trace_record(lib, task, e_initial, steps, r, e_final), stats
+
+
+def _trace_record(lib: ProgramLibrary, task: TaskId, e_initial: EnvState,
+                  steps: list[EpisodeStep], r: int, e_final: EnvState) -> TraceRecord:
+    return TraceRecord(
         task_index=lib.task_index(task),
         task_name=task.program_name,
         e_initial=e_initial,
@@ -270,7 +276,6 @@ def run_episode(
         e_final=e_final,
         reward=r,
     )
-    return record, stats
 
 
 def _fmt(value) -> str:
@@ -318,21 +323,43 @@ class Trainer:
         return f"{self.cfg.library_mode}-{self.cfg.search.mode}"
 
     def run_iteration(self) -> dict:
+        """Pick a task, run `n_episodes` search episodes on the current
+        parameters, then commit buffers, task statistics and gradient steps.
+
+        Each episode gets its start state from the trainer's generator and
+        then its own random stream, seeded by a draw from that generator,
+        so that what an episode draws does not depend on when the other
+        episodes draw. The episodes run in lockstep
+        (`search.lockstep_episodes`, `search.LOCKSTEP_WIDTH` of them in
+        flight): each wave of their leaf evaluations is one row-batched
+        network step, which costs a fraction per row of a step on one
+        vector. The width is measured, not tuned per run: a wider wave
+        fills more rows, but each episode in flight keeps its search tree
+        alive. Nested searches share one memo per iteration, filled in wave
+        order. A batched row can differ from the one-vector step in its
+        last bits, so the iteration is byte-reproducible run to run, but
+        not equal to running the same episodes one at a time.
+        """
         t0 = time.perf_counter() if self.cfg.wall_clock else 0.0
         self.task_stats.refresh_unlocks()
         task = curriculum_select(self.task_stats, self.rng)
         evaluator = NetworkEvaluator(self.params)
         iter_stats = SearchStats()
-        episodes: list[tuple[TraceRecord, bool]] = []
-        cache: dict = {}  # nested-search memo, valid while params are frozen
+        jobs, from_buffer = [], []
         for _ in range(self.cfg.n_episodes):
-            e_init, from_buffer = sample_initial_env(
+            e_init, came_from_buffer = sample_initial_env(
                 task, self.failed, self.cfg, self.rng)
-            record, stats = run_episode(
-                task, e_init, evaluator, self.lib, self.cfg.search, self.rng,
-                cache=cache)
+            stream = np.random.Generator(np.random.PCG64(int(self.rng.integers(1 << 63))))
+            jobs.append((task, e_init, stream))
+            from_buffer.append(came_from_buffer)
+        cache: dict = {}  # nested-search memo, valid while params are frozen
+        outcomes = lockstep_episodes(jobs, evaluator, self.lib, self.cfg.search, cache)
+        episodes: list[tuple[TraceRecord, bool]] = []
+        for (_, e_init, _), came_from_buffer, (steps, r, e_final, stats) in zip(
+                jobs, from_buffer, outcomes):
             iter_stats.merge(stats)
-            episodes.append((record, from_buffer))
+            episodes.append((_trace_record(self.lib, task, e_init, steps, r, e_final),
+                             came_from_buffer))
         # Serialized commit phase: buffers, statistics, gradient updates.
         successes = 0
         for record, from_buffer in episodes:

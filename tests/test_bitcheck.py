@@ -43,6 +43,10 @@ class Trainer:  # MARK shows in the training digests
 
     def run(self, iterations):
         self.iterations = iterations
+        if MARK != "grows no tree":
+            search.run_search()
+        trainer.TraceRecord(task_name="partition", e_initial=self.seed, reward=1,
+                            e_final=MARK, steps=[STEP])
 
     def metrics_csv(self):
         return f"{{self.seed}},{{self.iterations}},{{MARK}}"
@@ -78,13 +82,14 @@ def _run_search():
 
 
 search = NS(run_search=_run_search)
+trainer = NS(TraceRecord=NS)
+STEP = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
+          pi_a_mcts=np.ones(2), hidden=np.zeros(1))
 
 
 def run_episode(task, env, evaluator, lib, cfg, rng, cache):
     search.run_search()
-    step = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
-              pi_a_mcts=np.ones(2), hidden=np.zeros(1))
-    return NS(reward=1, e_final=env, steps=[step]), "stats"
+    return NS(reward=1, e_final=env, steps=[STEP]), "stats"
 
 
 def NetworkGreedyPolicy(params, lib):
@@ -135,7 +140,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 8 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 12 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -143,8 +148,10 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "b")
     assert code == 1 and out.out.rstrip().endswith("DIFFERENT")
     assert differing(out.out) == ["train seed 0: metrics_csv + search_csv",
-                       "train seed 5: metrics_csv + search_csv",
-                       "greedy eval grid seed 0"]
+                                  "train seed 0: every episode",
+                                  "train seed 5: metrics_csv + search_csv",
+                                  "train seed 5: every episode",
+                                  "greedy eval grid seed 0"]
     pids, dirs = zip(*(line.split() for line in
                        (tmp_path / "imports.log").read_text().splitlines()))
     assert dirs == ("parent", "change")
@@ -155,8 +162,52 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
 def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a", change_prior=float.fromhex("0x1.0000000000001p+0"))
     assert code == 1
-    assert differing(out.out) == ["search seed 101: statistics of every tree",
+    assert differing(out.out) == ["train seed 0: statistics of every tree",
+                                  "train seed 5: statistics of every tree",
+                                  "search seed 101: statistics of every tree",
                                   "search seed 202: statistics of every tree"]
+
+
+def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, "a", "grows no tree")
+    assert code == 1
+    assert "change:" in out.err and "a digest of trees covered none" in out.err
+
+
+def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
+    """In a checkout with `search._grow`, trees are read there, and a
+    tree that `run_search` alone returns is not read twice."""
+    for side, prior in (("parent", 1.0), ("change", 2.0)):
+        path = Path(fake_checkout(tmp_path / side, "a", prior))
+        init = path / "src" / "argsynth" / "__init__.py"
+        init.write_text(init.read_text() + GROW_PATCH)
+    code, out = bc.main([str(tmp_path / "parent"), str(tmp_path / "change")]), capsys.readouterr()
+    assert code == 1
+    assert differing(out.out) == ["train seed 0: statistics of every tree",
+                                  "train seed 5: statistics of every tree",
+                                  "search seed 101: statistics of every tree",
+                                  "search seed 202: statistics of every tree"]
+    assert " over 1 trees" in out.out and " over 40 trees" in out.out
+
+
+# Gives the fake a tree generator that `run_search` drives, as the
+# program's search module has.
+GROW_PATCH = """
+
+def _grow():
+    return _run_search()
+    yield
+
+
+def _drive_run_search():
+    try:
+        next(search._grow())
+    except StopIteration as done:
+        return done.value
+
+
+search = NS(run_search=_drive_run_search, _grow=_grow)
+"""
 
 
 def test_a_side_that_fails_fails_the_comparison(tmp_path, capsys):

@@ -63,6 +63,18 @@ def test_a_network_that_outputs_nan_is_a_runtime_failure(
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_eval_of_a_network_that_outputs_nan_is_a_runtime_failure(tmp_path, tiny_file, capsys):
+    lib = build_library("args")
+    params = init_params(0, dims_for_library(lib))
+    params.arrays["prog_w"][...] = float("nan")
+    checkpoint_save(params, None, lib.manifest(), tmp_path / "nan.ckpt")
+    assert cli.main(["eval", "--config", tiny_file, "--checkpoint", str(tmp_path / "nan.ckpt"),
+                     "--out", str(tmp_path / "acc.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite greedy choice" in err
+    assert "Traceback" not in err
+
+
 def test_eval_on_a_saved_checkpoint(tmp_path, tiny_file, capsys):
     ckpt = saved_params(tmp_path / "p.ckpt")
     out = tmp_path / "acc.csv"

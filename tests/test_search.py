@@ -8,12 +8,18 @@ from argsynth.env import (
     TaskId,
     TASKS,
     make_env,
+    observe,
     oracle_transform,
     sample_task_env,
     step_cap,
 )
 from argsynth.expert import ExpertPolicy
-from argsynth.network import dims_for_library, init_params, masked_distributions
+from argsynth.network import (
+    HiddenState,
+    dims_for_library,
+    init_params,
+    masked_distributions,
+)
 from argsynth import search
 from argsynth.programs import ARG_SPACE, build_library, feasible_pairs
 from argsynth.search import (
@@ -912,3 +918,263 @@ class TestExecuteGreedy:
         assert reward == 1
         assert sum(t.depth > 0 and t.name == "stop" for t in trace) > 1
         assert scored == [TaskId.QUICKSORT]
+
+
+class RowByRow(NetworkEvaluator):
+    """The network, with each wave answered one request at a time: an
+    `evaluate_many` that is `evaluate` row by row, bit for bit."""
+
+    def evaluate_many(self, requests):
+        return [self.evaluate(*request) for request in requests]
+
+
+def trained_params():
+    from test_network import BENCH_PARAMS
+    from argsynth.network import checkpoint_load
+    lib = build_library("args")
+    return checkpoint_load(BENCH_PARAMS, expected_manifest=lib.manifest())[0]
+
+
+def episode_bytes(steps, reward, final, stats):
+    return ([(s.action_name, s.action_args, s.obs.tobytes(), s.pi_p_mcts.tobytes(),
+              s.pi_a_mcts.tobytes(), s.hidden.tobytes()) for s in steps],
+            reward, final, stats)
+
+
+class TestLockstep:
+    """`lockstep_episodes` against one `search_episode` per job."""
+
+    lib = build_library("args")
+    # partition with a network that plays it, so that learned calls and
+    # their nested searches happen inside the episodes.
+    JOBS = [(TaskId.PARTITION, 2 + i % 4, 300 + i) for i in range(7)]
+    CFG = SearchConfig(mode=MODE_EXACT, simulations=25, nested_simulations=15,
+                       training=True)
+
+    def trees_by_stream(self, monkeypatch, run):
+        """Run `run()`, with every tree it grows, nested ones too, recorded
+        under the random stream that grew it."""
+        trees = {}
+        real = search._grow
+
+        def recording(*args):
+            res = yield from real(*args)
+            trees.setdefault(id(args[8]), []).append(tree_bytes(res.root))
+            return res
+
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_grow", recording)
+            out = run()
+        return out, trees
+
+    def jobs(self):
+        return [(task, sample_task_env(task, n, rng(seed)), rng(seed + 1000))
+                for task, n, seed in self.JOBS]
+
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        return RowByRow(trained_params())
+
+    @pytest.mark.parametrize("width", [1, 3, len(JOBS)])
+    def test_equals_one_search_episode_per_job(self, evaluator, monkeypatch, width):
+        solo_jobs, lock_jobs = self.jobs(), self.jobs()
+
+        def solo():
+            out = []
+            for task, env, r in solo_jobs:
+                stats = SearchStats()
+                out.append((*search_episode(task, env, evaluator, self.lib, self.CFG,
+                                            stats, r), stats))
+            return out
+
+        monkeypatch.setattr(search, "LOCKSTEP_WIDTH", width)
+        want, want_trees = self.trees_by_stream(monkeypatch, solo)
+        got, got_trees = self.trees_by_stream(monkeypatch, lambda: search.lockstep_episodes(
+            lock_jobs, evaluator, self.lib, self.CFG))
+        assert sum(stats.recursions for *_, stats in want) > 0
+        assert [episode_bytes(*o) for o in got] == [episode_bytes(*o) for o in want]
+        for (_, _, a), (_, _, b) in zip(solo_jobs, lock_jobs):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert got_trees[id(b)] == want_trees[id(a)]
+
+    def test_one_wide_with_a_shared_memo_equals_episodes_in_turn(self, evaluator, monkeypatch):
+        solo_jobs, lock_jobs = self.jobs(), self.jobs()
+        cache = {}
+        want = []
+        for task, env, r in solo_jobs:
+            stats = SearchStats()
+            want.append((*search_episode(task, env, evaluator, self.lib, self.CFG, stats, r,
+                                         cache=cache), stats))
+        monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 1)
+        got = search.lockstep_episodes(lock_jobs, evaluator, self.lib, self.CFG, {})
+        assert [episode_bytes(*o) for o in got] == [episode_bytes(*o) for o in want]
+
+    def test_waves_are_as_wide_as_the_episodes_in_flight(self, evaluator, monkeypatch):
+        widths = []
+
+        class Counting(RowByRow):
+            def evaluate_many(self, requests):
+                widths.append(len(requests))
+                return super().evaluate_many(requests)
+
+        monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 3)
+        search.lockstep_episodes(self.jobs(), Counting(evaluator.params), self.lib, self.CFG)
+        assert widths[0] == max(widths) == 3
+
+    def test_the_previous_tree_is_released_before_the_next_grows(self, monkeypatch):
+        """At the start of every tree, no finished tree of the same
+        episode is alive: one live root per episode in flight."""
+        import gc
+        live = []
+        real = search._grow
+
+        def counting(*args):
+            live.append(sum(isinstance(o, Node) and o.depth == 0 for o in gc.get_objects()))
+            return (yield from real(*args))
+
+        monkeypatch.setattr(search, "_grow", counting)
+        task = TaskId.PARTITION_UPDATE  # no learned callee, so no nested roots
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=20, training=True)
+        ev = UniformEvaluator(self.lib)
+        search_episode(task, sample_task_env(task, 4, rng(1)), ev, self.lib, cfg,
+                       SearchStats(), rng(2))
+        assert len(live) > 1 and set(live) == {0}
+        live.clear()
+        monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 3)
+        search.lockstep_episodes([(task, sample_task_env(task, 4, rng(s)), rng(s))
+                                  for s in range(5)], ev, self.lib, cfg)
+        assert len(live) > 5 and max(live) == 2
+
+
+class TestRewardTarget:
+    def test_each_tree_computes_its_target_once(self, monkeypatch):
+        import argsynth.env as E
+        calls = []
+        real = E.oracle_transform
+
+        def counting(task, env):
+            calls.append(task)
+            return real(task, env)
+
+        monkeypatch.setattr(E, "oracle_transform", counting)
+        lib = build_library("args")
+        task = TaskId.PARTITION_UPDATE
+        env = sample_task_env(task, 4, rng(5))
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=60, training=True)
+        stats = SearchStats()
+        ev = UniformEvaluator(lib)
+        res = run_search(task, env, ev.initial_hidden(), env, lib, ev, cfg, stats, rng(6))
+        stops = [c for c in search_nodes(res.root) if c.terminal and c.depth > 0]
+        assert len(stops) > 1 and calls == [task]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_reward_scores_against_the_oracle_target(self, seed, n, k):
+        """`reward` is `reward_to_target` of the oracle's outcome, on
+        final states reached by a few random feasible actions."""
+        from argsynth.env import reward, reward_to_target
+        from argsynth.programs import apply_atomic
+        lib = build_library("args")
+        r = rng(seed)
+        for task in TASKS:
+            e0 = sample_task_env(task, n, r)
+            target = oracle_transform(task, e0)
+            for e in (e0, target):
+                for _ in range(k):
+                    pairs = [(s, a) for s, a in feasible_pairs(e, 1, lib) if s.is_atomic]
+                    if not pairs:
+                        break
+                    spec, args = pairs[int(r.integers(len(pairs)))]
+                    e = apply_atomic(e, spec, args)
+                assert reward(task, e0, e) == reward_to_target(task, target, e)
+            assert reward_to_target(task, target, target) == 1
+
+
+def search_nodes(root):
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(c for c in node.children if c is not None)
+    return out
+
+
+class TestGreedyNonFinite:
+    """Greedy play raises SearchError on a network whose chosen outputs
+    are not finite, as the search does."""
+
+    lib = build_library("args")
+
+    @pytest.mark.parametrize("weight", ["prog_w", "arg_w"])
+    def test_nan_network_raises(self, weight):
+        params = init_params(0, dims_for_library(self.lib))
+        params.arrays[weight][...] = np.nan
+        env = sample_task_env(TaskId.PARTITION, 5, rng(3))
+        with pytest.raises(SearchError, match="non-finite greedy choice"):
+            execute_greedy(env, TaskId.PARTITION, NetworkGreedyPolicy(params, self.lib),
+                           self.lib)
+
+
+class TestEvaluateMany:
+    """`NetworkEvaluator.evaluate_many` against `evaluate`."""
+
+    lib = build_library("args")
+
+    def requests(self, seed, b):
+        r = rng(seed)
+        dims = dims_for_library(self.lib)
+        out = []
+        for _ in range(b):
+            task = TASKS[int(r.integers(len(TASKS)))]
+            env = sample_task_env(task, int(r.integers(2, 8)), r)
+            hidden = HiddenState(r.normal(size=dims.hidden), r.normal(size=dims.hidden))
+            out.append((env, self.lib.task_index(task), hidden))
+        return out
+
+    def test_one_request_gives_the_bytes_of_evaluate(self):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        for request in self.requests(2, 5):
+            (pi_p, pi_a, value, hidden), = ev.evaluate_many([request])
+            want = ev.evaluate(*request)
+            assert pi_p.tobytes() == want[0].tobytes()
+            assert pi_a.tobytes() == want[1].tobytes()
+            assert value == want[2]
+            assert hidden.h.tobytes() == want[3].h.tobytes()
+            assert hidden.c.tobytes() == want[3].c.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 5, 20])
+    def test_rows_stay_within_1e_14_of_evaluate(self, b):
+        ev = NetworkEvaluator(trained_params())
+        requests = self.requests(b, b)
+        rows = ev.evaluate_many(requests)
+        assert len(rows) == b
+        for request, row in zip(requests, rows):
+            want = ev.evaluate(*request)
+            for got, exp in ((row[0], want[0]), (row[1], want[1]), (row[2], want[2]),
+                             (row[3].h, want[3].h), (row[3].c, want[3].c)):
+                assert np.abs(np.asarray(got) - exp).max() <= 1e-14
+
+    def test_row_hidden_states_own_their_memory(self):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        rows = ev.evaluate_many(self.requests(3, 4))
+        arrays = [a for row in rows for a in row[3]]
+        assert all(a.base is None for a in arrays)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_a_task_index_out_of_range_is_rejected(self, b):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        requests = self.requests(4, b)
+        env, _, hidden = requests[-1]
+        for bad in (-1, len(TASKS)):
+            with pytest.raises(ValueError, match="task ind"):
+                ev.evaluate_many(requests[:-1] + [(env, bad, hidden)])
+
+    def test_forward_rows_checks_the_observation_shape(self):
+        from argsynth.network import forward_rows
+        params = init_params(1, dims_for_library(self.lib))
+        (env, t, hidden), = self.requests(5, 1)
+        obs = observe(env)
+        with pytest.raises(ValueError, match="observation rows"):
+            forward_rows(params, [obs[:-1], obs[:-1]], [t, t], [hidden, hidden])
+        with pytest.raises(ValueError, match="task ind"):
+            forward_rows(params, [obs, obs], [t], [hidden, hidden])

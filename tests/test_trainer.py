@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_search import RowByRow
 
 from argsynth.env import TaskId, TASKS, make_env, sample_task_env
 from argsynth.expert import ExpertPolicy
 from argsynth.programs import build_library
+from argsynth import search as search_module
 from argsynth import trainer as trainer_module
-from argsynth.search import SearchConfig, UniformEvaluator
+from argsynth.search import SearchConfig, SearchError, UniformEvaluator
 from argsynth.trainer import (
     FailedEnvBuffer,
     ReplayBuffer,
@@ -294,6 +296,51 @@ class TestTrainer:
             env_from_record(record)
 
 
+class TestLockstepIteration:
+    def test_the_width_does_not_change_an_exact_evaluator_s_iteration(self, monkeypatch):
+        """Each episode draws from its own stream, so with rows computed
+        one by one the schedule of the waves leaves no trace."""
+        monkeypatch.setattr(trainer_module, "NetworkEvaluator", RowByRow)
+        runs = []
+        for width in (1, 2, 6):
+            monkeypatch.setattr(search_module, "LOCKSTEP_WIDTH", width)
+            t = Trainer(tiny_config(n_episodes=6))
+            t.run(2)
+            runs.append((t.metrics_csv(), t.search_csv(),
+                         [(r.e_initial, [s.hidden.tobytes() for s in r.steps]) for r in t.replay],
+                         t.dump_failed_envs()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_an_error_in_one_episode_propagates_and_closes_the_others(self, monkeypatch):
+        made = []
+        real = search_module._episode
+
+        def tracked(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        class Poisoned(RowByRow):
+            waves = 0
+
+            def evaluate_many(self, requests):
+                answers = super().evaluate_many(requests)
+                Poisoned.waves += 1
+                if Poisoned.waves == 3:
+                    pi_p, pi_a, _, h = answers[1]
+                    answers[1] = (pi_p, pi_a, float("nan"), h)
+                return answers
+
+        monkeypatch.setattr(search_module, "_episode", tracked)
+        monkeypatch.setattr(search_module, "LOCKSTEP_WIDTH", 4)
+        monkeypatch.setattr(trainer_module, "NetworkEvaluator", Poisoned)
+        t = Trainer(tiny_config(n_episodes=6))
+        with pytest.raises(SearchError, match="non-finite leaf value"):
+            t.run_iteration()
+        assert Poisoned.waves == 3 and len(made) == 4
+        assert all(g.gi_frame is None for g in made)  # finished or closed
+        assert t.iteration == 0 and not t.metrics_rows
+
+
 # Today's defaults spelled out in full, so that a change of defaults leaves
 # the oracle where it is.
 ORACLE_RUNS = {
@@ -349,18 +396,19 @@ class TestBehaviourOracle:
     """
 
     DIGESTS = {
-        "default": "f92630406086d93c09ba000e9586c436223de8b75ea23f488e83802051814de9",
-        "noargs-exact": "12fc4ab84a0388f0eff99d27526f141125e7d6137c28039fe6707b84285bda5b",
+        "default": "369c07dbdb2eb02f278d0897b17453e54a626aa4d823eaa4e096c80c8a15e980",
+        "noargs-exact": "08c6ee82b4c374b21829bc4739a6822d20d6c84b7b7abab7f86e13c7da82432b",
     }
 
-    # Recorded from the per-trace training loop that the batched one
-    # replaced: every column but `loss` byte for byte, and the `loss`
-    # values, which batching moves only in their last bits.
+    # Recorded from this trainer with `test_network.reference_train_step`
+    # (the textbook Adam update, each temporary a fresh array) in place of
+    # `train_step`: every column but `loss` byte for byte, and the `loss`
+    # values to within 1e-12.
     PER_TRACE_LOOP = {
-        "default": ("f8992159c1e71e784c4c3328b5e39348879f2ae48166ee5ee55d4a19fb35091e",
-                    [float("nan"), float("nan"), 27.55979230114346]),
-        "noargs-exact": ("b0069254ac4049c45a88d98068a816153ff66c590d31f5f25beab567423d8818",
-                         [152.05751264593135, 339.90886344880687, 549.1200982268399]),
+        "default": ("b46f72d22f6fe8b3256958c3f2531924117d87837aa8d8001d24122dc5d97596",
+                    [13.784597489424511, 82.66627311122349, 137.65745157234042]),
+        "noargs-exact": ("c627444144013dec729e72d8ac1e851c6935ddd06b67a2703d50a43e30de224f",
+                         [180.95192905385693, 397.7653425361096, 578.0076138567531]),
     }
 
     def test_three_iterations_are_byte_identical(self, oracle_run):

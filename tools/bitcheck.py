@@ -6,8 +6,11 @@ Runs one battery of digests in each checkout and prints them side by side.
 Each side runs as its own process, from the checkout's root, with that
 checkout's `src/` first on the import path. The battery:
 
-- the sha256 of `Trainer.metrics_csv() + search_csv()` after three
-  default-config iterations, at trainer seeds 0 and 5;
+- per trainer seed (0 and 5), three default-config iterations: the sha256
+  of `Trainer.metrics_csv() + search_csv()`; a digest of every episode
+  the trainer ran (each `TraceRecord` it built: actions, `pi_p_mcts`,
+  `pi_a_mcts`, hidden snapshots, reward and final state); and a digest of
+  every tree those episodes grew, top-level and nested;
 - per search seed (101 and 202), one digest of 40 exact-mode `partition`
   episodes with `bench/params.ckpt` and training noise on, sharing a
   nested memo: every step's action, `pi_p_mcts`, `pi_a_mcts` and hidden
@@ -21,6 +24,12 @@ checkout's `src/` first on the import path. The battery:
 - the parameters and the Adam moments `m` and `v` after 16 `train_step`s
   from a fresh network on batches of the episodes above. This digest
   differs whenever the episodes do.
+
+Trees are read where they are grown: through `search._grow`, the tree
+generator that both `run_search` and the trainer's lockstep episodes use,
+or through `search.run_search` in a checkout without it. Each episode and
+tree digest ends with the number of episodes or trees it covered, and a
+side whose digest covered none fails.
 
 Exits 1 when any digest differs or a side fails to produce them, 0 when
 all are equal. The script imports nothing of the program in its own
@@ -52,6 +61,18 @@ def _sha(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+class Tally:
+    """A running sha256 and the number of items it covered."""
+
+    def __init__(self, what: str):
+        self.what, self.count, self.sha = what, 0, hashlib.sha256()
+
+    def digest(self) -> str:
+        if not self.count:
+            raise RuntimeError(f"a digest of {self.what} covered none")
+        return f"{self.sha.hexdigest()} over {self.count} {self.what}"
+
+
 def battery(A) -> dict[str, str]:
     """Name -> hex digest, for the imported package `A`, run from a
     checkout's root."""
@@ -60,50 +81,85 @@ def battery(A) -> dict[str, str]:
     def generator(seed):
         return np.random.Generator(np.random.PCG64(seed))
 
-    out = {}
-    for seed in TRAIN_SEEDS:
-        trainer = A.Trainer(A.RunConfig(seed=seed).to_train_config())
-        trainer.run(TRAIN_ITERATIONS)
-        out[f"train seed {seed}: metrics_csv + search_csv"] = _sha(
-            trainer.metrics_csv() + trainer.search_csv())
+    tally = {"trees": None, "records": None}
 
-    lib = A.build_library("args")
-    params, _, _ = A.checkpoint_load("bench/params.ckpt", expected_manifest=lib.manifest())
-    evaluator = A.NetworkEvaluator(params)
-    cfg = A.SearchConfig(mode=A.MODE_EXACT, training=True)
-    records = []
-    run_search = A.search.run_search
-
-    def hashing_run_search(*args, **kwargs):
-        res = run_search(*args, **kwargs)
-        stack = [res.root]
+    def hash_tree(root):
+        trees = tally["trees"]
+        trees.count += 1
+        stack = [root]
         while stack:
             node = stack.pop()
-            trees.update(repr(node.visits).encode())
+            trees.sha.update(repr(node.visits).encode())
             for stat in (node.P, node.N, node.W, node.Q):
-                trees.update(np.asarray(stat, dtype=np.float64).tobytes())
+                trees.sha.update(np.asarray(stat, dtype=np.float64).tobytes())
             stack.extend(c for c in reversed(node.children) if c is not None)
-        return res
 
-    A.search.run_search = hashing_run_search  # nested searches call it too
+    def hash_steps(h, steps):
+        for step in steps:
+            h.update(repr((step.action_name, step.action_args)).encode())
+            for array in (step.pi_p_mcts, step.pi_a_mcts, step.hidden):
+                h.update(array.tobytes())
+
+    def hashing_record(**fields):
+        records = tally["records"]
+        if records is not None:
+            records.count += 1
+            records.sha.update(repr((fields["task_name"], fields["e_initial"],
+                                     fields["reward"], fields["e_final"])).encode())
+            hash_steps(records.sha, fields["steps"])
+        return make_record(**fields)
+
+    if hasattr(A.search, "_grow"):
+        grow_name, grow = "_grow", A.search._grow
+
+        def hashing_grow(*args, **kwargs):
+            res = yield from grow(*args, **kwargs)
+            hash_tree(res.root)
+            return res
+    else:
+        grow_name, grow = "run_search", A.search.run_search
+
+        def hashing_grow(*args, **kwargs):
+            res = grow(*args, **kwargs)
+            hash_tree(res.root)
+            return res
+
+    make_record = A.trainer.TraceRecord
+    setattr(A.search, grow_name, hashing_grow)  # every tree, nested ones too
+    A.trainer.TraceRecord = hashing_record
     try:
+        out = {}
+        for seed in TRAIN_SEEDS:
+            tally.update(trees=Tally("trees"), records=Tally("episodes"))
+            trainer = A.Trainer(A.RunConfig(seed=seed).to_train_config())
+            trainer.run(TRAIN_ITERATIONS)
+            out[f"train seed {seed}: metrics_csv + search_csv"] = _sha(
+                trainer.metrics_csv() + trainer.search_csv())
+            out[f"train seed {seed}: every episode"] = tally["records"].digest()
+            out[f"train seed {seed}: statistics of every tree"] = tally["trees"].digest()
+        tally["records"] = None
+
+        lib = A.build_library("args")
+        params, _, _ = A.checkpoint_load("bench/params.ckpt", expected_manifest=lib.manifest())
+        evaluator = A.NetworkEvaluator(params)
+        cfg = A.SearchConfig(mode=A.MODE_EXACT, training=True)
+        records = []
         for seed in SEARCH_SEEDS:
             rng, cache = generator(seed), {}
-            h, trees = hashlib.sha256(), hashlib.sha256()
+            episodes, tally["trees"] = Tally("episodes"), Tally("trees")
             for i in range(EPISODES):
                 env = A.sample_task_env(A.TaskId.PARTITION, 2 + i % 6, rng)
                 record, stats = A.run_episode(A.TaskId.PARTITION, env, evaluator, lib,
                                               cfg, rng, cache=cache)
-                h.update(repr((record.reward, record.e_final, stats)).encode())
-                for step in record.steps:
-                    h.update(repr((step.action_name, step.action_args)).encode())
-                    for array in (step.pi_p_mcts, step.pi_a_mcts, step.hidden):
-                        h.update(array.tobytes())
+                episodes.count += 1
+                episodes.sha.update(repr((record.reward, record.e_final, stats)).encode())
+                hash_steps(episodes.sha, record.steps)
                 records.append(record)
-            out[f"search seed {seed}: {EPISODES} exact partition episodes"] = h.hexdigest()
-            out[f"search seed {seed}: statistics of every tree"] = trees.hexdigest()
+            out[f"search seed {seed}: {EPISODES} exact partition episodes"] = episodes.digest()
+            out[f"search seed {seed}: statistics of every tree"] = tally["trees"].digest()
     finally:
-        A.search.run_search = run_search
+        setattr(A.search, grow_name, grow)
+        A.trainer.TraceRecord = make_record
 
     rows = A.evaluate_generalization(A.NetworkGreedyPolicy(params, lib), lib, seed=0,
                                      lengths=EVAL_LENGTHS, trials=EVAL_TRIALS)
