@@ -45,10 +45,6 @@ class RunConfig(TrainConfig):
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
-_BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
-               "false": False, "off": False, "no": False, "0": False}
-
-
 def _file_keys() -> dict[str, tuple[bool, Field, type]]:
     """File key -> (whether the field is on the search config, the field,
     its type), from the tunable fields."""
@@ -67,11 +63,6 @@ def _parse_value(key: str, text: str, kind, lineno: int):
             return int(text)
         if kind is float:
             return float(text)
-        if kind is bool:
-            word = text.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"expected one of {sorted(_BOOL_WORDS)}")
-            return _BOOL_WORDS[word]
         if kind is str:
             return text
         # remaining field type: tuple of ints

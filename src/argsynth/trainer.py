@@ -2,13 +2,13 @@
 
 Each iteration picks one task from the unlocked curriculum, runs a batch of
 search-driven episodes against a frozen parameter snapshot, then commits
-buffer updates and a couple of gradient steps in one serialized phase. With
-a fixed seed the whole run, including its metrics files, is reproducible
-byte for byte (wall-clock timing is therefore off by default).
+buffer updates and a couple of gradient steps in one serialized phase.
+Failed episodes train the value head alongside the solved ones. With a
+fixed seed the whole run, including its metrics files, is reproducible
+byte for byte; timing is measured outside the trainer.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 from itertools import islice
@@ -43,7 +43,7 @@ from .search import (
 )
 
 METRICS_COLUMNS = ("iteration", "task", "mode", "episodes", "successes",
-                   "ema", "loss", "nodes_expanded_cum", "wall_ms")
+                   "ema", "loss", "nodes_expanded_cum")
 SEARCH_COLUMNS = ("iteration", "task", "mode", "simulations",
                   "nodes_expanded", "max_depth")
 ACCURACY_COLUMNS = ("program", "length", "accuracy")
@@ -76,11 +76,6 @@ class TrainConfig:
     failed_capacity: int = tunable(200, ">= 1", lambda v: v >= 1)
     train_length_min: int = tunable(2, ">= 2", lambda v: v >= 2)
     train_length_max: int = tunable(7, ">= 2", lambda v: v >= 2)
-    wall_clock: bool = tunable(False)
-    # Off by default: only successful traces reach the value head. Turning
-    # this on mixes failed episodes in as value-only targets, countering
-    # the optimism an all-success replay diet breeds into V.
-    value_from_failures: bool = tunable(False)
 
     def validate(self) -> None:
         check_tunables(self)
@@ -198,7 +193,6 @@ class FailedEnvBuffer:
 @dataclass
 class TaskStat:
     ema: float = 0.0
-    attempts: int = 0
     unlocked: bool = False
 
 
@@ -212,7 +206,6 @@ class TaskStats:
 
     def record(self, task: TaskId, reward: int) -> None:
         st = self.stats[task]
-        st.attempts += 1
         st.ema = self.ema_decay * st.ema + (1.0 - self.ema_decay) * reward
 
     def refresh_unlocks(self) -> None:
@@ -326,6 +319,12 @@ class Trainer:
         """Pick a task, run `n_episodes` search episodes on the current
         parameters, then commit buffers, task statistics and gradient steps.
 
+        Failed episodes feed the value head: each one with at least one step
+        joins `value_traces` as a value-only trace, and every gradient step
+        adds `batch_size // 4` of them (at least one, at most all) to its
+        batch of replayed successes, so V learns that a failing line scores
+        0 and not only that solved ones score 1.
+
         Each episode gets its start state from the trainer's generator and
         then its own random stream, seeded by a draw from that generator,
         so that what an episode draws does not depend on when the other
@@ -340,7 +339,6 @@ class Trainer:
         last bits, so the iteration is byte-reproducible run to run, but
         not equal to running the same episodes one at a time.
         """
-        t0 = time.perf_counter() if self.cfg.wall_clock else 0.0
         self.task_stats.refresh_unlocks()
         task = curriculum_select(self.task_stats, self.rng)
         evaluator = NetworkEvaluator(self.params)
@@ -371,7 +369,7 @@ class Trainer:
                     self.failed.remove(task, record.e_initial)
             else:
                 self.failed.add_failure(task, record.e_initial)
-                if self.cfg.value_from_failures and record.steps:
+                if record.steps:
                     self.value_traces.append(dc_replace(record, value_only=True))
         if len(self.replay) > 0:
             probe = self.replay.sample(1, self.rng)[0]
@@ -383,7 +381,7 @@ class Trainer:
         if len(self.replay) > 0:
             for _ in range(self.cfg.grad_steps):
                 batch = self.replay.sample(self.cfg.batch_size, self.rng)
-                if self.cfg.value_from_failures and self.value_traces:
+                if self.value_traces:
                     pool = list(self.value_traces)
                     k = min(max(1, self.cfg.batch_size // 4), len(pool))
                     idx = self.rng.choice(len(pool), size=k, replace=False)
@@ -391,7 +389,6 @@ class Trainer:
                 losses.append(train_step(self.params, self.opt, batch))
         self.iteration += 1
         self.nodes_expanded_cum += iter_stats.nodes_expanded
-        wall_ms = int(round((time.perf_counter() - t0) * 1000.0)) if self.cfg.wall_clock else 0
         row = {
             "iteration": self.iteration,
             "task": task.program_name,
@@ -401,7 +398,6 @@ class Trainer:
             "ema": self.task_stats.stats[task].ema,
             "loss": (sum(losses) / len(losses)) if losses else float("nan"),
             "nodes_expanded_cum": self.nodes_expanded_cum,
-            "wall_ms": wall_ms,
         }
         self.metrics_rows.append(row)
         self.search_rows.append({

@@ -118,12 +118,15 @@ def test_failures_sum_per_side():
 
 
 FAKE_RUN = """\
-import json, sys
+import json, os, sys
 from pathlib import Path
 root = Path(__file__).resolve().parent.parent
 seed = sys.argv[sys.argv.index("--seed") + 1]
-with open(root.parent / "order.log", "a") as fh:
+with open(LOG, "a") as fh:
     fh.write(f"{root.name} {seed}\\n")
+with open(CWDS, "a") as fh:
+    left = [p for p in (".git", "src/__pycache__", "bench/out", "bench/keep/out") if Path(p).exists()]
+    fh.write(json.dumps([os.getcwd(), left]) + "\\n")
 print("set-up done")
 print(STDERR, file=sys.stderr)
 print(RESULT)
@@ -131,10 +134,20 @@ print(RESULT)
 
 
 def fake_checkout(path, res, raw_rates):
+    """A checkout whose `bench/run.py` prints `res` and logs, next to the
+    checkout, its name and seed (`order.log`), and its working directory
+    with what it finds of `.git`, `src/__pycache__`, `bench/out` and
+    `bench/keep/out` (`cwds.log`)."""
     (path / "bench").mkdir(parents=True)
     stderr = STDERR_LINE.replace("1.0100 0.9800 1.0500 1.0000 0.9900", raw_rates)
     (path / "bench" / "run.py").write_text(
-        FAKE_RUN.replace("RESULT", repr(json.dumps(res))).replace("STDERR", repr(stderr)))
+        FAKE_RUN.replace("RESULT", repr(json.dumps(res))).replace("STDERR", repr(stderr))
+        .replace("LOG", repr(str(path.parent / "order.log")))
+        .replace("CWDS", repr(str(path.parent / "cwds.log"))))
+    for junk in (".git/HEAD", "src/__pycache__/x.pyc", "bench/out/old.json",
+                 "bench/keep/out/kept.json"):
+        (path / junk).parent.mkdir(parents=True, exist_ok=True)
+        (path / junk).write_text("x")
     (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     return str(path)
 
@@ -152,3 +165,22 @@ def test_runs_alternate_and_a_wrong_output_fails_the_comparison(
     out = capsys.readouterr().out
     assert "| 3/3 | yes |" in out and "parent 0/36, change 0/36" in out
     assert "raw rate: parent 1 /s, change 1.95 /s (+0.950), change won 3/3" in out
+
+
+def test_each_side_runs_in_a_sibling_copy_that_is_removed_afterwards(tmp_path, capsys):
+    parent = fake_checkout(tmp_path / "parent_checkout", result(1.0, 50.0), "1.0")
+    change = fake_checkout(tmp_path / "ch", result(1.0, 50.0), "1.0")
+    assert ab.main([parent, change, "--workload", "w", "--pairs", "2",
+                    "--seconds", "1", "--seeds", "7"]) == 0
+    runs = [json.loads(line) for line in (tmp_path / "cwds.log").read_text().splitlines()]
+    cwds = [Path(cwd) for cwd, _ in runs]
+    # Parent first in pair 0, change first in pair 1.
+    assert cwds[0] == cwds[3] and cwds[1] == cwds[2] and cwds[0] != cwds[1]
+    assert cwds[0].parent == cwds[1].parent
+    assert len(cwds[0].name) == len(cwds[1].name)
+    assert tmp_path not in cwds[0].parents
+    # Only the junk outside `bench/out` and `__pycache__` is copied.
+    assert all(left == ["bench/keep/out"] for _, left in runs)
+    assert not cwds[0].parent.exists()
+    out = capsys.readouterr().out
+    assert f"parent: {Path(parent).resolve()}" in out and f"change: {Path(change).resolve()}" in out

@@ -240,12 +240,7 @@ class TestTrainer:
         rows = trainer.run(5)
         counts = [r["nodes_expanded_cum"] for r in rows]
         assert counts == sorted(counts)
-        assert all(r["wall_ms"] == 0 for r in rows)
-
-    def test_wall_clock_opt_in(self):
-        trainer = Trainer(tiny_config(wall_clock=True))
-        trainer.run(1)
-        assert trainer.metrics_rows[0]["wall_ms"] >= 0
+        assert all(set(r) == set(METRICS_COLUMNS) for r in rows)
 
     def test_buffer_invariants_after_iterations(self):
         trainer = Trainer(tiny_config())
@@ -263,24 +258,37 @@ class TestTrainer:
         assert lines[0] == "iteration,task,mode,simulations,nodes_expanded,max_depth"
         assert len(lines) == 3
 
-    def test_value_from_failures_trains_on_failed_traces(self):
-        def run(value_from_failures):
+    def test_failed_episodes_always_reach_the_value_head(self, monkeypatch):
+        real = trainer_module.train_step
+        seen = []  # (value-only rows in the batch, value traces held)
+
+        def run(strip_value_only=False):
+            def step(params, opt, batch):
+                seen.append((sum(tr.value_only for tr in batch), len(trainer.value_traces)))
+                if strip_value_only:
+                    batch = [tr for tr in batch if not tr.value_only]
+                return real(params, opt, batch)
+
+            monkeypatch.setattr(trainer_module, "train_step", step)
             trainer = Trainer(tiny_config(
                 search=SearchConfig(mode="exact", simulations=60,
                                     nested_simulations=8, training=True),
-                n_episodes=4, train_length_max=3,
-                value_from_failures=value_from_failures))
+                n_episodes=4, train_length_max=3))
             trainer.run(3)
             return trainer
 
-        on, off = run(True), run(False)
-        assert len(on.replay) > 0 and len(on.value_traces) > 0
+        trained = run()
+        assert len(trained.replay) > 0 and len(trained.value_traces) > 0
         assert all(r.value_only and r.reward == 0 and r.steps
-                   for r in on.value_traces)
-        assert len(off.value_traces) == 0
+                   for r in trained.value_traces)
+        # Every gradient step mixes in batch_size // 4 = 2 of them, or all
+        # there are.
+        assert seen and all(rows == min(2, held) for rows, held in seen)
+        assert any(rows > 0 for rows, _ in seen)
         # Value-only targets join the batch, so the loss moves.
-        assert on.metrics_rows[-1]["loss"] != off.metrics_rows[-1]["loss"]
-        assert on.metrics_csv() == run(True).metrics_csv()
+        without = run(strip_value_only=True)
+        assert trained.metrics_rows[-1]["loss"] != without.metrics_rows[-1]["loss"]
+        assert trained.metrics_csv() == run().metrics_csv()
 
     def test_failed_env_dump_parses_back(self):
         from argsynth.env import env_from_record
@@ -353,8 +361,7 @@ ORACLE_RUNS = {
         n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
         grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
         ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
-        train_length_min=2, train_length_max=7, wall_clock=False,
-        value_from_failures=False),
+        train_length_min=2, train_length_max=7),
     "noargs-exact": TrainConfig(
         seed=0, library_mode="noargs",
         search=SearchConfig(mode="exact", n_expand=5, simulations=200,
@@ -364,17 +371,36 @@ ORACLE_RUNS = {
         n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
         grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
         ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
-        train_length_min=2, train_length_max=7, wall_clock=False,
-        value_from_failures=False),
+        train_length_min=2, train_length_max=7),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_RUNS))
 def oracle_run(request):
-    """Three iterations of the named config."""
-    trainer = Trainer(ORACLE_RUNS[request.param])
-    trainer.run(3)
-    return request.param, trainer
+    """Three iterations of the named config, and a digest of every tree
+    they grew, top-level and nested, in the order the trees finished:
+    each node's visit count and its edges' `P`, `N`, `W` and `Q` as
+    float64 bytes."""
+    trees, grow = hashlib.sha256(), search_module._grow
+
+    def hashing_grow(*args, **kwargs):
+        res = yield from grow(*args, **kwargs)
+        stack = [res.root]
+        while stack:
+            node = stack.pop()
+            trees.update(repr(node.visits).encode())
+            for stat in (node.P, node.N, node.W, node.Q):
+                trees.update(np.asarray(stat, dtype=np.float64).tobytes())
+            stack.extend(c for c in reversed(node.children) if c is not None)
+        return res
+
+    search_module._grow = hashing_grow
+    try:
+        trainer = Trainer(ORACLE_RUNS[request.param])
+        trainer.run(3)
+    finally:
+        search_module._grow = grow
+    return request.param, trainer, trees.hexdigest()
 
 
 def _drop_column(csv_text: str, column: str) -> str:
@@ -388,7 +414,8 @@ def _sha256(text: str) -> str:
 
 
 class TestBehaviourOracle:
-    """`metrics_csv() + search_csv()` pinned byte for byte.
+    """`metrics_csv() + search_csv()` and every tree's statistics pinned
+    byte for byte.
 
     A change that keeps behaviour (a refactor, an index-based rewrite of
     the search) must leave these digests as they are; a change that means
@@ -396,8 +423,15 @@ class TestBehaviourOracle:
     """
 
     DIGESTS = {
-        "default": "369c07dbdb2eb02f278d0897b17453e54a626aa4d823eaa4e096c80c8a15e980",
-        "noargs-exact": "08c6ee82b4c374b21829bc4739a6822d20d6c84b7b7abab7f86e13c7da82432b",
+        "default": "9463d6beed2358869d62ef18a36f99f1a8720e37d6e1bef6cde905ee94fd7b83",
+        "noargs-exact": "9645e43b695750c45c32df2f66ad17a78ce6a44b5752eea5d063dbbbd6d2151d",
+    }
+
+    # The statistics behind the visit counts: a last-bit change in a prior
+    # seldom moves a visit count, so the CSVs alone would not show it.
+    TREES = {
+        "default": "3581edd30466aba8cae8060337b58da75d351ac11e8e4546ebe44e44620a8e56",
+        "noargs-exact": "d0350b29fcabaa5c62000b00a62fe49bda14bc87c828646d5a9ea56b012956ee",
     }
 
     # Recorded from this trainer with `test_network.reference_train_step`
@@ -405,18 +439,22 @@ class TestBehaviourOracle:
     # `train_step`: every column but `loss` byte for byte, and the `loss`
     # values to within 1e-12.
     PER_TRACE_LOOP = {
-        "default": ("b46f72d22f6fe8b3256958c3f2531924117d87837aa8d8001d24122dc5d97596",
-                    [13.784597489424511, 82.66627311122349, 137.65745157234042]),
-        "noargs-exact": ("c627444144013dec729e72d8ac1e851c6935ddd06b67a2703d50a43e30de224f",
-                         [180.95192905385693, 397.7653425361096, 578.0076138567531]),
+        "default": ("aeac68bd2a2a784a29a42adb61fc40a6438d0f4ae37c2fa4436b7eac909921be",
+                    [28.803212444019728, 29.18595997833377, 42.86628641125904]),
+        "noargs-exact": ("4d4bd925b506b2aebca16018118ea82b5fc3fb1ee18e8bae8a84b20f241e859d",
+                         [190.20425755454875, 398.5992115241066, 563.9233468134821]),
     }
 
     def test_three_iterations_are_byte_identical(self, oracle_run):
-        name, trainer = oracle_run
+        name, trainer, _ = oracle_run
         assert _sha256(trainer.metrics_csv() + trainer.search_csv()) == self.DIGESTS[name]
 
+    def test_every_tree_s_statistics_are_byte_identical(self, oracle_run):
+        name, _, trees = oracle_run
+        assert trees == self.TREES[name]
+
     def test_matches_the_per_trace_training_loop(self, oracle_run):
-        name, trainer = oracle_run
+        name, trainer, _ = oracle_run
         digest, losses = self.PER_TRACE_LOOP[name]
         rest = _drop_column(trainer.metrics_csv(), "loss") + trainer.search_csv()
         assert _sha256(rest) == digest

@@ -3,8 +3,13 @@
     python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs N \
         --seconds S --seeds 351 352 ...
 
-Each pair runs `bench/run.py --workload W --seed SEED --seconds S --trace 0`
-once in each checkout, from that checkout's root, one run after the other.
+Each side runs from a fresh copy of its checkout, without `.git`,
+`__pycache__` and `bench/out`. The two copies are siblings in one
+temporary directory, named `parent` and `change` (names of equal length),
+so that the benchmark reads no difference of path between the sides; they
+are removed afterwards. Each pair runs
+`bench/run.py --workload W --seed SEED --seconds S --trace 0` once in each
+copy, from the copy's root, one run after the other.
 The side that goes first alternates: the parent in even pairs, the change
 in odd ones, so that a drift of the host's speed does not favour one side.
 Pair i uses seed `seeds[i % len(seeds)]`.
@@ -34,9 +39,11 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -139,6 +146,20 @@ def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]],
     return "\n".join(out)
 
 
+def copy_checkout(checkout: Path, dest: Path) -> None:
+    """Copy `checkout` to `dest`, leaving out `.git`, `__pycache__` and
+    `bench/out`."""
+    root = Path(checkout).resolve()
+
+    def ignore(directory: str, names: list[str]) -> list[str]:
+        left_out = [n for n in names if n in (".git", "__pycache__")]
+        if Path(directory).resolve() == root / "bench" and "out" in names:
+            left_out.append("out")
+        return left_out
+
+    shutil.copytree(root, dest, ignore=ignore, symlinks=True)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run from `checkout`'s root; its parsed result,
     with the raw rate and slowdown factor of `parse_rates` added."""
@@ -163,8 +184,21 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    checkouts = {"parent": args.parent, "change": args.change}
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        checkouts = {}
+        for side in SIDES:
+            source = getattr(args, side)
+            checkouts[side] = Path(tmp) / side
+            copy_checkout(source, checkouts[side])
+            print(f"{side}: {source.resolve()}", flush=True)
+        return run_pairs(args, checkouts, metrics)
+
+
+def run_pairs(args: argparse.Namespace, checkouts: dict[str, Path],
+              metrics: list[dict]) -> int:
+    """Run the alternating pairs in `checkouts` and print the summary;
+    the exit status."""
     pairs = []
     correct = True
     for i in range(args.pairs):
