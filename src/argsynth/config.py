@@ -6,10 +6,10 @@ the range it must lie in. The key is the field name, except for three:
 `library` sets `library_mode`, `search` sets the search `mode`, and
 `episodes_per_iteration` sets `n_episodes`.
 
-Unknown keys, malformed values, and out-of-range settings are rejected
-with the offending line number so batch runs fail loudly and early. The
-Python API (`validate()`) and command-line overrides obey the same
-ranges.
+Unknown keys, keys set twice, malformed values, and out-of-range settings
+are rejected with the offending line number so batch runs fail loudly and
+early. The Python API (`validate()`) and command-line overrides obey the
+same ranges.
 """
 from __future__ import annotations
 
@@ -84,6 +84,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines (# starts a comment) onto the defaults."""
     cfg = RunConfig()
     keys = _file_keys()
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +100,9 @@ def parse_config(text: str) -> RunConfig:
         why = out_of_range(f, parsed)
         if why is not None:
             raise ConfigError(f"line {lineno}: value for {key!r} {why}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         setattr(cfg.search if in_search else cfg, f.name, parsed)
     return checked(cfg)
 

@@ -45,15 +45,16 @@ comparison.
 A tree is grown by a generator, `_grow`: where a simulation reaches a leaf
 to evaluate, `_expand_and_eval` yields the request (state, task index,
 hidden state) and resumes with the evaluator's answer, through `_simulate`
-and `_grow`. `run_search` answers each request at once with
-`Evaluator.evaluate`, and `search_episode` calls `run_search` once per
+and `_grow`. The evaluator has one leaf call, `Evaluator.evaluate_many`,
+which answers a wave of requests. `run_search` answers each request at
+once as a wave of one, and `search_episode` calls `run_search` once per
 step, so a single episode and every nested search run as a plain loop.
 `lockstep_episodes` instead keeps several top-level episodes in flight and
-answers one request of each with a single `Evaluator.evaluate_many` call,
-which the network runs as the rows of one step: at six rows, about 41 µs
-a request against 113 µs for a step on one vector (one BLAS thread of a
-2-core x86 host). Both paths share one episode loop, `_episode`. Nested
-searches stay synchronous inside their episode's step.
+answers one request of each in a single wave, which the network runs as
+the rows of one step: at six rows, about 41 µs a request against 113 µs
+for a step on one vector (one BLAS thread of a 2-core x86 host). Both
+drivers share one episode loop, `_episode`, and return what it returns.
+Nested searches stay synchronous inside their episode's step.
 """
 from __future__ import annotations
 
@@ -146,12 +147,6 @@ class SearchStats:
     max_depth: int = 0
     recursions: int = 0
 
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes_expanded += other.nodes_expanded
-        self.simulations += other.simulations
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.recursions += other.recursions
-
 
 # What a search asks its evaluator for a leaf: the state, the task index
 # and the hidden state it enters with; and the answer: priors over programs
@@ -164,21 +159,20 @@ class Evaluator(Protocol):
     """Prior/value source for the search; the trained network in
     production, stubs in tests.
 
+    `evaluate_many` is the one leaf call. It answers a wave of requests,
+    one answer per request, in order: a wave of one from a search that
+    runs alone, or one request from each of several independent searches
+    (`lockstep_episodes`). A returned hidden state should hold no other
+    answer's arrays: a tree keeps the hidden states of its nodes for as
+    long as it lives.
+
     `env` is only the current state. The hidden state is the evaluator's
-    only channel for the history of the running episode: `evaluate`
-    returns the hidden state advanced past `env`, the search hands it to
-    every child of that node, and the episode carries the root's one from
-    each committed action to the next. Each nested search of a learned
-    call starts from a fresh `initial_hidden()`.
-
-    `evaluate_many` answers a wave of requests from independent searches
-    (`lockstep_episodes`), one answer per request, in order. A returned
-    hidden state should hold no other answer's arrays: a tree keeps the
-    hidden states of its nodes for as long as it lives.
+    only channel for the history of the running episode: each answer
+    carries the hidden state advanced past its `env`, the search hands it
+    to every child of that node, and the episode carries the root's one
+    from each committed action to the next. Each nested search of a
+    learned call starts from a fresh `initial_hidden()`.
     """
-
-    def evaluate(self, env: EnvState, task_index: int, hidden: HiddenState
-                 ) -> Evaluation: ...
 
     def evaluate_many(self, requests: Sequence[LeafRequest]) -> list[Evaluation]: ...
 
@@ -188,22 +182,18 @@ class Evaluator(Protocol):
 class NetworkEvaluator:
     """The network as the search's evaluator.
 
-    `evaluate_many` runs the requests as rows of one network step
-    (`forward_rows`), which can differ from `evaluate` on the same request
-    in the last bits; a single request takes `evaluate`'s path and gives
-    its bytes.
+    `evaluate_many` runs a wave of one as one `forward` on the vector, and
+    a larger wave as the rows of one network step (`forward_rows`), which
+    can differ from `forward` on the same request in the last bits.
     """
 
     def __init__(self, params: ParameterSet):
         self.params = params
 
-    def evaluate(self, env, task_index, hidden):
-        out = forward(self.params, observe(env), task_index, hidden)
-        return out.pi_p, out.pi_a, out.value, out.hidden
-
     def evaluate_many(self, requests):
         if len(requests) == 1:
-            return [self.evaluate(*requests[0])]
+            (env, task_index, hidden), = requests
+            return [forward(self.params, observe(env), task_index, hidden)]
         return forward_rows(self.params, [observe(env) for env, _, _ in requests],
                             [task_index for _, task_index, _ in requests],
                             [hidden for _, _, hidden in requests])
@@ -219,11 +209,9 @@ class UniformEvaluator:
         self._pi_p = np.full(len(lib), 1.0 / len(lib))
         self._pi_a = np.full(P.ARG_SPACE, 1.0 / P.ARG_SPACE)
 
-    def evaluate(self, env, task_index, hidden):
-        return self._pi_p.copy(), self._pi_a.copy(), 0.5, hidden
-
     def evaluate_many(self, requests):
-        return [self.evaluate(*request) for request in requests]
+        return [(self._pi_p.copy(), self._pi_a.copy(), 0.5, hidden)
+                for _, _, hidden in requests]
 
     def initial_hidden(self) -> HiddenState:
         z = np.zeros(1)
@@ -449,10 +437,8 @@ class SearchResult:
     pi_a_mcts: np.ndarray
     spec: ProgramSpec
     args: ArgTuple
-    next_env: Optional[EnvState]
+    next_env: Optional[EnvState]  # None when the chosen call's nested search failed
     next_hidden: HiddenState
-    is_stop: bool
-    subcall_failed: bool
     root: Node  # the searched tree, kept for inspection
 
 
@@ -673,24 +659,20 @@ def _grow(
     child = root.children[chosen]
     if child is None:
         child = _materialize(root, chosen, ctx, max_depth)
-    next_hidden = root.h_out if root.h_out is not None else hidden
-    if child.failed_subcall:
-        return SearchResult(pi_p_mcts, pi_a_mcts, spec, args, None,
-                            next_hidden, False, True, root)
-    return SearchResult(pi_p_mcts, pi_a_mcts, spec, args, child.env,
-                        next_hidden, spec.name == "stop", False, root)
+    next_env = None if child.failed_subcall else child.env
+    return SearchResult(pi_p_mcts, pi_a_mcts, spec, args, next_env, root.h_out, root)
 
 
 def _drive(search: Generator[LeafRequest, Evaluation, Any], evaluator: Evaluator):
     """Run a search generator to its result, answering each leaf request
-    with `evaluator.evaluate`."""
+    as a wave of one."""
     answer = None
     while True:
         try:
             request = search.send(answer)
         except StopIteration as done:
             return done.value
-        answer = evaluator.evaluate(*request)
+        answer, = evaluator.evaluate_many([request])
 
 
 def run_search(
@@ -739,9 +721,9 @@ def _episode(
             hidden=np.array(res.next_hidden.h, copy=True),
         ))
         hidden = res.next_hidden
-        if res.subcall_failed:
+        if res.next_env is None:
             return steps, 0, e
-        if res.is_stop:
+        if res.spec.name == "stop":
             return steps, reward(task, env, e), e
         e = res.next_env
         del res  # the tree goes before the next one grows
@@ -771,24 +753,25 @@ LOCKSTEP_WIDTH = 6
 def lockstep_episodes(
     jobs: Sequence[tuple[TaskId, EnvState, np.random.Generator]],
     evaluator: Evaluator, lib: ProgramLibrary, cfg: SearchConfig,
-    cache: Optional[dict] = None,
-) -> list[tuple[list[EpisodeStep], int, EnvState, SearchStats]]:
+    stats: SearchStats, cache: Optional[dict] = None,
+) -> list[tuple[list[EpisodeStep], int, EnvState]]:
     """Top-level search episodes, `LOCKSTEP_WIDTH` of them in flight at once.
 
     Each job is (task, start state, its own random stream). In each wave,
     every episode in flight runs until its tree needs a leaf value, and one
     `evaluator.evaluate_many` call answers the wave; a finished episode's
     place goes to the next job. Returns, in job order, what `search_episode`
-    returns for each job, with the job's `SearchStats`.
+    returns for each job. Every job's search adds into `stats`, as
+    `search_episode` does.
 
     An episode depends on the others only through `cache`, the memo of
     nested results, and through the evaluator's batched rows. With an
-    evaluator whose `evaluate_many` is `evaluate` row by row and no shared
-    memo, each result equals `search_episode` on the job's stream. Nested
-    searches run inside their episode's step, through `evaluate`. An error
-    in one episode propagates, and the others are closed.
+    evaluator that answers each request of a wave as it would a wave of
+    one, and no shared memo, each result equals `search_episode` on the
+    job's stream. Nested searches run inside their episode's step, as
+    waves of one. An error in one episode propagates, and the others are
+    closed.
     """
-    stats = [SearchStats() for _ in jobs]
     results: list = [None] * len(jobs)
     live: dict[int, Generator] = {}
     flight: list[tuple[int, LeafRequest]] = []
@@ -798,15 +781,15 @@ def lockstep_episodes(
             flight.append((i, live[i].send(answer)))
         except StopIteration as done:
             del live[i]
-            results[i] = (*done.value, stats[i])
+            results[i] = done.value
 
     started = 0
     try:
         while True:
             while len(flight) < LOCKSTEP_WIDTH and started < len(jobs):
                 task, env, rng = jobs[started]
-                live[started] = _episode(task, env, evaluator, lib, cfg, stats[started],
-                                         rng, cache, 0, _grow)
+                live[started] = _episode(task, env, evaluator, lib, cfg, stats, rng,
+                                         cache, 0, _grow)
                 advance(started, None)
                 started += 1
             if not flight:
@@ -834,22 +817,22 @@ class GreedyPolicy(Protocol):
 
 class NetworkGreedyPolicy:
     """Follows the network's argmax program/argument choice (no search),
-    evaluated through `NetworkEvaluator` like the search's leaves."""
+    one `forward` on the vector per step."""
 
     def __init__(self, params: ParameterSet, lib: ProgramLibrary):
-        self.evaluator = NetworkEvaluator(params)
+        self.params = params
         self.lib = lib
         self._stack: list[list] = []  # [task index, caller level, hidden]
 
     def begin(self, task: TaskId, env: EnvState) -> None:
         self._stack.append([self.lib.task_index(task),
                             self.lib.spec(task.program_name).level,
-                            self.evaluator.initial_hidden()])
+                            zero_hidden(self.params.dims)])
 
     def step(self, env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
         frame = self._stack[-1]
         task_index, level, hidden = frame
-        pi_p, pi_a, _, frame[2] = self.evaluator.evaluate(env, task_index, hidden)
+        pi_p, pi_a, _, frame[2] = forward(self.params, observe(env), task_index, hidden)
         feasible = feasible_pairs(env, level, self.lib)
         if not feasible:
             raise SearchError("dead-end state during greedy execution")

@@ -68,7 +68,6 @@ class TrainConfig:
     batch_size: int = tunable(64, ">= 1", lambda v: v >= 1)
     grad_steps: int = tunable(2, ">= 0", lambda v: v >= 0)
     learning_rate: float = tunable(1e-4, "> 0", lambda v: v > 0.0)
-    grad_clip: float = field(default=1.0, metadata={"need": "> 0", "ok": lambda v: v > 0.0})
     epsilon_failed: float = tunable(0.2, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     unlock_threshold: float = tunable(0.9, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     ema_decay: float = tunable(0.95, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
@@ -121,7 +120,8 @@ def replay_trace(record: TraceRecord, lib: ProgramLibrary) -> int:
 
 
 class ReplayBuffer:
-    """FIFO of successful traces only."""
+    """FIFO of traces to train on: successful traces, or failed ones
+    marked `value_only`."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -131,11 +131,14 @@ class ReplayBuffer:
         return len(self._items)
 
     def add(self, record: TraceRecord) -> None:
-        if record.reward != 1:
-            raise ValueError("replay buffer only stores reward-1 traces")
+        if record.reward != (0 if record.value_only else 1):
+            raise ValueError("replay buffer stores reward-1 traces, or reward-0 "
+                             "ones marked value-only")
         self._items.append(record)
 
     def sample(self, k: int, rng: np.random.Generator) -> list[TraceRecord]:
+        """Up to `k` distinct traces; an empty buffer gives none and draws
+        nothing from `rng`."""
         items = list(self._items)
         k = min(k, len(items))
         idx = rng.choice(len(items), size=k, replace=False)
@@ -300,11 +303,10 @@ class Trainer:
         if params is None:
             params = init_params(cfg.seed, dims_for_library(self.lib))
         self.params = params
-        self.opt: AdamState = init_optimizer(params, lr=cfg.learning_rate,
-                                             clip=cfg.grad_clip)
+        self.opt: AdamState = init_optimizer(params, lr=cfg.learning_rate)
         self.replay = ReplayBuffer(cfg.replay_capacity)
         self.failed = FailedEnvBuffer(cfg.failed_capacity)
-        self.value_traces: deque[TraceRecord] = deque(maxlen=max(1, cfg.replay_capacity // 4))
+        self.value_traces = ReplayBuffer(max(1, cfg.replay_capacity // 4))
         self.task_stats = TaskStats(cfg.ema_decay, cfg.unlock_threshold)
         self.iteration = 0
         self.nodes_expanded_cum = 0
@@ -351,26 +353,23 @@ class Trainer:
             jobs.append((task, e_init, stream))
             from_buffer.append(came_from_buffer)
         cache: dict = {}  # nested-search memo, valid while params are frozen
-        outcomes = lockstep_episodes(jobs, evaluator, self.lib, self.cfg.search, cache)
-        episodes: list[tuple[TraceRecord, bool]] = []
-        for (_, e_init, _), came_from_buffer, (steps, r, e_final, stats) in zip(
-                jobs, from_buffer, outcomes):
-            iter_stats.merge(stats)
-            episodes.append((_trace_record(self.lib, task, e_init, steps, r, e_final),
-                             came_from_buffer))
+        outcomes = lockstep_episodes(jobs, evaluator, self.lib, self.cfg.search,
+                                     iter_stats, cache)
         # Serialized commit phase: buffers, statistics, gradient updates.
         successes = 0
-        for record, from_buffer in episodes:
-            self.task_stats.record(task, record.reward)
-            if record.reward == 1:
+        for (_, e_init, _), came_from_buffer, (steps, r, e_final) in zip(
+                jobs, from_buffer, outcomes):
+            record = _trace_record(self.lib, task, e_init, steps, r, e_final)
+            self.task_stats.record(task, r)
+            if r == 1:
                 successes += 1
                 self.replay.add(record)
-                if from_buffer:
-                    self.failed.remove(task, record.e_initial)
+                if came_from_buffer:
+                    self.failed.remove(task, e_init)
             else:
-                self.failed.add_failure(task, record.e_initial)
-                if record.steps:
-                    self.value_traces.append(dc_replace(record, value_only=True))
+                self.failed.add_failure(task, e_init)
+                if steps:
+                    self.value_traces.add(dc_replace(record, value_only=True))
         if len(self.replay) > 0:
             probe = self.replay.sample(1, self.rng)[0]
             if replay_trace(probe, self.lib) != probe.reward:
@@ -381,11 +380,7 @@ class Trainer:
         if len(self.replay) > 0:
             for _ in range(self.cfg.grad_steps):
                 batch = self.replay.sample(self.cfg.batch_size, self.rng)
-                if self.value_traces:
-                    pool = list(self.value_traces)
-                    k = min(max(1, self.cfg.batch_size // 4), len(pool))
-                    idx = self.rng.choice(len(pool), size=k, replace=False)
-                    batch = batch + [pool[int(i)] for i in idx]
+                batch += self.value_traces.sample(max(1, self.cfg.batch_size // 4), self.rng)
                 losses.append(train_step(self.params, self.opt, batch))
         self.iteration += 1
         self.nodes_expanded_cum += iter_stats.nodes_expanded

@@ -12,11 +12,16 @@ class RiggedEvaluator:
 
     The script is planned once per episode, at the first evaluation (the
     one made from `initial_hidden()`), and the hidden state then carries
-    (plan id, steps taken), as the network's LSTM carries the program's
-    history. Planning again from the current state would be wrong: the
-    entry conditions of partition_update and partition still hold partway
-    through an episode, so a fresh plan starts a new episode instead of
-    finishing this one.
+    the steps taken in `h` and the plan id in `c`, as the network's LSTM
+    carries the program's history. Planning again from the current state
+    would be wrong: the entry conditions of partition_update and partition
+    still hold partway through an episode, so a fresh plan starts a new
+    episode instead of finishing this one.
+
+    Plan ids count plans in the order the episodes first ask, which
+    differs between episodes run in turn and in lockstep; `h`, which the
+    episode records in its steps, does not depend on them. Each request
+    of a wave is answered on its own.
     """
 
     def __init__(self, lib, boost=0.97):
@@ -24,8 +29,11 @@ class RiggedEvaluator:
         self.boost = boost
         self._plans = []
 
-    def evaluate(self, env, task_index, hidden):
-        plan_id, t = int(hidden.h[0]), int(hidden.h[1])
+    def evaluate_many(self, requests):
+        return [self._evaluate(*request) for request in requests]
+
+    def _evaluate(self, env, task_index, hidden):
+        t, plan_id = int(hidden.h[0]), int(hidden.c[0])
         if plan_id < 0:
             plan_id = len(self._plans)
             self._plans.append(
@@ -37,11 +45,11 @@ class RiggedEvaluator:
             name, args = plan[t]
             pi_p[self.lib.index(name)] += self.boost
             pi_a[args_encode(args)] += self.boost
-        h_out = HiddenState(np.array([plan_id, t + 1.0]), hidden.c)
+        h_out = HiddenState(np.array([t + 1.0]), np.array([float(plan_id)]))
         return pi_p / pi_p.sum(), pi_a / pi_a.sum(), 0.5, h_out
 
     def initial_hidden(self):
-        return HiddenState(np.array([-1.0, 0.0]), np.zeros(2))  # no plan yet
+        return HiddenState(np.zeros(1), np.array([-1.0]))  # no plan yet
 
 
 @pytest.fixture

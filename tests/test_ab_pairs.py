@@ -106,6 +106,19 @@ def test_gain_needs_nine_tenths_of_the_wins_and_a_gap_beyond_the_parent_iqr():
     assert row["wins"] == 10 and row["gain"] and row["relative"] == pytest.approx(-0.2)
 
 
+def test_gain_needs_ten_pairs():
+    rss = [50.0] * 10
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    for n, shown in ((9, "too few pairs"), (10, "yes")):
+        pairs = canned_pairs(parent[:n], [x + 1.0 for x in parent[:n]], rss[:n], rss[:n])
+        rates = ab.summarize_rates([{side: p[side] | {"raw_rate": 1.0, "slowdown": 1.0}
+                                     for side in ab.SIDES} for p in pairs])
+        rows = ab.summarize(pairs, METRICS)
+        assert rows[0]["wins"] == n and rows[0]["gain"] == (n >= ab.MIN_PAIRS)
+        text = ab.format_summary(rows, ab.failures(pairs), rates)
+        assert f"| {n}/{n} | {shown} |" in text
+
+
 def test_failures_sum_per_side():
     pairs = [{"parent": rated(result(1, 50, failed=1, attempted=12), 1.0, 1.0),
               "change": rated(result(1, 50, failed=0, attempted=12), 1.0, 1.0)},
@@ -163,7 +176,7 @@ def test_runs_alternate_and_a_wrong_output_fails_the_comparison(
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
         "parent 7", "change 7", "change 8", "parent 8", "parent 7", "change 7"]
     out = capsys.readouterr().out
-    assert "| 3/3 | yes |" in out and "parent 0/36, change 0/36" in out
+    assert "| 3/3 | too few pairs |" in out and "parent 0/36, change 0/36" in out
     assert "raw rate: parent 1 /s, change 1.95 /s (+0.950), change won 3/3" in out
 
 

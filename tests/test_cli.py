@@ -122,6 +122,15 @@ def test_a_removed_switch_in_a_file_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_key_set_twice_in_a_file_is_a_usage_error(tmp_path, capsys):
+    bad = write(tmp_path / "bad.cfg", TINY + "simulations = 20\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", bad, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 9: key 'simulations' already set on line 3")
+    assert not out.exists()
+
+
 def test_unknown_program_is_a_usage_error(tmp_path, capsys):
     ckpt = saved_params(tmp_path / "p.ckpt")
     assert cli.main(["run", "--program", "bubblesort", "--list", "3,1,2",

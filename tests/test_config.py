@@ -96,6 +96,16 @@ def test_a_removed_switch_is_an_unknown_key(line):
     _rejects(f"seed = 1\n{line}\n", "line 2", f"unknown key {key!r}")
 
 
+@pytest.mark.parametrize("text,first,second", [
+    ("simulations = 10\nsimulations = 20\n", 1, 2),
+    ("search = exact\n# run\nseed = 1\nsearch = approx\n", 1, 4),
+    ("library = args\n\nlibrary = args\n", 1, 3),
+])
+def test_a_key_set_twice_names_both_lines(text, first, second):
+    key = text.split(" ")[0]
+    _rejects(text, f"line {second}: key {key!r} already set on line {first}")
+
+
 def test_missing_equals_names_its_line():
     _rejects("# header\nseed 1\n", "line 2", "expected `key = value`")
 
@@ -180,7 +190,7 @@ def test_non_finite_float_names_its_line(key, text):
 
 
 @pytest.mark.parametrize("text", NON_FINITE)
-@pytest.mark.parametrize("name", FLOAT_KEYS + ["grad_clip"])
+@pytest.mark.parametrize("name", FLOAT_KEYS)
 def test_non_finite_float_is_rejected_by_the_python_api(name, text):
     cls = SearchConfig if hasattr(SearchConfig, name) else TrainConfig
     cfg = cls(**{name: float(text)})
@@ -189,16 +199,6 @@ def test_non_finite_float_is_rejected_by_the_python_api(name, text):
     if cls is SearchConfig:
         with pytest.raises(ValueError, match=f"{name} out of range"):
             RunConfig(search=cfg).validate()
-
-
-@pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])
-def test_grad_clip_must_be_positive(clip):
-    # A negative bound flips every update into gradient ascent; zero
-    # freezes training.
-    for cls in (TrainConfig, RunConfig):
-        with pytest.raises(ValueError, match="grad_clip out of range"):
-            cls(grad_clip=clip).validate()
-    TrainConfig(grad_clip=1e-3).validate()
 
 
 def test_grad_clip_is_not_a_file_key():

@@ -17,6 +17,7 @@ from argsynth.expert import ExpertPolicy
 from argsynth.network import (
     HiddenState,
     dims_for_library,
+    forward,
     init_params,
     masked_distributions,
 )
@@ -921,11 +922,12 @@ class TestExecuteGreedy:
 
 
 class RowByRow(NetworkEvaluator):
-    """The network, with each wave answered one request at a time: an
-    `evaluate_many` that is `evaluate` row by row, bit for bit."""
+    """The network, with each request of a wave answered as a wave of one:
+    row by row, bit for bit as a search that runs alone gets them."""
 
     def evaluate_many(self, requests):
-        return [self.evaluate(*request) for request in requests]
+        one = super().evaluate_many
+        return [one([request])[0] for request in requests]
 
 
 def trained_params():
@@ -935,10 +937,10 @@ def trained_params():
     return checkpoint_load(BENCH_PARAMS, expected_manifest=lib.manifest())[0]
 
 
-def episode_bytes(steps, reward, final, stats):
+def episode_bytes(steps, reward, final):
     return ([(s.action_name, s.action_args, s.obs.tobytes(), s.pi_p_mcts.tobytes(),
               s.pi_a_mcts.tobytes(), s.hidden.tobytes()) for s in steps],
-            reward, final, stats)
+            reward, final)
 
 
 class TestLockstep:
@@ -975,24 +977,28 @@ class TestLockstep:
     def evaluator(self):
         return RowByRow(trained_params())
 
-    @pytest.mark.parametrize("width", [1, 3, len(JOBS)])
-    def test_equals_one_search_episode_per_job(self, evaluator, monkeypatch, width):
+    # The network answering row by row, and the plan-following double.
+    @pytest.mark.parametrize("double,width", [
+        *[pytest.param("network", w, id=str(w)) for w in (1, 3, len(JOBS))],
+        *[pytest.param("rigged", w, id=f"rigged-{w}") for w in (1, 3, len(JOBS))]])
+    def test_equals_one_search_episode_per_job(self, evaluator, rigged_evaluator, monkeypatch,
+                                               double, width):
+        if double == "rigged":
+            evaluator = rigged_evaluator(self.lib)
         solo_jobs, lock_jobs = self.jobs(), self.jobs()
+        want_stats, got_stats = SearchStats(), SearchStats()
 
         def solo():
-            out = []
-            for task, env, r in solo_jobs:
-                stats = SearchStats()
-                out.append((*search_episode(task, env, evaluator, self.lib, self.CFG,
-                                            stats, r), stats))
-            return out
+            return [search_episode(task, env, evaluator, self.lib, self.CFG, want_stats, r)
+                    for task, env, r in solo_jobs]
 
         monkeypatch.setattr(search, "LOCKSTEP_WIDTH", width)
         want, want_trees = self.trees_by_stream(monkeypatch, solo)
         got, got_trees = self.trees_by_stream(monkeypatch, lambda: search.lockstep_episodes(
-            lock_jobs, evaluator, self.lib, self.CFG))
-        assert sum(stats.recursions for *_, stats in want) > 0
+            lock_jobs, evaluator, self.lib, self.CFG, got_stats))
+        assert want_stats.recursions > 0
         assert [episode_bytes(*o) for o in got] == [episode_bytes(*o) for o in want]
+        assert got_stats == want_stats
         for (_, _, a), (_, _, b) in zip(solo_jobs, lock_jobs):
             assert a.bit_generator.state == b.bit_generator.state
             assert got_trees[id(b)] == want_trees[id(a)]
@@ -1000,14 +1006,13 @@ class TestLockstep:
     def test_one_wide_with_a_shared_memo_equals_episodes_in_turn(self, evaluator, monkeypatch):
         solo_jobs, lock_jobs = self.jobs(), self.jobs()
         cache = {}
-        want = []
-        for task, env, r in solo_jobs:
-            stats = SearchStats()
-            want.append((*search_episode(task, env, evaluator, self.lib, self.CFG, stats, r,
-                                         cache=cache), stats))
+        want_stats, got_stats = SearchStats(), SearchStats()
+        want = [search_episode(task, env, evaluator, self.lib, self.CFG, want_stats, r,
+                               cache=cache) for task, env, r in solo_jobs]
         monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 1)
-        got = search.lockstep_episodes(lock_jobs, evaluator, self.lib, self.CFG, {})
+        got = search.lockstep_episodes(lock_jobs, evaluator, self.lib, self.CFG, got_stats, {})
         assert [episode_bytes(*o) for o in got] == [episode_bytes(*o) for o in want]
+        assert got_stats == want_stats
 
     def test_waves_are_as_wide_as_the_episodes_in_flight(self, evaluator, monkeypatch):
         widths = []
@@ -1018,7 +1023,8 @@ class TestLockstep:
                 return super().evaluate_many(requests)
 
         monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 3)
-        search.lockstep_episodes(self.jobs(), Counting(evaluator.params), self.lib, self.CFG)
+        search.lockstep_episodes(self.jobs(), Counting(evaluator.params), self.lib, self.CFG,
+                                 SearchStats())
         assert widths[0] == max(widths) == 3
 
     def test_the_previous_tree_is_released_before_the_next_grows(self, monkeypatch):
@@ -1042,7 +1048,7 @@ class TestLockstep:
         live.clear()
         monkeypatch.setattr(search, "LOCKSTEP_WIDTH", 3)
         search.lockstep_episodes([(task, sample_task_env(task, 4, rng(s)), rng(s))
-                                  for s in range(5)], ev, self.lib, cfg)
+                                  for s in range(5)], ev, self.lib, cfg, SearchStats())
         assert len(live) > 5 and max(live) == 2
 
 
@@ -1116,9 +1122,12 @@ class TestGreedyNonFinite:
 
 
 class TestEvaluateMany:
-    """`NetworkEvaluator.evaluate_many` against `evaluate`."""
+    """`NetworkEvaluator.evaluate_many` against `forward` on each request."""
 
     lib = build_library("args")
+
+    def by_forward(self, ev, env, task_index, hidden):
+        return forward(ev.params, observe(env), task_index, hidden)
 
     def requests(self, seed, b):
         r = rng(seed)
@@ -1135,7 +1144,7 @@ class TestEvaluateMany:
         ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
         for request in self.requests(2, 5):
             (pi_p, pi_a, value, hidden), = ev.evaluate_many([request])
-            want = ev.evaluate(*request)
+            want = self.by_forward(ev, *request)
             assert pi_p.tobytes() == want[0].tobytes()
             assert pi_a.tobytes() == want[1].tobytes()
             assert value == want[2]
@@ -1149,7 +1158,7 @@ class TestEvaluateMany:
         rows = ev.evaluate_many(requests)
         assert len(rows) == b
         for request, row in zip(requests, rows):
-            want = ev.evaluate(*request)
+            want = self.by_forward(ev, *request)
             for got, exp in ((row[0], want[0]), (row[1], want[1]), (row[2], want[2]),
                              (row[3].h, want[3].h), (row[3].c, want[3].c)):
                 assert np.abs(np.asarray(got) - exp).max() <= 1e-14

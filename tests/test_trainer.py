@@ -55,6 +55,21 @@ class TestBuffers:
                                 make_env([1, 2], 0, 1, 0), [],
                                 make_env([1, 2], 0, 1, 0), 0))
 
+    def test_replay_takes_value_only_traces_of_failures_only(self):
+        from argsynth.trainer import TraceRecord
+        buf = ReplayBuffer(10)
+        e = make_env([1, 2], 0, 1, 0)
+        with pytest.raises(ValueError):
+            buf.add(TraceRecord(0, "partition_update", e, [], e, 1, value_only=True))
+        buf.add(TraceRecord(0, "partition_update", e, [], e, 0, value_only=True))
+        assert len(buf) == 1
+
+    def test_an_empty_replay_samples_nothing_and_draws_nothing(self):
+        r = rng(4)
+        state = r.bit_generator.state
+        assert ReplayBuffer(3).sample(5, r) == []
+        assert r.bit_generator.state == state
+
     def test_replay_fifo_capacity(self):
         from argsynth.trainer import TraceRecord
         buf = ReplayBuffer(2)
@@ -359,7 +374,7 @@ ORACLE_RUNS = {
                             dirichlet_weight=0.25, temperature=1.0,
                             nested_simulations=100, training=True),
         n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
-        grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
+        epsilon_failed=0.2, unlock_threshold=0.9,
         ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
         train_length_min=2, train_length_max=7),
     "noargs-exact": TrainConfig(
@@ -369,7 +384,7 @@ ORACLE_RUNS = {
                             dirichlet_weight=0.25, temperature=1.0,
                             nested_simulations=100, training=True),
         n_episodes=20, batch_size=64, grad_steps=2, learning_rate=1e-4,
-        grad_clip=1.0, epsilon_failed=0.2, unlock_threshold=0.9,
+        epsilon_failed=0.2, unlock_threshold=0.9,
         ema_decay=0.95, replay_capacity=2000, failed_capacity=200,
         train_length_min=2, train_length_max=7),
 }

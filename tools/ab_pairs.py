@@ -17,9 +17,11 @@ Pair i uses seed `seeds[i % len(seeds)]`.
 For every end-to-end metric that the change's `BENCHMARK.json` declares,
 the summary gives each side's median and quartiles, the change's median
 against the parent's, and the pairs the change won (ties count for
-neither). A gain is claimed only when the change wins at least nine tenths
-of the pairs and the medians differ by more than the parent's
-interquartile range. `failed/attempted` sums each side's operations.
+neither). A gain is claimed only from `MIN_PAIRS` pairs up, when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range; with fewer pairs the Gain
+column reads `too few pairs`. `failed/attempted` sums each side's
+operations.
 
 Below the table come the two factors of `ops_per_s`, parsed from each run's
 standard-error line `raw rates R1 R2 ... /s, host slowdown F from ...`:
@@ -47,6 +49,10 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Fewer pairs than this claim no gain: 4- and 6-pair runs of two trees of
+# the same speed have read -20% and +15% raw rate.
+MIN_PAIRS = 10
 
 RATES_LINE = re.compile(r"raw rates ([^/]*) /s, host slowdown (\S+) from")
 
@@ -103,7 +109,7 @@ def summarize(pairs: list[dict[str, dict]], metrics: list[dict]) -> list[dict]:
             "relative": c_med / p_med - 1.0 if p_med else float("nan"),
             "wins": wins,
             "pairs": len(pairs),
-            "gain": (10 * wins >= 9 * len(pairs)
+            "gain": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
                      and sign * (c_med - p_med) > p_q3 - p_q1),
         })
     return rows
@@ -132,10 +138,11 @@ def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]],
            "|---|---|---|---|---:|---:|---|"]
     for r in rows:
         p, c = r["parent"], r["change"]
+        gain = "too few pairs" if r["pairs"] < MIN_PAIRS else "yes" if r["gain"] else "no"
         out.append(
             f"| `{r['metric']}` | {r['better']} | {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] "
             f"| {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}] | {r['relative']:+.3f} "
-            f"| {r['wins']}/{r['pairs']} | {'yes' if r['gain'] else 'no'} |")
+            f"| {r['wins']}/{r['pairs']} | {gain} |")
     raw, slow = rates["raw_rate"], rates["slowdown"]
     out.append(f"raw rate: parent {raw['parent']:.4g} /s, change {raw['change']:.4g} /s "
                f"({raw['change'] / raw['parent'] - 1.0:+.3f}), change won "
