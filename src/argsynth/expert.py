@@ -8,6 +8,8 @@ that the push/pop/registry semantics actually sort.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 from . import env as E
 from . import programs as P
 from .env import NONE, P1, P2, P3, EnvState, TaskId
@@ -139,22 +141,19 @@ def expert_available(task: TaskId, mode: str) -> bool:
 class ExpertPolicy:
     """Scripted policy usable wherever a greedy policy is expected.
 
-    Keeps a stack of in-flight scripts so recursive execution of nested
-    learned calls resumes the caller's script afterwards.
-    """
+    Each call's step function walks that call's script, planned from the
+    call's entry state, one entry per step; a nested learned call gets a
+    script of its own."""
 
     def __init__(self, lib: ProgramLibrary):
         self.lib = lib
-        self._frames: list[list[tuple[str, ArgTuple]]] = []
 
-    def begin(self, task: TaskId, env: EnvState) -> None:
-        self._frames.append(expert_script(task, env, self.lib.mode))
+    def start(self, task: TaskId, env: EnvState
+              ) -> Callable[[EnvState], tuple[P.ProgramSpec, ArgTuple]]:
+        script = iter(expert_script(task, env, self.lib.mode))
 
-    def step(self, env: EnvState) -> tuple[P.ProgramSpec, ArgTuple]:
-        name, args = self._frames[-1].pop(0)
-        return self.lib.spec(name), args
+        def step(env: EnvState) -> tuple[P.ProgramSpec, ArgTuple]:
+            name, args = next(script)
+            return self.lib.spec(name), args
 
-    def end(self) -> None:
-        frame = self._frames.pop()
-        if frame:
-            raise RuntimeError(f"expert script ended with {len(frame)} actions left")
+        return step

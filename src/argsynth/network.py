@@ -60,9 +60,6 @@ class ParameterSet:
     dims: NetworkDims
     arrays: dict[str, np.ndarray]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 

@@ -81,9 +81,6 @@ from .programs import ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec, feasib
 MODE_EXACT = "exact"
 MODE_APPROX = "approx"
 
-# Learned levels are 1/2/4/5: a call chain can recurse at most four deep.
-MAX_RECURSION = 4
-
 
 class SearchError(RuntimeError):
     """Dead-end root or broken recursion contract."""
@@ -221,6 +218,9 @@ class UniformEvaluator:
 class Node:
     """Tree node: a state plus the statistics of its outgoing edges.
 
+    The child of a learned call whose nested search failed has no state:
+    its `env` is None, and it is a terminal worth 0.
+
     `Q` holds each edge's mean value, FPU_Q while unvisited; `backup` keeps
     it current. An expanded node's first visit is the one that expanded
     it, so `visits` is always the sum of `N` plus one.
@@ -240,10 +240,10 @@ class Node:
 
     __slots__ = (
         "env", "h_in", "h_out", "depth", "feasible", "edges", "P", "N", "W", "Q",
-        "children", "visits", "expanded", "terminal", "value", "failed_subcall",
+        "children", "visits", "expanded", "terminal", "value",
     )
 
-    def __init__(self, env: EnvState, h_in: HiddenState, depth: int):
+    def __init__(self, env: Optional[EnvState], h_in: HiddenState, depth: int):
         self.env = env
         self.h_in = h_in
         self.h_out: Optional[HiddenState] = None
@@ -257,7 +257,6 @@ class Node:
         self.expanded = False
         self.terminal = False
         self.value = 0.0
-        self.failed_subcall = False
 
 
 # Rewards live in [0,1], so 0.5 is the scale's neutral point. Unvisited
@@ -446,9 +445,9 @@ class _Context:
     """Per-tree bundle shared by every simulation of one search."""
 
     __slots__ = ("task", "task_index", "caller_level", "target", "lib",
-                 "evaluator", "cfg", "stats", "rng", "cache", "depth")
+                 "evaluator", "cfg", "stats", "rng", "cache")
 
-    def __init__(self, task, e_initial, lib, evaluator, cfg, stats, rng, cache, depth):
+    def __init__(self, task, e_initial, lib, evaluator, cfg, stats, rng, cache):
         self.task = task
         self.task_index = lib.task_index(task)
         self.caller_level = lib.spec(task.program_name).level
@@ -459,24 +458,23 @@ class _Context:
         self.stats = stats
         self.rng = rng
         self.cache = cache
-        self.depth = depth
 
 
 def recurse_subprogram(
     env: EnvState, spec: ProgramSpec, lib: ProgramLibrary, evaluator: Evaluator,
     cfg: SearchConfig, stats: SearchStats, rng: np.random.Generator,
-    cache: Optional[dict] = None, depth: int = 0,
+    cache: Optional[dict] = None,
 ) -> tuple[Optional[EnvState], bool]:
     """Run a learned program as a nested search episode from `env`.
 
-    Returns its final state on reward 1, or (None, False) when the nested
-    episode fails; the caller then pins that edge's value at zero. Results
-    are memoized per (program, state) while parameters are frozen.
+    Returns (its final state, True) on reward 1, or (None, False) when the
+    nested episode fails; the caller then pins that edge's value at zero.
+    Results are memoized per (program, state) while parameters are frozen.
+    The nested episode's own calls are to programs of a lower level than
+    `spec` (`feasible_pairs`), so the nesting ends by the bottom level.
     """
     if spec.is_atomic:
         raise SearchError(f"recurse_subprogram on atomic {spec.name}")
-    if depth >= MAX_RECURSION:
-        raise SearchError("recursion exceeded the library height")
     key = (spec.name, env)
     if cache is not None and key in cache:
         return cache[key]
@@ -488,7 +486,7 @@ def recurse_subprogram(
         stats.recursions += 1
         _, r, final_env = search_episode(
             TaskId(spec.name), env, evaluator, lib, nested_cfg, stats, rng,
-            cache=cache, depth=depth + 1)
+            cache=cache)
         result = (final_env, True) if r == 1 else (None, False)
     if cache is not None:
         cache[key] = result
@@ -506,18 +504,12 @@ def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
     if spec.is_atomic:
         child.env = P.apply_atomic(node.env, spec, args)
     else:
-        result_env, ok = recurse_subprogram(
+        child.env, _ = recurse_subprogram(
             node.env, spec, ctx.lib, ctx.evaluator, ctx.cfg, ctx.stats,
-            ctx.rng, ctx.cache, ctx.depth)
-        if not ok:
-            child.terminal = True
-            child.value = 0.0
-            child.failed_subcall = True
-            node.children[idx] = child
-            return child
-        child.env = result_env
-    if child.depth >= max_depth:
-        # No action budget left below this state and it has not stopped.
+            ctx.rng, ctx.cache)
+    if child.env is None or child.depth >= max_depth:
+        # A failed call, or no action budget left below a state that has
+        # not stopped.
         child.terminal = True
         child.value = 0.0
     node.children[idx] = child
@@ -612,13 +604,13 @@ def _grow(
     task: TaskId, env: EnvState, hidden: HiddenState, e_initial: EnvState,
     lib: ProgramLibrary, evaluator: Evaluator, cfg: SearchConfig,
     stats: SearchStats, rng: np.random.Generator,
-    steps_taken: int = 0, cache: Optional[dict] = None, depth: int = 0,
+    steps_taken: int = 0, cache: Optional[dict] = None,
 ) -> Generator[LeafRequest, Evaluation, SearchResult]:
     """`run_search` as a search generator: it yields each leaf request of
     this tree and returns the SearchResult. Nested searches of learned
     calls still run to completion inside it, through `evaluator`."""
     cfg.validate()
-    ctx = _Context(task, e_initial, lib, evaluator, cfg, stats, rng, cache, depth)
+    ctx = _Context(task, e_initial, lib, evaluator, cfg, stats, rng, cache)
     cap = step_cap(task, e_initial.n)
     max_depth = cap - steps_taken
     if max_depth < 1:
@@ -659,8 +651,7 @@ def _grow(
     child = root.children[chosen]
     if child is None:
         child = _materialize(root, chosen, ctx, max_depth)
-    next_env = None if child.failed_subcall else child.env
-    return SearchResult(pi_p_mcts, pi_a_mcts, spec, args, next_env, root.h_out, root)
+    return SearchResult(pi_p_mcts, pi_a_mcts, spec, args, child.env, root.h_out, root)
 
 
 def _drive(search: Generator[LeafRequest, Evaluation, Any], evaluator: Evaluator):
@@ -679,7 +670,7 @@ def run_search(
     task: TaskId, env: EnvState, hidden: HiddenState, e_initial: EnvState,
     lib: ProgramLibrary, evaluator: Evaluator, cfg: SearchConfig,
     stats: SearchStats, rng: np.random.Generator,
-    steps_taken: int = 0, cache: Optional[dict] = None, depth: int = 0,
+    steps_taken: int = 0, cache: Optional[dict] = None,
 ) -> SearchResult:
     """Grow one tree from `env` and commit a single action.
 
@@ -688,7 +679,7 @@ def run_search(
     observation is returned for the episode to carry forward.
     """
     return _drive(_grow(task, env, hidden, e_initial, lib, evaluator, cfg, stats, rng,
-                        steps_taken, cache, depth), evaluator)
+                        steps_taken, cache), evaluator)
 
 
 def _solo_tree(*args) -> Generator[LeafRequest, Evaluation, SearchResult]:
@@ -701,7 +692,7 @@ def _solo_tree(*args) -> Generator[LeafRequest, Evaluation, SearchResult]:
 def _episode(
     task: TaskId, env: EnvState, evaluator: Evaluator, lib: ProgramLibrary,
     cfg: SearchConfig, stats: SearchStats, rng: np.random.Generator,
-    cache: Optional[dict], depth: int, tree: Callable,
+    cache: Optional[dict], tree: Callable,
 ) -> Generator[LeafRequest, Evaluation, tuple[list[EpisodeStep], int, EnvState]]:
     """The episode loop of `search_episode`, growing each step's tree with
     `tree` (`_grow`, or `_solo_tree`); yields the trees' leaf requests."""
@@ -711,7 +702,7 @@ def _episode(
     cap = step_cap(task, env.n)
     for t in range(cap):
         res = yield from tree(task, e, hidden, env, lib, evaluator, cfg, stats,
-                              rng, t, cache, depth)
+                              rng, t, cache)
         steps.append(EpisodeStep(
             obs=observe(e),
             action_name=res.spec.name,
@@ -733,15 +724,15 @@ def _episode(
 def search_episode(
     task: TaskId, env: EnvState, evaluator: Evaluator, lib: ProgramLibrary,
     cfg: SearchConfig, stats: SearchStats, rng: np.random.Generator,
-    cache: Optional[dict] = None, depth: int = 0,
+    cache: Optional[dict] = None,
 ) -> tuple[list[EpisodeStep], int, EnvState]:
     """Search-driven episode: one tree per action until stop or the cap.
 
     Returns the per-step records (observations, tree policies, actions),
     the episode reward, and the final state.
     """
-    return _drive(_episode(task, env, evaluator, lib, cfg, stats, rng, cache, depth,
-                           _solo_tree), evaluator)
+    return _drive(_episode(task, env, evaluator, lib, cfg, stats, rng, cache, _solo_tree),
+                  evaluator)
 
 
 # Top-level episodes `lockstep_episodes` keeps in flight. Measured on the
@@ -789,7 +780,7 @@ def lockstep_episodes(
             while len(flight) < LOCKSTEP_WIDTH and started < len(jobs):
                 task, env, rng = jobs[started]
                 live[started] = _episode(task, env, evaluator, lib, cfg, stats, rng,
-                                         cache, 0, _grow)
+                                         cache, _grow)
                 advance(started, None)
                 started += 1
             if not flight:
@@ -808,44 +799,49 @@ def lockstep_episodes(
 
 
 class GreedyPolicy(Protocol):
-    """Per-episode stateful action source for greedy execution."""
+    """Action source for greedy execution.
 
-    def begin(self, task: TaskId, env: EnvState) -> None: ...
-    def step(self, env: EnvState) -> tuple[ProgramSpec, ArgTuple]: ...
-    def end(self) -> None: ...
+    `start` is called once per program call, nested ones included, and
+    returns the step function of that call alone, which keeps the call's
+    state. The calls in flight are the frames of `execute_greedy`'s own
+    recursion."""
+
+    def start(self, task: TaskId, env: EnvState
+              ) -> Callable[[EnvState], tuple[ProgramSpec, ArgTuple]]: ...
 
 
 class NetworkGreedyPolicy:
     """Follows the network's argmax program/argument choice (no search),
-    one `forward` on the vector per step."""
+    one `forward` on the vector per step. Each call's step function keeps
+    the task index, the caller level and the hidden state, which starts at
+    zero."""
 
     def __init__(self, params: ParameterSet, lib: ProgramLibrary):
         self.params = params
         self.lib = lib
-        self._stack: list[list] = []  # [task index, caller level, hidden]
 
-    def begin(self, task: TaskId, env: EnvState) -> None:
-        self._stack.append([self.lib.task_index(task),
-                            self.lib.spec(task.program_name).level,
-                            zero_hidden(self.params.dims)])
+    def start(self, task: TaskId, env: EnvState
+              ) -> Callable[[EnvState], tuple[ProgramSpec, ArgTuple]]:
+        params, lib = self.params, self.lib
+        task_index = lib.task_index(task)
+        level = lib.spec(task.program_name).level
+        hidden = zero_hidden(params.dims)
 
-    def step(self, env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
-        frame = self._stack[-1]
-        task_index, level, hidden = frame
-        pi_p, pi_a, _, frame[2] = forward(self.params, observe(env), task_index, hidden)
-        feasible = feasible_pairs(env, level, self.lib)
-        if not feasible:
-            raise SearchError("dead-end state during greedy execution")
-        spec, args = greedy_select(pi_p, pi_a, feasible)
-        # argmax takes the first NaN it meets, so a NaN that could have
-        # steered the choice is in the chosen entries.
-        p, a = pi_p[self.lib.index(spec.name)], pi_a[P.args_encode(args)]
-        if not (math.isfinite(p) and math.isfinite(a)):
-            raise SearchError(f"non-finite greedy choice ({p}, {a}) from the network")
-        return spec, args
+        def step(env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
+            nonlocal hidden
+            pi_p, pi_a, _, hidden = forward(params, observe(env), task_index, hidden)
+            feasible = feasible_pairs(env, level, lib)
+            if not feasible:
+                raise SearchError("dead-end state during greedy execution")
+            spec, args = greedy_select(pi_p, pi_a, feasible)
+            # argmax takes the first NaN it meets, so a NaN that could have
+            # steered the choice is in the chosen entries.
+            p, a = pi_p[lib.index(spec.name)], pi_a[P.args_encode(args)]
+            if not (math.isfinite(p) and math.isfinite(a)):
+                raise SearchError(f"non-finite greedy choice ({p}, {a}) from the network")
+            return spec, args
 
-    def end(self) -> None:
-        self._stack.pop()
+        return step
 
 
 @dataclass
@@ -867,25 +863,19 @@ def execute_greedy(
     The reward comes from the environment oracle of the top-level task;
     exceeding the step cap scores 0. Sub-program outcomes are whatever
     states their own executions leave behind: nested calls (depth > 0) are
-    not scored and return None for the reward.
+    not scored and return None for the reward. The nesting ends by the
+    bottom level: a call's own calls are to programs of a lower level.
     """
-    if depth > MAX_RECURSION:
-        raise SearchError("recursion exceeded the library height")
-    policy.begin(task, env)
-    try:
-        e = env
-        cap = step_cap(task, env.n)
-        for _ in range(cap):
-            spec, args = policy.step(e)
-            if trace is not None:
-                trace.append(TraceEntry(depth, spec.name, args))
-            if spec.name == "stop":
-                return (reward(task, env, e) if depth == 0 else None), e
-            if spec.is_atomic:
-                e = P.apply_atomic(e, spec, args)
-            else:
-                _, e = execute_greedy(e, TaskId(spec.name), policy, lib,
-                                      trace, depth + 1)
-        return (0 if depth == 0 else None), e
-    finally:
-        policy.end()
+    step = policy.start(task, env)
+    e = env
+    for _ in range(step_cap(task, env.n)):
+        spec, args = step(e)
+        if trace is not None:
+            trace.append(TraceEntry(depth, spec.name, args))
+        if spec.name == "stop":
+            return (reward(task, env, e) if depth == 0 else None), e
+        if spec.is_atomic:
+            e = P.apply_atomic(e, spec, args)
+        else:
+            _, e = execute_greedy(e, TaskId(spec.name), policy, lib, trace, depth + 1)
+    return (0 if depth == 0 else None), e

@@ -9,8 +9,9 @@ _spec.loader.exec_module(bc)
 
 # Stands in for the program in a fake checkout: the names the battery
 # calls, returning data that depends on MARK only where the comments say,
-# and search trees whose one prior is PRIOR. Importing it logs the
-# importing process and its working directory.
+# and search trees whose one prior is PRIOR, grown by a tree generator that
+# `run_search` drives, as the program's search module has. Importing it logs
+# the importing process and its working directory.
 FAKE_ARGSYNTH = '''\
 import os
 from pathlib import Path
@@ -76,12 +77,20 @@ def sample_task_env(task, n, rng):
     return (task, n, float(rng.random()))
 
 
-def _run_search():
+def _grow():
     leaf = NS(visits=1, P=(), N=(), W=(), Q=(), children=[])
     return NS(root=NS(visits=2, P=[PRIOR], N=[1.0], W=[0.5], Q=[0.5], children=[leaf]))
+    yield
 
 
-search = NS(run_search=_run_search)
+def _run_search():
+    try:
+        next(search._grow())
+    except StopIteration as done:
+        return done.value
+
+
+search = NS(run_search=_run_search, _grow=_grow)
 trainer = NS(TraceRecord=NS)
 STEP = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
           pi_a_mcts=np.ones(2), hidden=np.zeros(1))
@@ -160,28 +169,9 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
 
 
 def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
+    """Trees are read in the tree generator, and a tree that `run_search`
+    returns is not read twice."""
     code, out = run(tmp_path, capsys, "a", "a", change_prior=float.fromhex("0x1.0000000000001p+0"))
-    assert code == 1
-    assert differing(out.out) == ["train seed 0: statistics of every tree",
-                                  "train seed 5: statistics of every tree",
-                                  "search seed 101: statistics of every tree",
-                                  "search seed 202: statistics of every tree"]
-
-
-def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):
-    code, out = run(tmp_path, capsys, "a", "grows no tree")
-    assert code == 1
-    assert "change:" in out.err and "a digest of trees covered none" in out.err
-
-
-def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
-    """In a checkout with `search._grow`, trees are read there, and a
-    tree that `run_search` alone returns is not read twice."""
-    for side, prior in (("parent", 1.0), ("change", 2.0)):
-        path = Path(fake_checkout(tmp_path / side, "a", prior))
-        init = path / "src" / "argsynth" / "__init__.py"
-        init.write_text(init.read_text() + GROW_PATCH)
-    code, out = bc.main([str(tmp_path / "parent"), str(tmp_path / "change")]), capsys.readouterr()
     assert code == 1
     assert differing(out.out) == ["train seed 0: statistics of every tree",
                                   "train seed 5: statistics of every tree",
@@ -190,24 +180,10 @@ def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
     assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 
-# Gives the fake a tree generator that `run_search` drives, as the
-# program's search module has.
-GROW_PATCH = """
-
-def _grow():
-    return _run_search()
-    yield
-
-
-def _drive_run_search():
-    try:
-        next(search._grow())
-    except StopIteration as done:
-        return done.value
-
-
-search = NS(run_search=_drive_run_search, _grow=_grow)
-"""
+def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, "a", "grows no tree")
+    assert code == 1
+    assert "change:" in out.err and "a digest of trees covered none" in out.err
 
 
 def test_a_side_that_fails_fails_the_comparison(tmp_path, capsys):

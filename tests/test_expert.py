@@ -8,6 +8,7 @@ from argsynth.expert import (
     expert_available,
     expert_script,
 )
+from argsynth import programs
 from argsynth.programs import build_library
 from argsynth.search import execute_greedy
 
@@ -63,11 +64,14 @@ def test_script_rejects_precondition_violations():
         expert_script(TaskId.QUICKSORT_UPDATE, env, "args")  # stack empty
 
 
-def test_policy_detects_leftover_script():
+def test_an_error_inside_a_scripted_run_reaches_the_caller(monkeypatch):
+    """An atomic call that raises in a nested scripted call, with the
+    caller's script still unfinished, reaches the caller unchanged."""
+    def failing_apply(env, spec, args):
+        raise EnvError("injected")
+
+    monkeypatch.setattr(programs, "apply_atomic", failing_apply)
     lib = build_library("args")
     env = sample_task_env(TaskId.PARTITION, 5, rng(6))
-    policy = ExpertPolicy(lib)
-    policy.begin(TaskId.PARTITION, env)
-    policy.step(env)
-    with pytest.raises(RuntimeError):
-        policy.end()
+    with pytest.raises(EnvError, match="injected"):
+        execute_greedy(env, TaskId.PARTITION, ExpertPolicy(lib), lib)

@@ -81,8 +81,10 @@ class TestInit:
         assert tuple(init_params(0, small_dims()).arrays) == network.PARAM_LAYOUT
 
     def test_head_dimension_tracks_library(self):
-        assert init_params(0, dims_for_library(build_library("args")))["prog_w"].shape[1] == 12
-        assert init_params(0, dims_for_library(build_library("noargs")))["prog_w"].shape[1] == 17
+        params = init_params(0, dims_for_library(build_library("args")))
+        assert params.arrays["prog_w"].shape[1] == 12
+        params = init_params(0, dims_for_library(build_library("noargs")))
+        assert params.arrays["prog_w"].shape[1] == 17
 
 
 class TestForward:
@@ -739,7 +741,7 @@ class TestCheckpoints:
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
         assert path.read_bytes() == old
         loaded, _, _ = checkpoint_load(path, expected_manifest=lib.manifest())
-        assert all(np.array_equal(loaded[n], params[n]) for n in params.arrays)
+        assert all(np.array_equal(loaded.arrays[n], params.arrays[n]) for n in params.arrays)
 
     def test_save_replaces_and_leaves_no_stray_file(self, tmp_path):
         lib = build_library("args")
@@ -749,7 +751,7 @@ class TestCheckpoints:
             checkpoint_save(params, None, lib.manifest(), path)
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
         loaded, _, _ = checkpoint_load(path)
-        assert all(np.array_equal(loaded[n], params[n]) for n in params.arrays)
+        assert all(np.array_equal(loaded.arrays[n], params.arrays[n]) for n in params.arrays)
 
     def test_manifest_guard(self, tmp_path):
         lib = build_library("noargs")

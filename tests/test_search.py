@@ -10,6 +10,7 @@ from argsynth.env import (
     make_env,
     observe,
     oracle_transform,
+    reward,
     sample_task_env,
     step_cap,
 )
@@ -810,8 +811,34 @@ class TestRecursion:
         for i, (spec, args) in enumerate(root.edges):
             child = root.children[i]
             if not spec.is_atomic and child is not None:
-                assert child.terminal and child.failed_subcall
+                assert child.terminal and child.env is None
                 assert root.W[i] == 0.0
+
+    def test_the_level_rule_is_the_only_bound_on_nesting(self, rigged_evaluator,
+                                                         monkeypatch):
+        """quicksort nests four episodes deep, down to the bottom level, and
+        nothing else stops it there."""
+        chain, deepest = [], []
+        real = search.search_episode
+
+        def tracking(task, *args, **kwargs):
+            chain.append(task.program_name)
+            if len(chain) > len(deepest):
+                deepest[:] = chain
+            try:
+                return real(task, *args, **kwargs)
+            finally:
+                chain.pop()
+
+        monkeypatch.setattr(search, "search_episode", tracking)
+        r = rng(8)
+        env = sample_task_env(TaskId.QUICKSORT, 4, r)
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=30, nested_simulations=30,
+                           training=False)
+        final, ok = recurse_subprogram(env, self.lib.spec("quicksort"), self.lib,
+                                       rigged_evaluator(self.lib), cfg, SearchStats(), r)
+        assert ok and reward(TaskId.QUICKSORT, env, final) == 1
+        assert deepest == ["quicksort", "quicksort_update", "partition", "partition_update"]
 
     def test_atomic_recursion_rejected(self):
         with pytest.raises(SearchError):

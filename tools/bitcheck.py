@@ -26,10 +26,9 @@ checkout's `src/` first on the import path. The battery:
   differs whenever the episodes do.
 
 Trees are read where they are grown: through `search._grow`, the tree
-generator that both `run_search` and the trainer's lockstep episodes use,
-or through `search.run_search` in a checkout without it. Each episode and
-tree digest ends with the number of episodes or trees it covered, and a
-side whose digest covered none fails.
+generator that both `run_search` and the trainer's lockstep episodes use.
+Each episode and tree digest ends with the number of episodes or trees it
+covered, and a side whose digest covered none fails.
 
 Exits 1 when any digest differs or a side fails to produce them, 0 when
 all are equal. The script imports nothing of the program in its own
@@ -109,23 +108,15 @@ def battery(A) -> dict[str, str]:
             hash_steps(records.sha, fields["steps"])
         return make_record(**fields)
 
-    if hasattr(A.search, "_grow"):
-        grow_name, grow = "_grow", A.search._grow
+    grow = A.search._grow
 
-        def hashing_grow(*args, **kwargs):
-            res = yield from grow(*args, **kwargs)
-            hash_tree(res.root)
-            return res
-    else:
-        grow_name, grow = "run_search", A.search.run_search
-
-        def hashing_grow(*args, **kwargs):
-            res = grow(*args, **kwargs)
-            hash_tree(res.root)
-            return res
+    def hashing_grow(*args, **kwargs):
+        res = yield from grow(*args, **kwargs)
+        hash_tree(res.root)
+        return res
 
     make_record = A.trainer.TraceRecord
-    setattr(A.search, grow_name, hashing_grow)  # every tree, nested ones too
+    A.search._grow = hashing_grow  # every tree, nested ones too
     A.trainer.TraceRecord = hashing_record
     try:
         out = {}
@@ -158,7 +149,7 @@ def battery(A) -> dict[str, str]:
             out[f"search seed {seed}: {EPISODES} exact partition episodes"] = episodes.digest()
             out[f"search seed {seed}: statistics of every tree"] = tally["trees"].digest()
     finally:
-        setattr(A.search, grow_name, grow)
+        A.search._grow = grow
         A.trainer.TraceRecord = make_record
 
     rows = A.evaluate_generalization(A.NetworkGreedyPolicy(params, lib), lib, seed=0,
