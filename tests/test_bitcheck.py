@@ -169,21 +169,30 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
 
 
 def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
-    """Trees are read in the tree generator, and a tree that `run_search`
-    returns is not read twice."""
     code, out = run(tmp_path, capsys, "a", "a", change_prior=float.fromhex("0x1.0000000000001p+0"))
     assert code == 1
     assert differing(out.out) == ["train seed 0: statistics of every tree",
                                   "train seed 5: statistics of every tree",
                                   "search seed 101: statistics of every tree",
                                   "search seed 202: statistics of every tree"]
-    assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 
 def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "grows no tree")
     assert code == 1
     assert "change:" in out.err and "a digest of trees covered none" in out.err
+
+
+def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
+    """Trees are read in `search._grow`, and a tree that `run_search`
+    returns is not read twice."""
+    code, out = run(tmp_path, capsys, "a", "a", change_prior=2.0)
+    assert code == 1
+    assert differing(out.out) == ["train seed 0: statistics of every tree",
+                                  "train seed 5: statistics of every tree",
+                                  "search seed 101: statistics of every tree",
+                                  "search seed 202: statistics of every tree"]
+    assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 
 def test_a_side_that_fails_fails_the_comparison(tmp_path, capsys):
