@@ -112,10 +112,14 @@ def zero_hidden(dims: NetworkDims) -> HiddenState:
 
 
 def _softmax_in_place(z: np.ndarray) -> None:
-    """Softmax over the last axis, written over the logits `z`."""
-    z -= z.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, written over the logits `z`.
+
+    `np.maximum.reduce` and `np.add.reduce` are the ufuncs that `.max()`
+    and `.sum()` run, called without the methods' argument handling: the
+    same bits at less cost on the one-vector step."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -486,7 +490,7 @@ def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
 
 def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     out = np.where(mask, pi, 0.0)
-    total = out.sum()
+    total = np.add.reduce(out)
     if total == 0:
         out[mask] = 1.0 / np.count_nonzero(mask)
     else:

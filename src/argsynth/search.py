@@ -9,16 +9,22 @@ triggers a nested search for that program with a fresh hidden state.
 Most simulations of a well-trained search walk an existing path back to a
 terminal leaf. Such a simulation draws no random numbers, calls no
 evaluator and builds no node, so when one repeats the previous
-simulation's path, `run_search` fast-forwards: `_fast_forward` scores the
-next simulations' PUCT choices at every node on the path at once. Each
-simulation down a fixed path adds one visit to every node on it and the
-leaf's value to each chosen edge. The scores after j more of them are
+simulation's path, `run_search` fast-forwards: `_fast_forward` finds how
+many more simulations would take the same path, without running them.
+Each simulation down a fixed path adds one visit to every node on it and
+the leaf's value to each chosen edge. The scores after j more of them are
 then closed forms of j: sqrt(visits + j), N + j, and W plus j copies of
-the value, summed in sequence. They are computed with the operations of
-`puct_select`, in its order, so the first simulation that would leave the
-path is found exactly. The visits before it are applied in one step, and
-the tree, the statistics and the random stream end as the one-at-a-time
-loop would leave them, bit for bit.
+the value, summed in sequence. `_fast_forward` scores them row by row, in
+Python floats, with the operations of `puct_select` in its order, and
+stops at the first row that would leave the path, so that row is found
+exactly. A row is scored only against the edges that could win it: the
+visited ones, and each unvisited edge whose prior is above that of every
+unvisited edge before it; an unvisited edge with a lower or equal prior
+than an earlier one never scores above it. Their scores only grow from
+row to row, so a row in which the path's edge scores above all of their
+last-row scores needs no more. The visits before the row that leaves are
+applied in one step, and the tree, the statistics and the random stream
+end as the one-at-a-time loop would leave them, bit for bit.
 
 Approximate expansion draws its sample with `_sample_distinct`, numpy's
 no-replacement algorithm of `Generator.choice` written out inline. A call
@@ -55,6 +61,17 @@ the rows of one step: at six rows, about 41 µs a request against 113 µs
 for a step on one vector (one BLAS thread of a 2-core x86 host). Both
 drivers share one episode loop, `_episode`, and return what it returns.
 Nested searches stay synchronous inside their episode's step.
+
+An episode often asks again for a leaf it has already had evaluated:
+each tree grows from an empty root, while the tree before it already
+evaluated that root and the nodes below it. `NetworkEvaluator` keeps
+the answers of its last `EVALUATOR_MEMO` waves of one and gives a repeat
+the same answer again, the arrays that `forward` gave it. The network is
+deterministic and a request is keyed by its state, task index and the
+bytes of its hidden state, so a search that gets the kept answer runs
+bit for bit as one that computes it again. Lockstep's waves of several
+rows go to the network each time, because a row's answer can differ in
+its last bits from the wave of one's.
 """
 from __future__ import annotations
 
@@ -159,9 +176,10 @@ class Evaluator(Protocol):
     `evaluate_many` is the one leaf call. It answers a wave of requests,
     one answer per request, in order: a wave of one from a search that
     runs alone, or one request from each of several independent searches
-    (`lockstep_episodes`). A returned hidden state should hold no other
-    answer's arrays: a tree keeps the hidden states of its nodes for as
-    long as it lives.
+    (`lockstep_episodes`). Answers to identical requests may share
+    arrays, because nothing writes to an answer's arrays. A tree keeps the
+    hidden states of its nodes for as long as it lives, so an answer
+    should hold no arrays of other answers.
 
     `env` is only the current state. The hidden state is the evaluator's
     only channel for the history of the running episode: each answer
@@ -176,21 +194,47 @@ class Evaluator(Protocol):
     def initial_hidden(self) -> HiddenState: ...
 
 
+# Answers of waves of one that `NetworkEvaluator` keeps. Measured on the
+# `search_nested` benchmark (see CHANGES.md): 16, 64, 256 and unbounded
+# memos answered 15%, 19%, 20% and 20.2% of the leaf requests.
+EVALUATOR_MEMO = 64
+
+
 class NetworkEvaluator:
     """The network as the search's evaluator.
 
     `evaluate_many` runs a wave of one as one `forward` on the vector, and
     a larger wave as the rows of one network step (`forward_rows`), which
     can differ from `forward` on the same request in the last bits.
+
+    A wave of one that repeats one of the last `EVALUATOR_MEMO` waves of
+    one, to the bytes of its hidden state, gets that wave's answer again:
+    the arrays `forward` gave, shared. `hits` and `misses` count such
+    waves. Larger waves neither read nor fill the memo. The answers hold
+    while the parameters stay as they are: `train_step` updates them in
+    place, so an evaluator serves one set of frozen parameters, and the
+    trainer makes a new one each iteration.
     """
 
     def __init__(self, params: ParameterSet):
         self.params = params
+        self._memo: dict[tuple, Evaluation] = {}
+        self.hits = self.misses = 0
 
     def evaluate_many(self, requests):
         if len(requests) == 1:
             (env, task_index, hidden), = requests
-            return [forward(self.params, observe(env), task_index, hidden)]
+            key = (env, task_index, hidden.h.tobytes(), hidden.c.tobytes())
+            answer = self._memo.get(key)
+            if answer is not None:
+                self.hits += 1
+                return [answer]
+            self.misses += 1
+            answer = forward(self.params, observe(env), task_index, hidden)
+            self._memo[key] = answer
+            if len(self._memo) > EVALUATOR_MEMO:
+                del self._memo[next(iter(self._memo))]
+            return [answer]
         return forward_rows(self.params, [observe(env) for env, _, _ in requests],
                             [task_index for _, task_index, _ in requests],
                             [hidden for _, _, hidden in requests])
@@ -234,8 +278,8 @@ class Node:
     `P`, `N`, `W` and `Q` are lists of finite Python floats, one entry per
     edge: on the few edges of a node, list indexing and float arithmetic
     cost less than numpy calls and give the same bits (see the module
-    docstring). Code that wants arrays builds them, as `_fast_forward`
-    and `run_search` do.
+    docstring). Code that wants arrays builds them, as `_grow` does for
+    the root's visit counts.
     """
 
     __slots__ = (
@@ -302,7 +346,7 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
 def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) -> np.ndarray:
     """Factorized prior over the node's feasible pairs, renormalized."""
     pri = pi_p_masked[node.feasible.prog_idx] * pi_a_masked[node.feasible.arg_idx]
-    total = pri.sum()
+    total = np.add.reduce(pri)
     if not math.isfinite(total):
         raise SearchError(f"non-finite prior mass {total} from the evaluator")
     if total > 0:
@@ -399,14 +443,14 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
         p_sample = pri
         if np.count_nonzero(p_sample) < cfg.n_expand:
             p_sample = p_sample + 1e-12
-        p_sample = p_sample / p_sample.sum()
+        p_sample = p_sample / np.add.reduce(p_sample)
         picked = np.sort(_sample_distinct(rng, p_sample, cfg.n_expand))
         node.edges = node.feasible.take(picked)
         pri = pri[picked]
-        pri = pri / pri.sum()
+        pri = pri / np.add.reduce(pri)
     else:
         node.edges = node.feasible
-        pri = pri / pri.sum()
+        pri = pri / np.add.reduce(pri)
     assert cfg.mode != MODE_APPROX or len(node.edges) <= cfg.n_expand
     k = len(node.edges)
     node.P = pri.tolist()
@@ -559,6 +603,31 @@ def _simulate(root: Node, ctx: _Context, max_depth: int
     return path, value
 
 
+def _rivals(node: Node, idx: int, c_puct: float
+            ) -> tuple[list[tuple[float, float, float]], list[tuple[float, float, float]]]:
+    """The edges of `node` that could take a simulation from edge `idx`,
+    below and above it, each as (Q, c_puct * P, 1 + N): the terms of its
+    score in `puct_select`.
+
+    Every visited edge is a rival. The unvisited ones (N 0, Q FPU_Q) score
+    FPU_Q plus a bonus that only their prior sets, so one with a prior at
+    or below that of an unvisited edge of lower index never scores above
+    that edge: whenever it would beat edge `idx`, the lower edge beats
+    it too, ties included. Only those with a prior above every such lower
+    prior are kept."""
+    lower, upper = [], []
+    top = -math.inf  # the highest prior of an unvisited edge so far
+    for e, (p, n, q) in enumerate(zip(node.P, node.N, node.Q)):
+        if e == idx:
+            continue
+        if n == 0.0:
+            if p <= top:
+                continue
+            top = p
+        (lower if e < idx else upper).append((q, c_puct * p, 1.0 + n))
+    return lower, upper
+
+
 def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) -> int:
     """Apply at once the longest run, up to `budget`, of simulations that
     would repeat `path`; returns the run's length. `path` is the one the
@@ -568,31 +637,50 @@ def _fast_forward(path: SearchPath, value: float, budget: int, c_puct: float) ->
     Row j scores each node on the path as `puct_select` would after j more
     visits down the path, in the same operation order: the visit count,
     the edge's N and its W (summed in sequence) are closed forms of j.
+    Rows are scored one at a time, in Python floats, against the edges of
+    `_rivals` alone, and the first row that leaves the path ends the run.
+    A rival's score rises with sqrt(visits + j) and nothing else, and every
+    operation of it rounds monotonically, so a row whose edge scores above
+    every rival's last-row score stays on the path without scoring them.
     """
     k = budget
-    j = np.arange(float(budget))
-    run = np.full(budget + 1, value)  # run[0] = W before the run, then one value per visit
     for node, idx in path[:-1]:
         if k == 0:
             break
-        if len(node.N) == 1:
+        lower, upper = _rivals(node, idx, c_puct)
+        if not (lower or upper):
             continue
-        N = np.array(node.N)
-        n = N[idx] + j[:k]
-        run[0] = node.W[idx]
-        s = np.sqrt(node.visits + j[:k])
-        cp = c_puct * np.array(node.P)
-        score = np.array(node.Q) + cp * s[:, None] / (1.0 + N)
-        score[:, idx] = np.add.accumulate(run[:k]) / n + cp[idx] * s / (1.0 + n)
-        off = np.flatnonzero(score.argmax(axis=1) != idx)
-        if off.size:
-            k = int(off[0])
+        n0, w, cp, visits = node.N[idx], node.W[idx], c_puct * node.P[idx], node.visits
+        s = math.sqrt(visits + k - 1)
+        bound = max(q + c * s / d for q, c, d in lower + upper)
+        for j in range(k):
+            if j:
+                w += value
+            s = math.sqrt(visits + j)
+            n = n0 + j
+            score = w / n + cp * s / (1.0 + n)
+            if score > bound:
+                continue
+            left = False
+            for q, c, d in lower:  # a tie goes to the lower index
+                if q + c * s / d >= score:
+                    left = True
+                    break
+            if not left:
+                for q, c, d in upper:
+                    if q + c * s / d > score:
+                        left = True
+                        break
+            if left:
+                k = j
+                break
     if k:
         for node, idx in path[:-1]:
             node.visits += k
             n = node.N[idx] + k
-            run[0] = node.W[idx]
-            w = float(np.add.accumulate(run[:k + 1])[k])
+            w = node.W[idx]
+            for _ in range(k):
+                w += value
             node.N[idx] = n
             node.W[idx] = w
             node.Q[idx] = w / n

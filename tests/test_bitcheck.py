@@ -90,7 +90,16 @@ def _run_search():
         return done.value
 
 
-search = NS(run_search=_run_search, _grow=_grow)
+def _lockstep_episodes(jobs, evaluator, lib, cfg, stats, cache):
+    search.run_search()
+    return [([STEP], 1, env) for _, env, _ in jobs]
+
+
+def SearchStats():
+    return "stats"
+
+
+search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes)
 trainer = NS(TraceRecord=NS)
 STEP = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
           pi_a_mcts=np.ones(2), hidden=np.zeros(1))
@@ -149,7 +158,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 12 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 13 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -174,7 +183,8 @@ def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
     assert differing(out.out) == ["train seed 0: statistics of every tree",
                                   "train seed 5: statistics of every tree",
                                   "search seed 101: statistics of every tree",
-                                  "search seed 202: statistics of every tree"]
+                                  "search seed 202: statistics of every tree",
+                                  "lockstep: 7 exact partition episodes, with every tree"]
 
 
 def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):
@@ -191,7 +201,8 @@ def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
     assert differing(out.out) == ["train seed 0: statistics of every tree",
                                   "train seed 5: statistics of every tree",
                                   "search seed 101: statistics of every tree",
-                                  "search seed 202: statistics of every tree"]
+                                  "search seed 202: statistics of every tree",
+                                  "lockstep: 7 exact partition episodes, with every tree"]
     assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 

@@ -278,6 +278,31 @@ def assert_fast_forward_matches(stats, value, budget, c_puct):
     return k
 
 
+@st.composite
+def path_stats(draw):
+    """1 to 5 nodes of 1 to 20 edges, each node with its chosen edge:
+    many edges unvisited (at FPU_Q), and priors either free, equal to
+    the edge before or a step below it, which are the tie cases of the
+    rivals' pruning."""
+    stats = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(1, 20))
+        idx = draw(st.integers(0, m - 1))
+        priors, N, W = [], [], []
+        for e in range(m):
+            tie = draw(st.sampled_from(["free", "equal", "below"])) if e else "free"
+            if tie == "free":
+                priors.append(draw(st.floats(0.01, 1.0)))
+            else:
+                priors.append(priors[-1] * (1.0 if tie == "equal" else 0.75))
+            n = draw(st.one_of(st.just(0), st.integers(0, 30)))
+            n = max(n, 1) if e == idx else n
+            N.append(n)
+            W.append(draw(st.floats(0.0, 1.0)) * n)
+        stats.append((list(np.array(priors) / sum(priors)), N, W, idx))
+    return stats
+
+
 class TestFastForward:
     """`_fast_forward` against one simulation at a time on built chains."""
 
@@ -333,26 +358,25 @@ class TestFastForward:
         stats = [([1.0], [4], [1.3], 0), ([1.0], [1], [0.0], 0)]
         assert assert_fast_forward_matches(stats, 0.0, 25, 1.0) == 25
 
+    def test_rivals_skip_unvisited_edges_behind_a_prior_as_high(self):
+        # Edge 3 is the chosen one. Unvisited 1 trails unvisited 0's prior,
+        # 5 ties 4's, and 7 trails 6's; visited edges are always rivals.
+        priors = [0.10, 0.05, 0.20, 0.15, 0.12, 0.12, 0.18, 0.08]
+        N = [0, 0, 2, 3, 0, 0, 0, 1]
+        node = bare_node(8, priors=priors, N=N, W=[0.0, 0.0, 1.0, 2.0, 0, 0, 0, 0.5])
+        lower, upper = search._rivals(node, 3, 2.0)
+        kept = lambda e: (node.Q[e], 2.0 * priors[e], 1.0 + N[e])
+        assert lower == [kept(0), kept(2)]
+        assert upper == [kept(4), kept(6), kept(7)]
+
     @given(
-        nodes=st.lists(
-            st.tuples(
-                st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(0, 30),
-                                   st.floats(0.0, 1.0)), min_size=1, max_size=8),
-                st.integers(0, 7)),
-            min_size=1, max_size=5),
+        stats=path_stats(),
         value=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        budget=st.integers(1, 60),
+        budget=st.integers(1, 200),
         c_puct=st.sampled_from([0.0, 1.0, 3.0]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_one_at_a_time(self, nodes, value, budget, c_puct):
-        stats = []
-        for edges, pick in nodes:
-            idx = pick % len(edges)
-            priors = [p for p, _, _ in edges]
-            N = [max(n, 1) if i == idx else n for i, (_, n, _) in enumerate(edges)]
-            W = [q * n for (_, _, q), n in zip(edges, N)]
-            stats.append((list(np.array(priors) / sum(priors)), N, W, idx))
+    def test_matches_one_at_a_time(self, stats, value, budget, c_puct):
         assert_fast_forward_matches(stats, value, budget, c_puct)
 
 
@@ -1204,6 +1228,71 @@ class TestEvaluateMany:
         for bad in (-1, len(TASKS)):
             with pytest.raises(ValueError, match="task ind"):
                 ev.evaluate_many(requests[:-1] + [(env, bad, hidden)])
+
+    def test_a_repeated_wave_of_one_gets_the_bytes_of_forward(self):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        requests = self.requests(6, 5)
+        first = [ev.evaluate_many([request])[0] for request in requests]
+        for request, answer in zip(requests, first):
+            env, task_index, hidden = request
+            # The same bytes in new arrays are the same request.
+            again, = ev.evaluate_many([(env, task_index, HiddenState(hidden.h.copy(),
+                                                                      hidden.c.copy()))])
+            want = self.by_forward(ev, *request)
+            assert again is answer
+            assert again[0].tobytes() == want[0].tobytes()
+            assert again[1].tobytes() == want[1].tobytes()
+            assert again[2] == want[2]
+            assert again[3].h.tobytes() == want[3].h.tobytes()
+            assert again[3].c.tobytes() == want[3].c.tobytes()
+        assert (ev.hits, ev.misses) == (5, 5)
+        env, task_index, hidden = requests[0]
+        ev.evaluate_many([(env, task_index, HiddenState(hidden.h, -hidden.c))])
+        assert (ev.hits, ev.misses) == (5, 6)
+
+    def test_a_wave_of_several_neither_reads_nor_fills_the_memo(self):
+        ev = NetworkEvaluator(trained_params())
+        a, b = self.requests(7, 2)
+        kept, = ev.evaluate_many([a])
+        row_a, _ = ev.evaluate_many([a, b])
+        assert row_a is not kept
+        assert (ev.hits, ev.misses) == (0, 1)
+        ev.evaluate_many([b])
+        assert (ev.hits, ev.misses) == (0, 2)
+
+    def test_the_memo_keeps_the_last_answers(self):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        requests = self.requests(8, search.EVALUATOR_MEMO + 1)
+        for request in requests:
+            ev.evaluate_many([request])
+            assert len(ev._memo) <= search.EVALUATOR_MEMO
+        assert len(ev._memo) == search.EVALUATOR_MEMO
+        for request in requests[1:]:
+            ev.evaluate_many([request])
+        assert ev.hits == search.EVALUATOR_MEMO
+        ev.evaluate_many([requests[0]])
+        assert ev.misses == search.EVALUATOR_MEMO + 2
+
+    def test_search_episodes_run_as_without_the_memo(self, monkeypatch):
+        cfg = SearchConfig(mode=MODE_EXACT, training=True)
+        params = trained_params()
+        runs = []
+        for size in (search.EVALUATOR_MEMO, 0):
+            monkeypatch.setattr(search, "EVALUATOR_MEMO", size)
+            ev, stats, r, cache = NetworkEvaluator(params), SearchStats(), rng(41), {}
+            episodes = []
+
+            def run():
+                for n in range(2, 8):
+                    env = sample_task_env(TaskId.PARTITION, n, r)
+                    episodes.append(episode_bytes(*search_episode(
+                        TaskId.PARTITION, env, ev, self.lib, cfg, stats, r, cache=cache)))
+
+            trees = [tree_bytes(res.root) for res in searched_trees(run, fast_forward=True)]
+            runs.append((episodes, trees, stats, ev.hits, ev.hits + ev.misses))
+        (episodes, trees, stats, hits, requests), bare = runs
+        assert stats.recursions > 0 and hits > requests / 10
+        assert bare == (episodes, trees, stats, 0, requests)
 
     def test_forward_rows_checks_the_observation_shape(self):
         from argsynth.network import forward_rows

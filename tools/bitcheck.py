@@ -19,6 +19,12 @@ checkout's `src/` first on the import path. The battery:
   and nested: each node's visit count and its edges' `P`, `N`, `W` and
   `Q` as float64 bytes. A last-bit change in a prior seldom changes a
   visit count, so the digest above alone would miss it;
+- one digest of `lockstep_episodes` on 7 exact-mode `partition` jobs
+  with `bench/params.ckpt`, training noise on and a shared nested memo:
+  what each episode returns and the `SearchStats`, then every tree the
+  episodes grew, top-level and nested. The top level runs in waves of
+  several rows while the nested searches run in waves of one, which no
+  digest above combines;
 - the greedy `evaluate_generalization` grid with `bench/params.ckpt` at
   seed 0, lengths 5/10/20/40/60, five trials a cell;
 - the parameters and the Adam moments `m` and `v` after 16 `train_step`s
@@ -51,6 +57,10 @@ TRAIN_SEEDS = (0, 5)
 TRAIN_ITERATIONS = 3
 SEARCH_SEEDS = (101, 202)
 EPISODES = 40
+# (length, seed of the start state) per lockstep job; the job's stream is
+# seeded with the seed plus 1000.
+LOCKSTEP_JOBS = [(2 + i % 4, 300 + i) for i in range(7)]
+LOCKSTEP_SIMULATIONS = (25, 15)  # top-level and nested
 EVAL_LENGTHS = (5, 10, 20, 40, 60)
 EVAL_TRIALS = 5
 TRAIN_STEPS, TRAIN_BATCH = 16, 16
@@ -148,6 +158,21 @@ def battery(A) -> dict[str, str]:
                 records.append(record)
             out[f"search seed {seed}: {EPISODES} exact partition episodes"] = episodes.digest()
             out[f"search seed {seed}: statistics of every tree"] = tally["trees"].digest()
+
+        top, nested = LOCKSTEP_SIMULATIONS
+        jobs = [(A.TaskId.PARTITION, A.sample_task_env(A.TaskId.PARTITION, n, generator(s)),
+                 generator(s + 1000)) for n, s in LOCKSTEP_JOBS]
+        stats, tally["trees"] = A.SearchStats(), Tally("trees")
+        outcomes = A.search.lockstep_episodes(
+            jobs, A.NetworkEvaluator(params), lib,
+            A.SearchConfig(mode=A.MODE_EXACT, simulations=top, nested_simulations=nested,
+                           training=True), stats, {})
+        lock = tally["trees"]
+        for steps, reward, final in outcomes:
+            lock.sha.update(repr((reward, final)).encode())
+            hash_steps(lock.sha, steps)
+        lock.sha.update(repr(stats).encode())
+        out[f"lockstep: {len(jobs)} exact partition episodes, with every tree"] = lock.digest()
     finally:
         A.search._grow = grow
         A.trainer.TraceRecord = make_record
