@@ -143,12 +143,12 @@ class ExpertPolicy:
 
     Each call's step function walks that call's script, planned from the
     call's entry state, one entry per step; a nested learned call gets a
-    script of its own."""
+    script of its own. It keeps nothing in the execution's memo."""
 
     def __init__(self, lib: ProgramLibrary):
         self.lib = lib
 
-    def start(self, task: TaskId, env: EnvState
+    def start(self, task: TaskId, env: EnvState, memo: dict
               ) -> Callable[[EnvState], tuple[P.ProgramSpec, ArgTuple]]:
         script = iter(expert_script(task, env, self.lib.mode))
 

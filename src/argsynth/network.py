@@ -145,24 +145,12 @@ class _Step(NamedTuple):
     value: np.ndarray
 
 
-def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
-          h_prev: np.ndarray, c_prev: np.ndarray) -> _Step:
-    """The network on one observation (obs [obs], an int task, h/c
-    [hidden]) or on b rows at once (obs [b, obs], task [b], h/c
-    [b, hidden]). Rows go through matrix products and a vector through
-    matrix-vector products, so a row can differ in its last bits from the
-    same input run alone.
-
-    The adds, clips and activations work in place on arrays this step has
-    just made, never on its inputs or the parameters. An elementwise
-    operation rounds each entry the same whether it writes a new array or
-    an old one, and every operation here runs in the order of the plain
-    expressions, so the results are the same bits. One sigmoid pass covers
-    all four gate blocks; the g-block is then overwritten with its tanh.
-    The activations are stored block by block, so that each gate is a
-    contiguous array for the elementwise work of the backward pass."""
+def input_half(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first piece of `_step`: the encoder, the task's embedding and
+    `x @ lstm_wx`. Returns (a1, x, u); u depends on the observation and
+    the task alone, not on the hidden state."""
     a = params.arrays
-    H = params.dims.hidden
     a1 = obs @ a["enc_w1"]
     a1 += a["enc_b1"]
     np.maximum(a1, 0.0, out=a1)
@@ -170,10 +158,20 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     s += a["enc_b2"]
     np.maximum(s, 0.0, out=s)
     x = np.concatenate([s, a["prog_embed"][task]], axis=-1)
+    return a1, x, x @ a["lstm_wx"]
+
+
+def recurrent_half(params: ParameterSet, u: np.ndarray, h_prev: np.ndarray,
+                    c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The second piece of `_step`: `h_prev @ lstm_wh` plus the input half
+    `u`, the bias, the gates, the cell and the two policy heads. Returns
+    (gi, gf, gg, go, h, c, pi_p, pi_a); writes into none of its inputs."""
+    a = params.arrays
+    H = params.dims.hidden
     # Clipping below at -500 keeps exp(-z) finite. No upper clip is needed:
     # sigmoid and tanh round to exactly 1 from z = 37 on.
-    z = x @ a["lstm_wx"]
-    z += h_prev @ a["lstm_wh"]
+    z = h_prev @ a["lstm_wh"]
+    z += u
     z += a["lstm_b"]
     np.maximum(z, -500.0, out=z)
     # [4, ..., hidden]: the gate blocks i, f, g, o first.
@@ -194,8 +192,44 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     pi_a = h @ a["arg_w"]
     pi_a += a["arg_b"]
     _softmax_in_place(pi_a)
-    value = _sigmoid(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0))
-    return _Step(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value)
+    return gi, gf, gg, go, h, c, pi_p, pi_a
+
+
+def value_head(params: ParameterSet, h: np.ndarray) -> np.ndarray:
+    """The third piece of `_step`: the logistic value of the hidden state."""
+    a = params.arrays
+    return _sigmoid(np.maximum(h @ a["value_w"] + a["value_b"][0], -500.0))
+
+
+def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
+          h_prev: np.ndarray, c_prev: np.ndarray) -> _Step:
+    """The network on one observation (obs [obs], an int task, h/c
+    [hidden]) or on b rows at once (obs [b, obs], task [b], h/c
+    [b, hidden]). Rows go through matrix products and a vector through
+    matrix-vector products, so a row can differ in its last bits from the
+    same input run alone.
+
+    The step is three pieces, called in turn: the input half
+    (`input_half`: the encoder and `u = x @ lstm_wx`), which depends only
+    on the observation and the task; the recurrent half (`recurrent_half`:
+    `z = h_prev @ lstm_wh`, then `z += u`, the bias, the gates, the cell
+    and the policy heads); and the value head (`value_head`). Greedy
+    execution keeps input halves to reuse and never calls the value head.
+    The pre-activation is summed as `(h_prev @ lstm_wh + u) + lstm_b`;
+    IEEE addition commutes, so that is the same bits as
+    `(x @ lstm_wx + h_prev @ lstm_wh) + lstm_b`.
+
+    The adds, clips and activations work in place on arrays this step has
+    just made, never on its inputs or the parameters. An elementwise
+    operation rounds each entry the same whether it writes a new array or
+    an old one, and every operation here runs in the order of the plain
+    expressions, so the results are the same bits. One sigmoid pass covers
+    all four gate blocks; the g-block is then overwritten with its tanh.
+    The activations are stored block by block, so that each gate is a
+    contiguous array for the elementwise work of the backward pass."""
+    a1, x, u = input_half(params, obs, task)
+    gi, gf, gg, go, h, c, pi_p, pi_a = recurrent_half(params, u, h_prev, c_prev)
+    return _Step(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value_head(params, h))
 
 
 def forward(params: ParameterSet, obs: np.ndarray, task_index: int,

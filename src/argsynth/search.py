@@ -72,6 +72,23 @@ bytes of its hidden state, so a search that gets the kept answer runs
 bit for bit as one that computes it again. Lockstep's waves of several
 rows go to the network each time, because a row's answer can differ in
 its last bits from the wave of one's.
+
+Greedy execution (`execute_greedy`) reuses work within one execution too.
+A program's steps often come back to an observation, and the calls of a
+program often start from one an earlier call started from. The network
+step is split so that its input half (the encoder and `x @ lstm_wx`)
+depends on the observation and the task alone, and every call starts
+from the zero hidden state. So `NetworkGreedyPolicy` keeps, per
+(task index, observation bytes), the input half and the first answer of a
+call that started there; a step runs only the recurrent half and the
+policy heads, and a call's first step that finds its answer runs neither.
+Greedy selection reads no value, so no step runs the value head. The
+memo is a dict that the top-level `execute_greedy` call makes and passes
+down its recursion; it dies when that call returns. A longer-lived memo
+would go stale when `train_step` updates the parameters in place, and
+would answer a repeated evaluation grid from its previous round. The
+steps give `forward`'s bytes, so the traces are those of a policy that
+calls `forward` on every step.
 """
 from __future__ import annotations
 
@@ -90,7 +107,9 @@ from .network import (
     forward,
     forward_rows,
     greedy_select,
+    input_half,
     masked_distributions,
+    recurrent_half,
     zero_hidden,
 )
 from .programs import ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec, feasible_pairs
@@ -892,32 +911,69 @@ class GreedyPolicy(Protocol):
     `start` is called once per program call, nested ones included, and
     returns the step function of that call alone, which keeps the call's
     state. The calls in flight are the frames of `execute_greedy`'s own
-    recursion."""
+    recursion. `memo` is the execution's scratch dict: the top-level
+    `execute_greedy` call makes it, its nested calls share it, and it is
+    dropped when the top-level call returns. A policy may keep there what
+    its calls can reuse within one execution, or ignore it. A step returns
+    a choice and no value: greedy play never reads one."""
 
-    def start(self, task: TaskId, env: EnvState
+    def start(self, task: TaskId, env: EnvState, memo: dict
               ) -> Callable[[EnvState], tuple[ProgramSpec, ArgTuple]]: ...
 
 
 class NetworkGreedyPolicy:
-    """Follows the network's argmax program/argument choice (no search),
-    one `forward` on the vector per step. Each call's step function keeps
-    the task index, the caller level and the hidden state, which starts at
-    zero."""
+    """Follows the network's argmax program/argument choice (no search).
+    Each call's step function keeps the task index, the caller level and
+    the hidden state, which starts at zero.
+
+    A step runs the network's recurrent half and its policy heads, never
+    the value head, which greedy selection does not read. The execution's
+    memo, keyed by (task index, observation bytes), holds the input half
+    of each key (`network.input_half`), and, once a call has started from
+    that key, the call's first answer (priors and hidden state): every
+    call starts from the zero hidden state, so that answer depends on the
+    key alone. The steps give `forward`'s bytes.
+
+    `first_hits` / `first_misses` count the calls' first steps that found
+    or computed their answer, and `input_hits` / `input_misses` the steps
+    that ran the recurrent half and found or computed its input half. They
+    count over the policy's life and are no part of any result."""
 
     def __init__(self, params: ParameterSet, lib: ProgramLibrary):
         self.params = params
         self.lib = lib
+        self.input_hits = self.input_misses = 0
+        self.first_hits = self.first_misses = 0
 
-    def start(self, task: TaskId, env: EnvState
+    def start(self, task: TaskId, env: EnvState, memo: dict
               ) -> Callable[[EnvState], tuple[ProgramSpec, ArgTuple]]:
         params, lib = self.params, self.lib
         task_index = lib.task_index(task)
         level = lib.spec(task.program_name).level
-        hidden = zero_hidden(params.dims)
+        hidden: Optional[HiddenState] = None  # until the call's first step
 
         def step(env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
             nonlocal hidden
-            pi_p, pi_a, _, hidden = forward(params, observe(env), task_index, hidden)
+            obs = observe(env)
+            key = (task_index, obs.tobytes())
+            # [input half, the first answer of a call that started here]
+            entry = memo.get(key)
+            if hidden is None and entry is not None and entry[1] is not None:
+                self.first_hits += 1
+                pi_p, pi_a, hidden = entry[1]
+            else:
+                if entry is None:
+                    self.input_misses += 1
+                    entry = memo[key] = [input_half(params, obs, task_index)[2], None]
+                else:
+                    self.input_hits += 1
+                first = hidden is None
+                h, c = zero_hidden(params.dims) if first else hidden
+                *_, h, c, pi_p, pi_a = recurrent_half(params, entry[0], h, c)
+                hidden = HiddenState(h, c)
+                if first:
+                    self.first_misses += 1
+                    entry[1] = (pi_p, pi_a, hidden)
             feasible = feasible_pairs(env, level, lib)
             if not feasible:
                 raise SearchError("dead-end state during greedy execution")
@@ -944,6 +1000,7 @@ class TraceEntry:
 def execute_greedy(
     env: EnvState, task: TaskId, policy: GreedyPolicy, lib: ProgramLibrary,
     trace: Optional[list[TraceEntry]] = None, depth: int = 0,
+    memo: Optional[dict] = None,
 ) -> tuple[Optional[int], EnvState]:
     """Run a program to completion with a greedy policy, recursing into
     learned calls with a fresh hidden state.
@@ -953,8 +1010,16 @@ def execute_greedy(
     states their own executions leave behind: nested calls (depth > 0) are
     not scored and return None for the reward. The nesting ends by the
     bottom level: a call's own calls are to programs of a lower level.
+
+    The top-level call owns the execution's memo (see `GreedyPolicy`): it
+    makes a new dict, passes it down its recursion as it passes `trace`,
+    and drops it on return, so nothing is reused across executions or
+    across parameter updates between them. The steps choose from policies
+    alone; `NetworkGreedyPolicy` runs no value head.
     """
-    step = policy.start(task, env)
+    if memo is None:
+        memo = {}
+    step = policy.start(task, env, memo)
     e = env
     for _ in range(step_cap(task, env.n)):
         spec, args = step(e)
@@ -965,5 +1030,5 @@ def execute_greedy(
         if spec.is_atomic:
             e = P.apply_atomic(e, spec, args)
         else:
-            _, e = execute_greedy(e, TaskId(spec.name), policy, lib, trace, depth + 1)
+            _, e = execute_greedy(e, TaskId(spec.name), policy, lib, trace, depth + 1, memo)
     return (0 if depth == 0 else None), e

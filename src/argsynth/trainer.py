@@ -430,7 +430,9 @@ def evaluate_generalization(
     tasks: Sequence[TaskId] = TASKS,
 ) -> list[dict]:
     """Greedy accuracy grid over tasks and list lengths, 50 fresh states
-    per cell by default."""
+    per cell by default; `trials` must be at least 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []
     for task in tasks:

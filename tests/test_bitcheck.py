@@ -9,8 +9,9 @@ _spec.loader.exec_module(bc)
 
 # Stands in for the program in a fake checkout: the names the battery
 # calls, returning data that depends on MARK only where the comments say,
-# and search trees whose one prior is PRIOR, grown by a tree generator that
-# `run_search` drives, as the program's search module has. Importing it logs
+# search trees whose one prior is PRIOR, grown by a tree generator that
+# `run_search` drives, as the program's search module has, and greedy
+# steps that select from a `pi_p` of PI. Importing it logs
 # the importing process and its working directory.
 FAKE_ARGSYNTH = '''\
 import os
@@ -21,6 +22,7 @@ import numpy as np
 
 MARK = {mark!r}
 PRIOR = {prior!r}
+PI = {pi!r}
 with open(Path(__file__).resolve().parents[3] / "imports.log", "a") as fh:
     fh.write(f"{{os.getpid()}} {{Path.cwd().name}}\\n")
 if MARK == "broken":
@@ -99,8 +101,15 @@ def SearchStats():
     return "stats"
 
 
-search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes)
-trainer = NS(TraceRecord=NS)
+def _execute_greedy(env, task, policy, lib, trace=None):  # MARK shows in the final state
+    search.greedy_select(np.full(2, PI), np.ones(2), None)
+    trace.append(NS(depth=0, name="stop", args=(0, 0, 0)))
+    return 1, MARK
+
+
+search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes,
+            greedy_select=lambda pi_p, pi_a, feasible: ("stop", (0, 0, 0)))
+trainer = NS(TraceRecord=NS, execute_greedy=_execute_greedy)
 STEP = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
           pi_a_mcts=np.ones(2), hidden=np.zeros(1))
 
@@ -115,6 +124,8 @@ def NetworkGreedyPolicy(params, lib):
 
 
 def evaluate_generalization(policy, lib, seed, lengths, trials):  # and here
+    for _ in range(trials):
+        trainer.execute_greedy((seed, lengths), "partition", policy, lib)
     return [MARK, seed, lengths, trials]
 
 
@@ -135,18 +146,18 @@ def train_step(params, opt, batch):
 '''
 
 
-def fake_checkout(path, mark, prior=1.0):
+def fake_checkout(path, mark, prior=1.0, pi=1.0):
     package = path / "src" / "argsynth"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior))
+    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior, pi=pi))
     (path / "bench").mkdir()
     (path / "bench" / "params.ckpt").write_bytes(b"fake")
     return str(path)
 
 
-def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0):
+def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0, change_pi=1.0):
     parent = fake_checkout(tmp_path / "parent", parent_mark)
-    change = fake_checkout(tmp_path / "change", change_mark, change_prior)
+    change = fake_checkout(tmp_path / "change", change_mark, change_prior, change_pi)
     code = bc.main([parent, change])
     return code, capsys.readouterr()
 
@@ -158,7 +169,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 13 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 14 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -169,7 +180,8 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
                                   "train seed 0: every episode",
                                   "train seed 5: metrics_csv + search_csv",
                                   "train seed 5: every episode",
-                                  "greedy eval grid seed 0"]
+                                  "greedy eval grid seed 0",
+                                  "greedy eval grid seed 0: every trial and step"]
     pids, dirs = zip(*(line.split() for line in
                        (tmp_path / "imports.log").read_text().splitlines()))
     assert dirs == ("parent", "change")
@@ -185,6 +197,15 @@ def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
                                   "search seed 101: statistics of every tree",
                                   "search seed 202: statistics of every tree",
                                   "lockstep: 7 exact partition episodes, with every tree"]
+
+
+def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
+    """A last-bit change in what a greedy step selects from changes the
+    greedy step digest, though no accuracy row moves."""
+    code, out = run(tmp_path, capsys, "a", "a", change_pi=float.fromhex("0x1.0000000000001p+0"))
+    assert code == 1
+    assert differing(out.out) == ["greedy eval grid seed 0: every trial and step"]
+    assert " over 5 greedy steps" in out.out
 
 
 def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):

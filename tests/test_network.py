@@ -16,19 +16,24 @@ from argsynth.network import (
     CheckpointError,
     HiddenState,
     NetworkDims,
+    PolicyOutput,
     checkpoint_load,
     checkpoint_save,
     dims_for_library,
     finite_diff_check,
     forward,
+    forward_rows,
     greedy_select,
     init_optimizer,
     init_params,
+    input_half,
     loss,
     loss_and_grads,
     masked_distributions,
+    recurrent_half,
     step_loss_terms,
     train_step,
+    value_head,
     zero_hidden,
 )
 from argsynth.programs import (EMPTY_ARGS, apply_atomic, args_encode, build_library,
@@ -255,6 +260,71 @@ class TestForwardMatchesReference:
         clipped = scale > 1.0
         assert (gate_max > 500.0) == clipped
         assert (value_max > 500.0 and value_min < -500.0) == clipped
+
+
+class TestStepPieces:
+    """`input_half`, `recurrent_half` and `value_head`, called in turn, give
+    the bytes of `forward` on a vector and of `forward_rows` on rows, from
+    zero and from random hidden states, on the clipped tails too; on a
+    vector they give `_reference_step`'s bytes, whose pre-activation adds
+    `x @ lstm_wx`, `h @ lstm_wh` and the bias in that order. The biases
+    are drawn nonzero, so that the order of that sum shows. The recurrent
+    half leaves the input half it is given as it was: greedy play keeps it
+    to reuse."""
+
+    ROWS = 5
+
+    @staticmethod
+    def pieces(params, obs, task, h, c):
+        _, _, u = input_half(params, obs, task)
+        kept = u.tobytes()
+        *_, h, c, pi_p, pi_a = recurrent_half(params, u, h, c)
+        assert u.tobytes() == kept
+        return pi_p, pi_a, value_head(params, h), h, c
+
+    @staticmethod
+    def same_bytes(out, pieces):
+        pi_p, pi_a, value, h, c = pieces
+        assert out.pi_p.tobytes() == pi_p.tobytes()
+        assert out.pi_a.tobytes() == pi_a.tobytes()
+        assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
+        assert out.hidden.h.tobytes() == h.tobytes()
+        assert out.hidden.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    def test_vectors_and_rows(self, scale):
+        lib = build_library("args")
+        params = init_params(42, dims_for_library(lib))
+        r = rng(42)
+        for name, array in params.arrays.items():
+            if name.endswith(("_b", "_b1", "_b2")):
+                array[...] = r.uniform(-1.0, 1.0, array.shape)
+            array *= scale
+        a = params.arrays
+        H = params.dims.hidden
+        lowest = 0.0
+        for i in range(40):
+            obs = r.random((self.ROWS, OBS_DIM))
+            tasks = [(i + j) % 4 for j in range(self.ROWS)]
+            if i % 2:
+                h, c = r.uniform(-1.0, 1.0, (self.ROWS, H)), r.normal(0.0, 3.0, (self.ROWS, H))
+            else:
+                h, c = np.zeros((self.ROWS, H)), np.zeros((self.ROWS, H))
+            for j in range(self.ROWS):
+                hidden = HiddenState(h[j], c[j]) if i % 2 else None
+                pieces = self.pieces(params, obs[j], tasks[j], h[j], c[j])
+                self.same_bytes(forward(params, obs[j], tasks[j], hidden), pieces)
+                ref = _reference_step(params, obs[j], tasks[j], h[j], c[j])
+                self.same_bytes(PolicyOutput(ref.pi_p, ref.pi_a, ref.value,
+                                             HiddenState(ref.h, ref.c)), pieces)
+                z = ref.x @ a["lstm_wx"] + h[j] @ a["lstm_wh"] + a["lstm_b"]
+                lowest = min(lowest, float(z.min()))
+            rows = forward_rows(params, list(obs), tasks,
+                                [HiddenState(h[j], c[j]) for j in range(self.ROWS)])
+            pi_p, pi_a, value, hh, cc = self.pieces(params, obs, np.array(tasks), h, c)
+            for j, out in enumerate(rows):
+                self.same_bytes(out, (pi_p[j], pi_a[j], value[j], hh[j], cc[j]))
+        assert (lowest < -500.0) == (scale > 1.0)
 
 
 def _reference_dlogits(pi, target):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from argsynth.network import (
     HiddenState,
     dims_for_library,
     forward,
+    init_optimizer,
     init_params,
     masked_distributions,
+    train_step,
 )
 from argsynth import search
 from argsynth.programs import ARG_SPACE, build_library, feasible_pairs
@@ -915,6 +918,44 @@ class TestSearchEpisode:
             assert s.pi_a_mcts.sum() == pytest.approx(1.0)
 
 
+class ForwardEveryStep:
+    """Greedy play as one `forward` on the vector per step, the value head
+    included, with nothing kept between steps but the hidden state: the
+    reference that `NetworkGreedyPolicy` must match bit for bit."""
+
+    def __init__(self, params, lib):
+        self.params, self.lib = params, lib
+
+    def start(self, task, env, memo):
+        task_index = self.lib.task_index(task)
+        level = self.lib.spec(task.program_name).level
+        hidden = None
+
+        def step(env):
+            nonlocal hidden
+            pi_p, pi_a, _, hidden = forward(self.params, observe(env), task_index, hidden)
+            return search.greedy_select(pi_p, pi_a, feasible_pairs(env, level, self.lib))
+
+        return step
+
+
+def greedy_run(monkeypatch, policy, lib, task, env):
+    """(reward, final state, trace, the bytes of the `pi_p` and `pi_a`
+    that each step selected from) of one greedy execution."""
+    chosen = []
+    select = search.greedy_select
+
+    def recording(pi_p, pi_a, feasible):
+        chosen.append((pi_p.tobytes(), pi_a.tobytes()))
+        return select(pi_p, pi_a, feasible)
+
+    trace = []
+    with monkeypatch.context() as m:
+        m.setattr(search, "greedy_select", recording)
+        r, final = execute_greedy(env, task, policy, lib, trace=trace)
+    return r, final, [(t.depth, t.name, t.args) for t in trace], chosen
+
+
 class TestExecuteGreedy:
     def test_untrained_network_never_crashes(self):
         lib = build_library("args")
@@ -970,6 +1011,63 @@ class TestExecuteGreedy:
         assert reward == 1
         assert sum(t.depth > 0 and t.name == "stop" for t in trace) > 1
         assert scored == [TaskId.QUICKSORT]
+
+    def test_random_networks_match_forward_every_step(self, monkeypatch):
+        lib = build_library("args")
+        r = rng(17)
+        capped = 0
+        for seed in range(3):
+            params = init_params(seed, dims_for_library(lib))
+            for task in TASKS:
+                for n in range(2, 21, 3):
+                    env = sample_task_env(task, n, r)
+                    got = greedy_run(monkeypatch, NetworkGreedyPolicy(params, lib),
+                                     lib, task, env)
+                    want = greedy_run(monkeypatch, ForwardEveryStep(params, lib),
+                                      lib, task, env)
+                    assert got == want
+                    capped += sum(d == 0 for d, _, _ in got[2]) == step_cap(task, n)
+        assert capped > 20
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_trained_quicksort_matches_forward_every_step(self, monkeypatch, n):
+        lib = build_library("args")
+        params = trained_params()
+        env = sample_task_env(TaskId.QUICKSORT, n, rng(n))
+        got = greedy_run(monkeypatch, NetworkGreedyPolicy(params, lib),
+                         lib, TaskId.QUICKSORT, env)
+        assert got == greedy_run(monkeypatch, ForwardEveryStep(params, lib),
+                                 lib, TaskId.QUICKSORT, env)
+        assert {d for d, _, _ in got[2]} == {0, 1, 2, 3}
+
+    def test_the_memo_dies_with_the_top_level_call(self, monkeypatch):
+        """Parameters updated in place between two executions reach the
+        second one, as `train_step` updates them between iterations."""
+        lib = build_library("args")
+        params = init_params(0, dims_for_library(lib))
+        env = sample_task_env(TaskId.QUICKSORT, 8, rng(18))
+        policy = NetworkGreedyPolicy(params, lib)
+        first = greedy_run(monkeypatch, policy, lib, TaskId.QUICKSORT, env)
+        assert policy.first_hits > 0 and {d for d, _, _ in first[2]} == {0, 1, 2}
+        counts = (policy.first_misses, policy.input_misses)
+        assert greedy_run(monkeypatch, policy, lib, TaskId.QUICKSORT, env) == first
+        assert (policy.first_misses, policy.input_misses) == tuple(2 * k for k in counts)
+        trace = SimpleNamespace(task_index=3, reward=1.0, steps=[SimpleNamespace(
+            obs=observe(env), pi_p_mcts=np.eye(len(lib))[0],
+            pi_a_mcts=np.eye(ARG_SPACE)[0])])
+        train_step(params, init_optimizer(params, lr=1e-2), [trace])
+        again = greedy_run(monkeypatch, policy, lib, TaskId.QUICKSORT, env)
+        assert again != first
+        assert again == greedy_run(monkeypatch, NetworkGreedyPolicy(params, lib),
+                                   lib, TaskId.QUICKSORT, env)
+
+    def test_a_trained_quicksort_hits_both_memos(self):
+        lib = build_library("args")
+        policy = NetworkGreedyPolicy(trained_params(), lib)
+        execute_greedy(sample_task_env(TaskId.QUICKSORT, 20, rng(19)), TaskId.QUICKSORT,
+                       policy, lib)
+        assert policy.input_hits > 0 and policy.first_hits > 0
+        assert policy.input_misses > 0 and policy.first_misses > 0
 
 
 class RowByRow(NetworkEvaluator):

@@ -490,6 +490,13 @@ class TestEvaluation:
         assert len(rows) == 8
         assert all(r["accuracy"] == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_refused(self, trials):
+        lib = build_library("args")
+        with pytest.raises(ValueError, match="trials"):
+            evaluate_generalization(ExpertPolicy(lib), lib, seed=5, lengths=(5,),
+                                    trials=trials)
+
     def test_accuracy_csv_shape(self):
         lib = build_library("args")
         rows = evaluate_generalization(ExpertPolicy(lib), lib, seed=5,

@@ -26,15 +26,21 @@ checkout's `src/` first on the import path. The battery:
   several rows while the nested searches run in waves of one, which no
   digest above combines;
 - the greedy `evaluate_generalization` grid with `bench/params.ckpt` at
-  seed 0, lengths 5/10/20/40/60, five trials a cell;
+  seed 0, lengths 5/10/20/40/60, five trials a cell: one digest of its
+  accuracy rows, and one of its trials, read through `search.greedy_select`
+  and the grid's `execute_greedy`: the bytes of the `pi_p` and `pi_a` that
+  each greedy step, nested ones included, selects from, and each trial's
+  trace entries, reward and final state. A last-bit change in a policy
+  output seldom changes an accuracy, so the rows alone would miss it;
 - the parameters and the Adam moments `m` and `v` after 16 `train_step`s
   from a fresh network on batches of the episodes above. This digest
   differs whenever the episodes do.
 
 Trees are read where they are grown: through `search._grow`, the tree
 generator that both `run_search` and the trainer's lockstep episodes use.
-Each episode and tree digest ends with the number of episodes or trees it
-covered, and a side whose digest covered none fails.
+Each episode, tree and greedy-step digest ends with the number of
+episodes, trees or greedy steps it covered, and a side whose digest
+covered none fails.
 
 Exits 1 when any digest differs or a side fails to produce them, 0 when
 all are equal. The script imports nothing of the program in its own
@@ -177,9 +183,32 @@ def battery(A) -> dict[str, str]:
         A.search._grow = grow
         A.trainer.TraceRecord = make_record
 
-    rows = A.evaluate_generalization(A.NetworkGreedyPolicy(params, lib), lib, seed=0,
-                                     lengths=EVAL_LENGTHS, trials=EVAL_TRIALS)
+    select, execute = A.search.greedy_select, A.trainer.execute_greedy
+    greedy = Tally("greedy steps")
+
+    def hashing_select(pi_p, pi_a, feasible):
+        greedy.count += 1
+        greedy.sha.update(pi_p.tobytes())
+        greedy.sha.update(pi_a.tobytes())
+        return select(pi_p, pi_a, feasible)
+
+    def hashing_execute(env, task, policy, lib):
+        trace = []
+        r, final = execute(env, task, policy, lib, trace=trace)
+        greedy.sha.update(repr(([(t.depth, t.name, t.args) for t in trace],
+                                r, final)).encode())
+        return r, final
+
+    A.search.greedy_select = hashing_select  # every step, nested ones too
+    A.trainer.execute_greedy = hashing_execute  # each trial of the grid
+    try:
+        rows = A.evaluate_generalization(A.NetworkGreedyPolicy(params, lib), lib, seed=0,
+                                         lengths=EVAL_LENGTHS, trials=EVAL_TRIALS)
+    finally:
+        A.search.greedy_select = select
+        A.trainer.execute_greedy = execute
     out["greedy eval grid seed 0"] = _sha(repr(rows))
+    out["greedy eval grid seed 0: every trial and step"] = greedy.digest()
 
     net = A.init_params(0, A.dims_for_library(lib))
     opt = A.init_optimizer(net, lr=1e-3)
