@@ -50,7 +50,11 @@ def cmd_train(args) -> int:
         cfg.seed = args.seed
     checked(cfg)
     out_dir = args.output_dir or cfg.output_dir
+    ckpt = os.path.join(out_dir, cfg.checkpoint)
+    if os.path.isdir(ckpt):
+        raise ConfigError(f"checkpoint {ckpt!r} is a directory")
     os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(ckpt), exist_ok=True)
     trainer = Trainer(cfg.to_train_config())
     for i in range(cfg.iterations):
         row = trainer.run_iteration()
@@ -63,7 +67,6 @@ def cmd_train(args) -> int:
         fh.write(trainer.search_csv())
     with open(os.path.join(out_dir, "failed_envs.txt"), "w") as fh:
         fh.write(trainer.dump_failed_envs())
-    ckpt = os.path.join(out_dir, cfg.checkpoint)
     checkpoint_save(trainer.params, trainer.opt, trainer.lib.manifest(), ckpt)
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK

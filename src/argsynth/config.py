@@ -13,6 +13,7 @@ same ranges.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import Field, dataclass, fields
 from typing import Optional, get_type_hints
 
@@ -38,8 +39,9 @@ class RunConfig(TrainConfig):
         (5, 10, 20, 40, 60), "lengths >= 2",
         lambda v: len(v) > 0 and all(x >= 2 for x in v))
     eval_trials: int = tunable(50, ">= 1", lambda v: v >= 1)
-    checkpoint: str = tunable("checkpoint.ckpt")
-    output_dir: str = tunable(".")
+    checkpoint: str = tunable("checkpoint.ckpt", "a file path",
+                              lambda v: os.path.basename(v) not in ("", ".", ".."))
+    output_dir: str = tunable(".", "a non-empty path", lambda v: v != "")
 
     def to_train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})

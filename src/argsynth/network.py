@@ -103,8 +103,8 @@ def init_params(seed: int, dims: NetworkDims) -> ParameterSet:
     return ParameterSet(dims, arrays)
 
 
-def dims_for_library(lib: ProgramLibrary, **overrides) -> NetworkDims:
-    return NetworkDims(programs=len(lib), tasks=len(lib.learned), **overrides)
+def dims_for_library(lib: ProgramLibrary) -> NetworkDims:
+    return NetworkDims(programs=len(lib), tasks=len(lib.learned))
 
 
 def zero_hidden(dims: NetworkDims) -> HiddenState:
@@ -517,8 +517,6 @@ def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
     NaN mass is not zero: it stays NaN, so that the search's own check
     (`search.joint_prior`) rejects the network's output.
     """
-    if not feasible:
-        raise ValueError("no feasible pairs: dead-end state")
     return _masked(pi_p, feasible.prog_mask), _masked(pi_a, feasible.arg_mask)
 
 
@@ -536,8 +534,6 @@ def greedy_select(pi_p: np.ndarray, pi_a: np.ndarray,
                   feasible: FeasibleSet) -> tuple[ProgramSpec, ArgTuple]:
     """Most probable feasible program, then its most probable argument
     tuple; ties break toward the lowest index."""
-    if not feasible:
-        raise ValueError("no feasible pairs: dead-end state")
     progs = feasible.prog_support
     rows, args = feasible.rows_of[int(progs[pi_p[progs].argmax()])]
     return feasible[rows[pi_a[args].argmax()]]
@@ -671,6 +667,9 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).copy()
         arrays[entry["name"]] = arr.reshape(shape)
         offset += nbytes
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} payload bytes "
+                              f"beyond the arrays the header lists")
     params = ParameterSet(dims, {n: arrays[n] for n in PARAM_LAYOUT})
     opt = None
     if header.get("optimizer"):

@@ -337,6 +337,8 @@ class ActionTable:
             # The first state of a signature decides for all that share it.
             rows = [k for k, (spec, args) in enumerate(self.pairs)
                     if spec.level < caller_level and pair_feasible(environment, spec, args)]
+            if not rows:  # `stop` is level 0 with no precondition
+                raise LibraryError(f"no callable pair below level {caller_level}")
             found = self._memo[key] = FeasibleSet(
                 [self.pairs[k] for k in rows], self.prog_idx[rows], self.arg_idx[rows],
                 len(self.programs))
@@ -352,7 +354,9 @@ def feasible_pairs(
     """All pairs below the caller's level that `pair_feasible` admits.
 
     Order is deterministic: library order, then encoded argument order.
-    The length of the result is the branching factor M of the search.
+    The length of the result is the branching factor M of the search. It is
+    never empty for a learned caller, which may always `stop`; a caller of
+    level 0 has nothing to call, and gets LibraryError.
     The result is the library table's memo for the state's signature: it is
     shared with other callers and must not be mutated.
     """

@@ -6,6 +6,10 @@ every feasible child; approximate expansion samples a fixed number of them,
 which bounds the per-expansion node count. Selecting a learned-program edge
 triggers a nested search for that program with a fresh hidden state.
 
+Every learned call can stop, so every evaluated leaf gets at least one
+edge: a node is a leaf (no edges yet), expanded (exactly when it has
+edges) or terminal (a `stop`, a failed call, or no action budget left).
+
 Most simulations of a well-trained search walk an existing path back to a
 terminal leaf. Such a simulation draws no random numbers, calls no
 evaluator and builds no node, so when one repeats the previous
@@ -119,7 +123,9 @@ MODE_APPROX = "approx"
 
 
 class SearchError(RuntimeError):
-    """Dead-end root or broken recursion contract."""
+    """Broken search contract: no action budget, a nested search of an
+    atomic, a selection at a node without edges, or a non-finite network
+    output. No state lacks a callable pair: every learned call can stop."""
 
 
 def tunable(default, need: Optional[str] = None,
@@ -279,7 +285,9 @@ class UniformEvaluator:
 
 
 class Node:
-    """Tree node: a state plus the statistics of its outgoing edges.
+    """Tree node: a state plus the statistics of its outgoing edges, which
+    it has exactly when it is expanded: every learned call can stop, so
+    `expand` gives every evaluated leaf at least one edge.
 
     The child of a learned call whose nested search failed has no state:
     its `env` is None, and it is a terminal worth 0.
@@ -303,7 +311,7 @@ class Node:
 
     __slots__ = (
         "env", "h_in", "h_out", "depth", "feasible", "edges", "P", "N", "W", "Q",
-        "children", "visits", "expanded", "terminal", "value",
+        "children", "visits", "terminal", "value",
     )
 
     def __init__(self, env: Optional[EnvState], h_in: HiddenState, depth: int):
@@ -317,7 +325,6 @@ class Node:
         self.P = self.N = self.W = self.Q = ()
         self.children: list[Optional["Node"]] = []
         self.visits = 0
-        self.expanded = False
         self.terminal = False
         self.value = 0.0
 
@@ -430,7 +437,8 @@ def _dirichlet(rng: np.random.Generator, alpha: float, m: int) -> np.ndarray:
 
 def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
            cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats) -> None:
-    """Create the node's children from its feasible pairs.
+    """Create the node's children from its feasible pairs, which are never
+    empty: every learned call can stop, so the node gets at least one edge.
 
     Training searches mix Dirichlet noise into the prior at every
     expansion. Approximate mode then samples at most n_expand distinct
@@ -447,12 +455,8 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     each to its library call, value for value and in the generator's
     final state.
     """
-    if node.expanded or node.terminal:
+    if node.edges or node.terminal:
         raise SearchError("expand on an expanded or terminal node")
-    if not node.feasible:
-        node.terminal = True
-        node.value = 0.0
-        return
     pri = joint_prior(node, pi_p_masked, pi_a_masked)
     m = len(pri)
     if cfg.training and cfg.dirichlet_weight > 0.0:
@@ -477,7 +481,6 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     node.W = [0.0] * k
     node.Q = [FPU_Q] * k
     node.children = [None] * k
-    node.expanded = True
     stats.nodes_expanded += k
 
 
@@ -581,10 +584,6 @@ def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
 
 def _expand_and_eval(node: Node, ctx: _Context) -> Generator[LeafRequest, Evaluation, float]:
     node.feasible = feasible_pairs(node.env, ctx.caller_level, ctx.lib)
-    if not node.feasible:
-        node.terminal = True
-        node.value = 0.0
-        return 0.0
     pi_p, pi_a, value, h_out = yield node.env, ctx.task_index, node.h_in
     if not math.isfinite(value):
         raise SearchError(f"non-finite leaf value {value} from the evaluator")
@@ -606,7 +605,7 @@ def _simulate(root: Node, ctx: _Context, max_depth: int
             path.append((node, None))
             value = node.value
             break
-        if not node.expanded:
+        if not node.edges:
             value = yield from _expand_and_eval(node, ctx)
             path.append((node, None))
             break
@@ -735,8 +734,6 @@ def _grow(
             stats.simulations += k
             left -= k
         last_leaf = leaf
-    if root.terminal or not root.edges:
-        raise SearchError("dead-end root: no feasible program/argument pair")
     counts = np.array(root.N)
     if counts.sum() > 0:
         if cfg.temperature <= 0.0:
@@ -974,10 +971,7 @@ class NetworkGreedyPolicy:
                 if first:
                     self.first_misses += 1
                     entry[1] = (pi_p, pi_a, hidden)
-            feasible = feasible_pairs(env, level, lib)
-            if not feasible:
-                raise SearchError("dead-end state during greedy execution")
-            spec, args = greedy_select(pi_p, pi_a, feasible)
+            spec, args = greedy_select(pi_p, pi_a, feasible_pairs(env, level, lib))
             # argmax takes the first NaN it meets, so a NaN that could have
             # steered the choice is in the chosen entries.
             p, a = pi_p[lib.index(spec.name)], pi_a[P.args_encode(args)]

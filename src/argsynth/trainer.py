@@ -21,7 +21,6 @@ from . import programs as P
 from .env import EnvState, TaskId, TASKS, env_to_record, sample_task_env
 from .network import (
     AdamState,
-    ParameterSet,
     dims_for_library,
     init_optimizer,
     init_params,
@@ -176,10 +175,10 @@ class FailedEnvBuffer:
     def remove(self, task: TaskId, env: EnvState) -> None:
         self._buf[task].pop(env, None)
 
-    def sample(self, task: TaskId, rng: np.random.Generator) -> Optional[EnvState]:
+    def sample(self, task: TaskId, rng: np.random.Generator) -> EnvState:
+        """A stored state of `task`, drawn by failure count; the task's
+        buffer must not be empty."""
         buf = self._buf[task]
-        if not buf:
-            return None
         counts = np.fromiter(buf.values(), dtype=np.float64, count=len(buf))
         probs = counts / counts.sum()
         idx = int(rng.choice(len(buf), p=probs))
@@ -243,9 +242,7 @@ def sample_initial_env(
     probability epsilon; returns (state, came_from_buffer)."""
     if cfg.epsilon_failed > 0.0 and failed.size(task) > 0:
         if rng.random() < cfg.epsilon_failed:
-            env = failed.sample(task, rng)
-            if env is not None:
-                return env, True
+            return failed.sample(task, rng), True
     n = int(rng.integers(cfg.train_length_min, cfg.train_length_max + 1))
     return sample_task_env(task, n, rng), False
 
@@ -295,15 +292,13 @@ class Trainer:
     """Owns all mutable training state and emits one metrics row per
     iteration."""
 
-    def __init__(self, cfg: TrainConfig, params: Optional[ParameterSet] = None):
+    def __init__(self, cfg: TrainConfig):
         cfg.validate()
         self.cfg = cfg
         self.lib = build_library(cfg.library_mode)
         self.rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        if params is None:
-            params = init_params(cfg.seed, dims_for_library(self.lib))
-        self.params = params
-        self.opt: AdamState = init_optimizer(params, lr=cfg.learning_rate)
+        self.params = init_params(cfg.seed, dims_for_library(self.lib))
+        self.opt: AdamState = init_optimizer(self.params, lr=cfg.learning_rate)
         self.replay = ReplayBuffer(cfg.replay_capacity)
         self.failed = FailedEnvBuffer(cfg.failed_capacity)
         self.value_traces = ReplayBuffer(max(1, cfg.replay_capacity // 4))
@@ -427,7 +422,6 @@ class Trainer:
 def evaluate_generalization(
     policy, lib: ProgramLibrary, seed: int,
     lengths: Sequence[int] = (5, 10, 20, 40, 60), trials: int = 50,
-    tasks: Sequence[TaskId] = TASKS,
 ) -> list[dict]:
     """Greedy accuracy grid over tasks and list lengths, 50 fresh states
     per cell by default; `trials` must be at least 1."""
@@ -435,7 +429,7 @@ def evaluate_generalization(
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []
-    for task in tasks:
+    for task in TASKS:
         for length in lengths:
             wins = 0
             for _ in range(trials):

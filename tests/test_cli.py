@@ -1,7 +1,7 @@
 import shutil
 
 import pytest
-from test_network import BENCH_PARAMS, HEADER_FAULTS, rewrite_header
+from test_network import BENCH_PARAMS, HEADER_FAULTS, append_to_payload, rewrite_header
 
 from argsynth import cli, trainer
 from argsynth.config import _file_keys
@@ -204,3 +204,54 @@ def test_a_checkpoint_header_that_lies_is_a_runtime_failure(tmp_path, capsys, fa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {ckpt}: ") and captured.err.count("\n") == 1
+
+
+def test_a_checkpoint_with_bytes_beyond_its_arrays_is_a_runtime_failure(tmp_path, capsys):
+    ckpt = tmp_path / "params.ckpt"
+    shutil.copyfile(BENCH_PARAMS, ckpt)
+    append_to_payload(ckpt, b"\0" * 16)
+    assert cli.main(["eval", "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: 16 payload bytes beyond the arrays the header lists\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("checkpoint =", "'checkpoint' out of range"),
+    ("checkpoint = sub/", "'checkpoint' out of range"),
+    ("output_dir =", "'output_dir' out of range"),
+    ("checkpoint = sub", "is a directory"),
+])
+def test_a_checkpoint_path_that_cannot_be_written_is_a_usage_error(
+        tmp_path, capsys, line, message):
+    bad = write(tmp_path / "bad.cfg", TINY + line + "\n")
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    assert cli.main(["train", "--config", bad, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_a_checkpoint_in_a_subdirectory_is_written_there(tmp_path, capsys):
+    run = write(tmp_path / "run.cfg", TINY + "checkpoint = sub/x.ckpt\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", run, "--output-dir", str(out)]) == 0
+    assert (out / "sub" / "x.ckpt").is_file() and (out / "metrics.csv").is_file()
+
+
+@pytest.mark.parametrize("program", ["quicksort", "quicksort_update"])
+def test_run_a_trained_quicksort_program(capsys, program):
+    assert cli.main(["run", "--program", program, "--list", "3,1,2",
+                     "--checkpoint", str(BENCH_PARAMS)]) == 0
+    assert capsys.readouterr().out.endswith("reward: 1\n")
+
+
+def test_oracle_check_skips_the_quicksorts_without_arguments(tmp_path, capsys):
+    noargs = write(tmp_path / "noargs.cfg", "library = noargs\n")
+    assert cli.main(["oracle-check", "--config", noargs, "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    for program in ("quicksort", "quicksort_update"):
+        assert f"{program}: SKIP" in out
+    assert "FAIL" not in out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import replace as dc_replace
@@ -678,6 +679,15 @@ class TestMaskingAndGreedy:
         live = ma[ma > 0]
         assert len(live) == 4 and np.allclose(live, 0.25)
 
+    def test_zero_mass_falls_back_to_uniform_over_the_support(self):
+        # Every feasible entry 0, mass only where the mask is off.
+        pi_p = (~self.feasible.prog_mask).astype(float)
+        pi_a = (~self.feasible.arg_mask).astype(float)
+        mp, ma = masked_distributions(pi_p, pi_a, self.feasible)
+        for out, mask in ((mp, self.feasible.prog_mask), (ma, self.feasible.arg_mask)):
+            assert np.all(out[mask] == 1.0 / np.count_nonzero(mask))
+            assert np.all(out[~mask] == 0.0)
+
     def test_full_support_identity(self):
         r = rng(10)
         pi_p = r.random(12)
@@ -745,12 +755,6 @@ class TestMaskingAndGreedy:
                 pi_a = r.integers(0, 4, 64) / 4.0
                 assert greedy_select(pi_p, pi_a, feasible) == \
                     reference(pi_p, pi_a, feasible, lib)
-
-    def test_empty_feasible_rejected(self):
-        with pytest.raises(ValueError):
-            masked_distributions(np.ones(12), np.ones(64), [])
-        with pytest.raises(ValueError):
-            greedy_select(np.ones(12), np.ones(64), [])
 
 
 class TestCheckpoints:
@@ -868,6 +872,17 @@ def edited(header, **changes):
     return header | changes
 
 
+def append_to_payload(path, extra: bytes):
+    """Append `extra` to the payload of the checkpoint at `path`, with the
+    checksum of the longer payload in its header."""
+    raw = path.read_bytes() + extra
+    fixed = len(network.CHECKPOINT_MAGIC) + 4 + 8
+    (length,) = struct.unpack_from("<Q", raw, fixed - 8)
+    path.write_bytes(raw)
+    digest = hashlib.sha256(raw[fixed + length:]).hexdigest()
+    rewrite_header(path, lambda h: edited(h, payload_sha256=digest))
+
+
 def transpose_first_array(header):
     arrays = [dict(e) for e in header["arrays"]]
     arrays[0]["shape"] = arrays[0]["shape"][::-1]
@@ -911,6 +926,13 @@ class TestCheckpointHeader:
         path = self.saved(tmp_path)
         rewrite_header(path, edit)
         with pytest.raises(CheckpointError, match=message):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("extra", [16, 1])
+    def test_payload_bytes_beyond_the_listed_arrays_are_rejected(self, tmp_path, extra):
+        path = self.saved(tmp_path)
+        append_to_payload(path, b"\0" * extra)
+        with pytest.raises(CheckpointError, match=f"{extra} payload bytes beyond"):
             checkpoint_load(path)
 
     def test_an_unedited_rewrite_still_loads(self, tmp_path):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import argsynth.programs as programs_module
-from argsynth.env import NONE, P1, P2, P3, TaskId, make_env, sample_task_env
+from argsynth.env import NONE, P1, P2, P3, TASKS, TaskId, make_env, sample_task_env
 from argsynth.programs import (
     EMPTY_ARGS,
     LibraryError,
+    apply_atomic,
     args_decode,
     args_encode,
     atomic_feasible,
@@ -222,6 +223,26 @@ class TestActionTable:
                 for level in CALLER_LEVELS:
                     assert list(feasible_pairs(env, level, noargs)) == \
                         oracle_pairs(env, level, noargs)
+
+    @pytest.mark.parametrize("mode", ["args", "noargs"])
+    @given(task=st.sampled_from(TASKS), n=st.integers(2, 60),
+           seed=st.integers(0, 2**32 - 1), walk=st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_every_learned_caller_can_stop(self, mode, task, n, seed, walk):
+        """On a task's start state and each state of a random atomic walk
+        from it, every learned caller's set begins with `stop`, and a
+        level-0 caller, which has nothing to call, is refused."""
+        lib = build_library(mode)
+        r = rng(seed)
+        env = sample_task_env(task, n, r)
+        for _ in range(walk + 1):
+            for level in (1, 2, 4, 5):
+                spec, args = feasible_pairs(env, level, lib)[0]
+                assert (spec.name, args) == ("stop", EMPTY_ARGS)
+            with pytest.raises(LibraryError):
+                feasible_pairs(env, 0, lib)
+            moves = feasible_pairs(env, 1, lib)[1:]
+            env = apply_atomic(env, *moves[int(r.integers(len(moves)))])
 
     def test_one_table_per_mode(self):
         assert build_library("args").table is build_library("args").table

@@ -46,6 +46,7 @@ from argsynth.search import (
     run_search,
     search_episode,
 )
+from argsynth.trainer import replay_trace, run_episode
 
 
 def rng(seed=0):
@@ -63,7 +64,6 @@ def bare_node(n_children, priors=None, N=None, W=None):
     have left it: Q is each edge's mean value (FPU_Q while unvisited) and
     the expanding visit counts on top of the edge visits."""
     node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
-    node.expanded = True
     node.edges = [("edge", i) for i in range(n_children)]
     P = np.array(priors if priors is not None else [1 / n_children] * n_children)
     N = np.array(N if N is not None else [0.0] * n_children, dtype=float)
@@ -141,7 +141,7 @@ class TestPuctProperty:
         stack, checked = [res.root], 0
         while stack:
             node = stack.pop()
-            if node.expanded and not node.terminal:
+            if node.edges and not node.terminal:
                 N, W, Q = arr(node.N), arr(node.W), arr(node.Q)
                 assert node.visits == N.sum() + 1
                 seen = N > 0
@@ -539,13 +539,6 @@ class TestExpand:
                rng(), SearchStats())
         assert "pop" not in {spec.name for spec, _ in node.edges}
 
-    def test_dead_node_without_feasible_pairs(self):
-        node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
-        node.feasible = []
-        expand(node, np.ones(12), np.ones(64),
-               SearchConfig(mode=MODE_EXACT), rng(), SearchStats())
-        assert node.terminal and node.value == 0.0
-
     def test_training_noise_perturbs_priors(self):
         env = make_env([3, 1, 2], 0, 2, 1, registry=0)
         plain, noisy = [], []
@@ -749,7 +742,7 @@ class TestRunSearch:
     def test_visit_count_conservation(self):
         res, _ = self.search(3)
         def check(node):
-            if not node.expanded or node.terminal:
+            if not node.edges or node.terminal:
                 return
             assert arr(node.N).sum() == node.visits - 1
             for child in node.children:
@@ -761,7 +754,7 @@ class TestRunSearch:
         from argsynth.programs import pair_feasible
         res, _ = self.search(4)
         def check(node):
-            if not node.expanded:
+            if not node.edges:
                 return
             for spec, args in node.edges:
                 assert pair_feasible(node.env, spec, args)
@@ -784,7 +777,7 @@ class TestRunSearch:
         res = run_search(self.task, self.env, ev.initial_hidden(), self.env,
                          self.lib, ev, cfg, stats, rng(6))
         def check(node):
-            if not node.expanded or node.terminal:
+            if not node.edges or node.terminal:
                 return
             assert len(node.edges) <= 4
             for child in node.children:
@@ -903,6 +896,45 @@ class TestSearchEpisode:
         assert reward == 1
         assert len(steps) <= step_cap(TaskId.PARTITION_UPDATE, env.n)
         assert steps[-1].action_name == "stop"
+
+    def test_one_simulation_per_step_plays_the_prior(self):
+        # One simulation only expands the root: no visit counts, so each
+        # step's policy is the prior's marginals, and the chosen child is
+        # made at commit. A prior on save_ptr never stops, so the episode
+        # runs to its step cap and scores 0.
+        lib = build_library("args")
+        task, env = TaskId.PARTITION_UPDATE, make_env([4, 1, 3, 2], 0, 3, 1, registry=0)
+        pi_p = np.full(len(lib), 0.1 / (len(lib) - 1))
+        pi_p[lib.index("save_ptr")] = 0.9
+        pi_a = np.full(ARG_SPACE, 1.0 / ARG_SPACE)
+
+        class FixedPrior:
+            def evaluate_many(self, requests):
+                return [(pi_p, pi_a, 0.5, hidden) for _, _, hidden in requests]
+
+            def initial_hidden(self):
+                return HiddenState(np.zeros(1), np.zeros(1))
+
+        cfg = SearchConfig(mode=MODE_EXACT, simulations=1, training=False)
+        res = run_search(task, env, FixedPrior().initial_hidden(), env, lib, FixedPrior(),
+                         cfg, SearchStats(), rng(3))
+        root = res.root
+        assert root.visits == 1 and sum(root.N) == 0.0
+        prior = search.joint_prior(root, *masked_distributions(pi_p, pi_a, root.edges))
+        for got, idx, size in ((res.pi_p_mcts, root.edges.prog_idx, len(lib)),
+                               (res.pi_a_mcts, root.edges.arg_idx, ARG_SPACE)):
+            marginal = np.zeros(size)
+            np.add.at(marginal, idx, prior)
+            assert got == pytest.approx(marginal, abs=1e-15)
+        chosen = int(np.argmax(root.P))
+        assert (res.spec, res.args) == root.edges[chosen] and res.spec.name == "save_ptr"
+        assert [i for i, child in enumerate(root.children) if child is not None] == [chosen]
+        assert res.next_env == root.children[chosen].env
+
+        record, stats = run_episode(task, env, FixedPrior(), lib, cfg, rng(3))
+        assert [s.action_name for s in record.steps] == ["save_ptr"] * step_cap(task, env.n)
+        assert record.reward == 0 and stats.simulations == 4
+        assert replay_trace(record, lib) == 0
 
     def test_policies_in_steps_are_distributions(self):
         lib = build_library("args")
