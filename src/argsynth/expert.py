@@ -64,11 +64,6 @@ def _script_partition(env: EnvState, mode: str) -> list[tuple[str, ArgTuple]]:
 
 
 def _script_quicksort_update(env: EnvState, mode: str) -> list[tuple[str, ArgTuple]]:
-    if mode != P.MODE_ARGS:
-        raise ExpertUnavailable(
-            "quicksort_update needs to load the registry into pointer 3; "
-            "the no-argument atomic set can only load into pointer 1"
-        )
     acts: list[tuple[str, ArgTuple]] = [
         ("pop", EMPTY_ARGS),
         ("save_ptr", (P1, NONE, NONE)),
@@ -86,8 +81,6 @@ def _script_quicksort_update(env: EnvState, mode: str) -> list[tuple[str, ArgTup
 
 
 def _script_quicksort(env: EnvState, mode: str) -> list[tuple[str, ArgTuple]]:
-    if mode != P.MODE_ARGS:
-        raise ExpertUnavailable("quicksort relies on quicksort_update; see its script")
     acts: list[tuple[str, ArgTuple]] = [
         ("save_ptr", (P1, NONE, NONE)),
         ("partition", EMPTY_ARGS),
@@ -125,14 +118,22 @@ def expert_script(task: TaskId, env: EnvState, mode: str = P.MODE_ARGS) -> list[
     A caller that follows a script must keep it and its position itself.
 
     Nested learned calls appear as single entries; their own scripts are
-    generated when the executor recurses into them.
+    generated when the executor recurses into them. Raises
+    `ExpertUnavailable` where `expert_available` is false.
     """
     if not E.task_precondition(task, env):
         raise E.EnvError(f"state violates entry condition of {task.program_name}")
+    if not expert_available(task, mode):
+        raise ExpertUnavailable(f"no script for {task.program_name} in mode {mode!r}")
     return _SCRIPTS[task](env, mode)
 
 
 def expert_available(task: TaskId, mode: str) -> bool:
+    """Whether `task` has a script in library `mode`. Every task has one
+    with arguments. Without them quicksort_update has none: it must load
+    the registry into pointer 3, and the no-argument atomic set can only
+    load into pointer 1. Nor has quicksort, which relies on
+    quicksort_update."""
     if mode == P.MODE_ARGS:
         return True
     return task in (TaskId.PARTITION_UPDATE, TaskId.PARTITION)

@@ -274,14 +274,14 @@ def forward_rows(params: ParameterSet, obs: Sequence[np.ndarray],
 
 def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: np.ndarray,
                     pi_p_target: np.ndarray, pi_a_target: np.ndarray,
-                    reward: np.ndarray, policy: np.ndarray) -> np.ndarray:
+                    reward: np.ndarray) -> np.ndarray:
     """Per-step objective of each row: two cross-entropies plus the squared
-    value error. Rows whose `policy` mask is False (value-only traces) keep
-    only the squared value error."""
+    value error where the trace's reward is 1, the squared value error
+    alone where it is not."""
     sq = (value - reward) ** 2
     ce_p = -(pi_p_target * np.log(np.maximum(pi_p, LOG_CLAMP))).sum(axis=1)
     ce_a = -(pi_a_target * np.log(np.maximum(pi_a, LOG_CLAMP))).sum(axis=1)
-    return np.where(policy, ce_p + ce_a + sq, sq)
+    return np.where(reward == 1, ce_p + ce_a + sq, sq)
 
 
 def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
@@ -290,8 +290,8 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
     Traces are sorted by length, longest first (a stable sort), so the
     traces still running at step t are the first b_t rows: no padding and
     no mask on the recurrence. Every trace starts from the zero hidden
-    state. Yields, per step, for its b_t rows: (obs, task, reward, policy
-    mask, h_prev, c_prev, pi_p targets, pi_a targets, `_Step`, row losses).
+    state. Yields, per step, for its b_t rows: (obs, task, reward, h_prev,
+    c_prev, pi_p targets, pi_a targets, `_Step`, row losses).
     """
     d = params.dims
     traces = sorted(batch, key=lambda tr: len(tr.steps), reverse=True)
@@ -300,7 +300,6 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
     if task.size and not (0 <= task.min() and task.max() < d.tasks):
         raise ValueError(f"task index outside [0, {d.tasks})")
     reward = np.array([tr.reward for tr in traces], dtype=np.float64)
-    policy = np.array([not getattr(tr, "value_only", False) for tr in traces], dtype=bool)
     h = c = np.zeros((len(traces), d.hidden))
     b = len(traces)
     for t in range(lengths[0] if traces else 0):
@@ -313,9 +312,8 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
         tp = np.array([st.pi_p_mcts for st in steps])
         ta = np.array([st.pi_a_mcts for st in steps])
         rows = _step(params, obs, task[:b], h[:b], c[:b])
-        terms = step_loss_terms(rows.pi_p, rows.pi_a, rows.value, tp, ta,
-                                reward[:b], policy[:b])
-        yield obs, task[:b], reward[:b], policy[:b], h[:b], c[:b], tp, ta, rows, terms
+        terms = step_loss_terms(rows.pi_p, rows.pi_a, rows.value, tp, ta, reward[:b])
+        yield obs, task[:b], reward[:b], h[:b], c[:b], tp, ta, rows, terms
         h, c = rows.h, rows.c
 
 
@@ -333,8 +331,8 @@ def loss(params: ParameterSet, batch: Sequence) -> float:
     (stable), each time step is one batched pass over the traces still
     running. Hidden states are recomputed from zero along each trace's
     stored observations; the snapshots saved in traces are never fed back
-    in, because they go stale as parameters move. `value_only` traces
-    contribute only their squared value error.
+    in, because they go stale as parameters move. Only traces of reward 1
+    add policy terms (`step_loss_terms`).
     """
     total = 0.0
     for *_, terms in _unroll(params, batch):
@@ -348,7 +346,8 @@ def loss_and_grads(params: ParameterSet, batch: Sequence) -> tuple[float, dict[s
     Packed as in `loss` (longest trace first, one batched pass per time
     step over the running rows, hidden states recomputed from zero), so
     the loss equals `loss(params, batch)` exactly. Each step's weight
-    gradients are `X.T @ dY` over its rows.
+    gradients are `X.T @ dY` over its rows; rows whose reward is not 1
+    have zero logit gradients.
     """
     a = params.arrays
     d = params.dims
@@ -362,13 +361,14 @@ def loss_and_grads(params: ParameterSet, batch: Sequence) -> tuple[float, dict[s
     dc_next = np.zeros((width, d.hidden))
     while tape:
         # Popping drops each step's activations once they are used.
-        obs, task, reward, policy, h_prev, c_prev, tp, ta, r, _ = tape.pop()
+        obs, task, reward, h_prev, c_prev, tp, ta, r, _ = tape.pop()
         b = len(obs)
         dlog_p = _ce_dlogits(r.pi_p, tp)
         dlog_a = _ce_dlogits(r.pi_a, ta)
-        if not policy.all():
-            dlog_p[~policy] = 0.0
-            dlog_a[~policy] = 0.0
+        solved = reward == 1
+        if not solved.all():
+            dlog_p[~solved] = 0.0
+            dlog_a[~solved] = 0.0
         v = r.value
         dv = 2.0 * (v - reward) * v * (1.0 - v)
         grads["prog_w"] += r.h.T @ dlog_p
@@ -543,6 +543,10 @@ def greedy_select(pi_p: np.ndarray, pi_a: np.ndarray,
 # Checkpoints
 
 
+_HEADER_KEYS = frozenset({"manifest", "dims", "arrays", "optimizer", "payload_sha256"})
+_OPTIMIZER_KEYS = frozenset({"lr", "beta1", "beta2", "eps", "clip", "t"})
+
+
 def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
                     manifest: dict, path) -> None:
     """Versioned binary container: JSON header + little-endian float64
@@ -553,8 +557,7 @@ def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
     ordered: list[tuple[str, np.ndarray]] = [(n, params.arrays[n]) for n in PARAM_LAYOUT]
     opt_header = None
     if opt is not None:
-        opt_header = {"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-                      "eps": opt.eps, "clip": opt.clip, "t": opt.t}
+        opt_header = {k: getattr(opt, k) for k in _OPTIMIZER_KEYS}
         ordered += [("m." + n, opt.m[n]) for n in PARAM_LAYOUT]
         ordered += [("v." + n, opt.v[n]) for n in PARAM_LAYOUT]
     payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in ordered)
@@ -584,16 +587,15 @@ def checkpoint_save(params: ParameterSet, opt: Optional[AdamState],
         raise
 
 
-_HEADER_KEYS = frozenset({"manifest", "dims", "arrays", "optimizer", "payload_sha256"})
-_OPTIMIZER_KEYS = frozenset({"lr", "beta1", "beta2", "eps", "clip", "t"})
-
-
-def _checked_layout(path, header: dict) -> NetworkDims:
+def _checked_layout(path, header: dict, expected_manifest: Optional[dict]) -> NetworkDims:
     """The header's network dims, once its `dims`, `optimizer` and `arrays`
     describe exactly what `checkpoint_save` writes for them: every
     `NetworkDims` field a positive integer, the arrays in `PARAM_LAYOUT`
     order (then `m.` and `v.` of each with an optimizer), each of the shape
-    `_shapes(dims)` gives it."""
+    `_shapes(dims)` gives it. The dims must also fit this build: `obs` and
+    `args` those of the environment and the argument space and, with an
+    expected manifest, `programs` and `tasks` its program and learned-program
+    counts."""
     doc = header["dims"]
     known = {f.name for f in fields(NetworkDims)}
     if not isinstance(doc, dict) or doc.keys() != known or not all(
@@ -601,6 +603,15 @@ def _checked_layout(path, header: dict) -> NetworkDims:
         raise CheckpointError(f"{path}: bad network dims {doc!r} (need a positive "
                               f"integer for each of {', '.join(sorted(known))})")
     dims = NetworkDims(**doc)
+    need = {"obs": OBS_DIM, "args": ARG_SPACE}
+    if expected_manifest is not None:
+        progs = expected_manifest["programs"]
+        need |= {"programs": len(progs),
+                 "tasks": sum(p["kind"] == "learned" for p in progs)}
+    wrong = {k: doc[k] for k in need if doc[k] != need[k]}
+    if wrong:
+        raise CheckpointError(f"{path}: network dims {wrong} do not fit this build "
+                              f"(it needs {need})")
     opt = header["optimizer"]
     if opt is not None and not (isinstance(opt, dict) and opt.keys() == _OPTIMIZER_KEYS):
         raise CheckpointError(f"{path}: bad optimizer header {opt!r}")
@@ -655,7 +666,7 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
             if got != want else
             f"{path}: checkpoint program table (mode={got!r}) differs from this build"
         )
-    dims = _checked_layout(path, header)
+    dims = _checked_layout(path, header, expected_manifest)
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["arrays"]:
@@ -672,10 +683,9 @@ def checkpoint_load(path, expected_manifest: Optional[dict] = None
                               f"beyond the arrays the header lists")
     params = ParameterSet(dims, {n: arrays[n] for n in PARAM_LAYOUT})
     opt = None
-    if header.get("optimizer"):
-        oh = header["optimizer"]
-        opt = AdamState(lr=oh["lr"], beta1=oh["beta1"], beta2=oh["beta2"],
-                        eps=oh["eps"], clip=oh["clip"], t=oh["t"])
+    if header["optimizer"] is not None:
+        # `_checked_layout` has held its keys to `_OPTIMIZER_KEYS`.
+        opt = AdamState(**header["optimizer"])
         opt.m = {n: arrays["m." + n] for n in PARAM_LAYOUT}
         opt.v = {n: arrays["v." + n] for n in PARAM_LAYOUT}
     return params, opt, header["manifest"]

@@ -10,7 +10,7 @@ byte for byte; timing is measured outside the trainer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -84,10 +84,9 @@ class TrainConfig:
 
 @dataclass
 class TraceRecord:
-    """Execution trace of one episode; only reward-1 traces are replayed.
-
-    `value_only` marks failed episodes admitted purely as value targets;
-    their policy vectors are ignored by the loss.
+    """Execution trace of one episode. Its reward says what it trains: a
+    solved trace (reward 1) trains the policy and the value, a failed one
+    the value alone.
     """
 
     task_index: int
@@ -96,7 +95,6 @@ class TraceRecord:
     steps: list[EpisodeStep]
     e_final: EnvState
     reward: int
-    value_only: bool = False
 
 
 def replay_trace(record: TraceRecord, lib: ProgramLibrary) -> int:
@@ -119,8 +117,8 @@ def replay_trace(record: TraceRecord, lib: ProgramLibrary) -> int:
 
 
 class ReplayBuffer:
-    """FIFO of traces to train on: successful traces, or failed ones
-    marked `value_only`."""
+    """FIFO of traces to train on; each trace's reward says what it
+    trains (`TraceRecord`)."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -130,9 +128,6 @@ class ReplayBuffer:
         return len(self._items)
 
     def add(self, record: TraceRecord) -> None:
-        if record.reward != (0 if record.value_only else 1):
-            raise ValueError("replay buffer stores reward-1 traces, or reward-0 "
-                             "ones marked value-only")
         self._items.append(record)
 
     def sample(self, k: int, rng: np.random.Generator) -> list[TraceRecord]:
@@ -316,11 +311,12 @@ class Trainer:
         """Pick a task, run `n_episodes` search episodes on the current
         parameters, then commit buffers, task statistics and gradient steps.
 
-        Failed episodes feed the value head: each one with at least one step
-        joins `value_traces` as a value-only trace, and every gradient step
-        adds `batch_size // 4` of them (at least one, at most all) to its
-        batch of replayed successes, so V learns that a failing line scores
-        0 and not only that solved ones score 1.
+        Failed episodes feed the value head: every failed episode joins
+        `value_traces`, and every gradient step adds `batch_size // 4` of
+        them (at least one, at most all) to its batch of replayed
+        successes, so V learns that a failing line scores 0 and not only
+        that solved ones score 1; their reward keeps them out of the policy
+        terms of the loss.
 
         Each episode gets its start state from the trainer's generator and
         then its own random stream, seeded by a draw from that generator,
@@ -363,8 +359,7 @@ class Trainer:
                     self.failed.remove(task, e_init)
             else:
                 self.failed.add_failure(task, e_init)
-                if steps:
-                    self.value_traces.add(dc_replace(record, value_only=True))
+                self.value_traces.add(record)
         if len(self.replay) > 0:
             probe = self.replay.sample(1, self.rng)[0]
             if replay_trace(probe, self.lib) != probe.reward:

@@ -1,4 +1,5 @@
 import shutil
+from dataclasses import replace
 
 import pytest
 from test_network import BENCH_PARAMS, HEADER_FAULTS, append_to_payload, rewrite_header
@@ -176,6 +177,12 @@ def test_bad_list_is_a_usage_error_before_the_checkpoint_loads(tmp_path, capsys,
     assert err.startswith("config error: invalid list") and "not found" not in err
 
 
+def test_a_list_that_is_not_integers_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["run", "--program", "partition", "--list", "1,x",
+                     "--checkpoint", str(tmp_path / "absent.ckpt")]) == 2
+    assert capsys.readouterr().err == "config error: invalid list literal '1,x'\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_oracle_check_without_trials_is_a_usage_error(capsys, trials):
     assert cli.main(["oracle-check", "--trials", trials]) == 2
@@ -204,6 +211,18 @@ def test_a_checkpoint_header_that_lies_is_a_runtime_failure(tmp_path, capsys, fa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {ckpt}: ") and captured.err.count("\n") == 1
+
+
+def test_a_checkpoint_whose_dims_this_build_cannot_run_is_a_runtime_failure(tmp_path, capsys):
+    lib = build_library("args")
+    ckpt = tmp_path / "p.ckpt"
+    dims = replace(dims_for_library(lib), args=32)
+    checkpoint_save(init_params(0, dims), None, lib.manifest(), ckpt)
+    assert cli.main(["run", "--program", "quicksort", "--list", "3,1,2",
+                     "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {ckpt}: network dims {{'args': 32}} do not fit")
 
 
 def test_a_checkpoint_with_bytes_beyond_its_arrays_is_a_runtime_failure(tmp_path, capsys):

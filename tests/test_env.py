@@ -380,3 +380,7 @@ class TestRecords:
             env_from_record("list=1,2;p=0,1,0;stack=;reg=x")
         with pytest.raises(EnvError):
             env_from_record("list=1,2;p=0,9,0;stack=;reg=-")
+
+    def test_a_field_without_its_key_is_malformed(self):
+        with pytest.raises(EnvError, match=r"field '0,1,0' \(expected p=...\)"):
+            env_from_record("list=1,2;0,1,0;stack=;reg=-")

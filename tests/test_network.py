@@ -140,19 +140,18 @@ class TestLoss:
     def test_worked_unit_example(self):
         (value,) = step_loss_terms(
             np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([0.5]),
-            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([1.0]),
-            np.array([True]))
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([1.0]))
         assert value == pytest.approx(1.6363, abs=1e-4)
 
     def test_matched_outputs_leave_target_entropy(self):
         tp = np.array([[1.0, 0.0, 0.0]])
         ta = np.zeros((1, 4))
         ta[0, 2] = 1.0
-        one, policy = np.array([1.0]), np.array([True])
-        assert step_loss_terms(tp, ta, one, tp, ta, one, policy)[0] == pytest.approx(0.0, abs=1e-9)
+        one = np.array([1.0])
+        assert step_loss_terms(tp, ta, one, tp, ta, one)[0] == pytest.approx(0.0, abs=1e-9)
         soft = np.array([[0.5, 0.5]])
         expected = -2 * 0.5 * np.log(0.5) * 2  # both heads at entropy
-        assert step_loss_terms(soft, soft, one, soft, soft, one, policy)[0] == pytest.approx(expected)
+        assert step_loss_terms(soft, soft, one, soft, soft, one)[0] == pytest.approx(expected)
 
     def test_duplicating_batch_doubles_loss(self):
         dims = small_dims()
@@ -166,7 +165,6 @@ class TestLoss:
         dims = small_dims()
         params = init_params(2, dims)
         trace = random_trace(rng(2), dims, reward=0.0)
-        trace.value_only = True
         full = loss(params, [trace])
         # Manually recompute the pure value loss along the trace.
         expected = 0.0
@@ -176,6 +174,23 @@ class TestLoss:
             expected += out.value ** 2
             hidden = out.hidden
         assert full == pytest.approx(expected)
+
+
+    @given(st.integers(0, 8), st.integers(0, 3), st.integers(0, 2**31 - 1), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_a_failed_trace_trains_the_value_alone(self, n, task, seed, one_hot):
+        dims = small_dims()
+        params = init_params(seed % 1000, dims)
+        trace = random_trace(rng(seed), dims, n, task, 0.0, one_hot=one_hot)
+        sq, hidden = 0.0, zero_hidden(dims)
+        for step in trace.steps:
+            out = forward(params, step.obs, task, hidden)
+            sq += out.value ** 2
+            hidden = out.hidden
+        total, grads = loss_and_grads(params, [trace])
+        assert total == loss(params, [trace]) == pytest.approx(sq, rel=1e-12, abs=0.0)
+        for name in ("prog_w", "prog_b", "arg_w", "arg_b"):
+            assert not grads[name].any(), name
 
 
 class TestGradients:
@@ -194,7 +209,6 @@ class TestGradients:
         dims = small_dims()
         params = init_params(9, dims)
         trace = random_trace(rng(9), dims, 2, 1, 0.0)
-        trace.value_only = True
         assert finite_diff_check(params, [trace]) < 1e-4
 
 
@@ -341,7 +355,7 @@ def reference_loss_and_grads(params, batch):
     grads = params.zeros_like()
     total = 0.0
     for trace in batch:
-        value_only = getattr(trace, "value_only", False)
+        value_only = trace.reward != 1
         h, c = np.zeros(d.hidden), np.zeros(d.hidden)
         caches = []
         for step in trace.steps:
@@ -414,10 +428,8 @@ class TestBatchedMatchesLoopReference:
         params = init_params(30, dims)
         r = rng(30)
         batch = []
-        for n in range(9):  # lengths 0..8, all four tasks, mixed value_only
-            trace = random_trace(r, dims, n, n % 4, float(n % 2))
-            trace.value_only = n % 3 == 0
-            batch.append(trace)
+        for n in range(9):  # lengths 0..8, all four tasks, rewards 0 and 1
+            batch.append(random_trace(r, dims, n, n % 4, float(n % 2)))
         assert_matches_reference(params, batch)
 
     def test_batch_of_one(self):
@@ -436,7 +448,7 @@ class TestBatchedMatchesLoopReference:
         trace = random_trace(rng(33), dims, 4, 2, 1.0)
         assert loss_and_grads(params, [empty, trace, empty])[0] == loss(params, [trace])
 
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3), st.booleans(),
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3),
                               st.sampled_from([0.0, 1.0])), min_size=1, max_size=6),
            st.integers(0, 2**31 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -445,10 +457,8 @@ class TestBatchedMatchesLoopReference:
         params = init_params(seed % 1000, dims)
         r = rng(seed)
         batch = []
-        for n, task, value_only, reward in shapes:
-            trace = random_trace(r, dims, n, task, reward, one_hot=one_hot)
-            trace.value_only = value_only
-            batch.append(trace)
+        for n, task, reward in shapes:
+            batch.append(random_trace(r, dims, n, task, reward, one_hot=one_hot))
         assert_matches_reference(params, batch)
 
 
@@ -642,8 +652,8 @@ class TestValueHead:
         while len(failed) < 16:
             env = sample_task_env(self.TASK, int(r.integers(2, 8)), r)
             record, _ = run_episode(self.TASK, env, UniformEvaluator(lib), lib, cfg, r)
-            if record.reward == 0 and record.steps:
-                failed.append(dc_replace(record, value_only=True))
+            if record.reward == 0:
+                failed.append(record)
         params = init_params(0, dims_for_library(lib))
         opt = init_optimizer(params, lr=3e-3)
         for _ in range(100):
@@ -872,15 +882,22 @@ def edited(header, **changes):
     return header | changes
 
 
+def replace_payload(path, edit):
+    """Replace the payload of the checkpoint at `path` with `edit(payload)`,
+    with the checksum of the new payload in its header."""
+    raw = path.read_bytes()
+    fixed = len(network.CHECKPOINT_MAGIC) + 4 + 8
+    (length,) = struct.unpack_from("<Q", raw, fixed - 8)
+    payload = edit(raw[fixed + length:])
+    path.write_bytes(raw[:fixed + length] + payload)
+    digest = hashlib.sha256(payload).hexdigest()
+    rewrite_header(path, lambda h: edited(h, payload_sha256=digest))
+
+
 def append_to_payload(path, extra: bytes):
     """Append `extra` to the payload of the checkpoint at `path`, with the
     checksum of the longer payload in its header."""
-    raw = path.read_bytes() + extra
-    fixed = len(network.CHECKPOINT_MAGIC) + 4 + 8
-    (length,) = struct.unpack_from("<Q", raw, fixed - 8)
-    path.write_bytes(raw)
-    digest = hashlib.sha256(raw[fixed + length:]).hexdigest()
-    rewrite_header(path, lambda h: edited(h, payload_sha256=digest))
+    replace_payload(path, lambda payload: payload + extra)
 
 
 def transpose_first_array(header):
@@ -935,11 +952,69 @@ class TestCheckpointHeader:
         with pytest.raises(CheckpointError, match=f"{extra} payload bytes beyond"):
             checkpoint_load(path)
 
+    def test_a_payload_shorter_than_its_arrays_is_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        replace_payload(path, lambda payload: payload[:-8])
+        with pytest.raises(CheckpointError, match="truncated payload"):
+            checkpoint_load(path)
+
+    @staticmethod
+    def edit_prefix(path, offset, data):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:offset] + data + raw[offset + len(data):])
+
+    def test_an_unsupported_format_version_is_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.edit_prefix(path, len(network.CHECKPOINT_MAGIC), struct.pack("<I", 2))
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
+            checkpoint_load(path)
+
+    def test_a_header_length_past_the_end_of_the_file_is_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        size = path.stat().st_size
+        self.edit_prefix(path, len(network.CHECKPOINT_MAGIC) + 4, struct.pack("<Q", size))
+        with pytest.raises(CheckpointError, match="truncated header"):
+            checkpoint_load(path)
+
+    def test_header_bytes_that_are_not_json_are_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.edit_prefix(path, len(network.CHECKPOINT_MAGIC) + 12, b"not json")
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            checkpoint_load(path)
+
     def test_an_unedited_rewrite_still_loads(self, tmp_path):
         path = self.saved(tmp_path)
         rewrite_header(path, lambda h: h)
         params, opt, _ = checkpoint_load(path)
         assert params.dims == small_dims() and opt.t == 0
+
+    # Each of these dims is written consistently by `checkpoint_save`, but
+    # the program cannot run it: `argsynth run` raised IndexError (args 32,
+    # tasks 2) or a matmul ValueError (obs), or ran a program head one short
+    # (programs 11).
+    DIMS_THIS_BUILD_CANNOT_RUN = [("obs", OBS_DIM - 1), ("args", 32), ("tasks", 2),
+                                  ("programs", 11)]
+
+    @staticmethod
+    def saved_with(tmp_path, field, value):
+        path = tmp_path / "model.ckpt"
+        dims = dc_replace(small_dims(), **{field: value})
+        checkpoint_save(init_params(0, dims), None, build_library("args").manifest(), path)
+        return path
+
+    @pytest.mark.parametrize("field,value", DIMS_THIS_BUILD_CANNOT_RUN)
+    def test_dims_that_do_not_fit_the_manifest_are_rejected(self, tmp_path, field, value):
+        path = self.saved_with(tmp_path, field, value)
+        with pytest.raises(CheckpointError,
+                           match=f"network dims {{'{field}': {value}}} do not fit"):
+            checkpoint_load(path, expected_manifest=build_library("args").manifest())
+
+    @pytest.mark.parametrize("field,value", DIMS_THIS_BUILD_CANNOT_RUN[:2])
+    def test_observation_and_argument_dims_are_checked_without_a_manifest(
+            self, tmp_path, field, value):
+        path = self.saved_with(tmp_path, field, value)
+        with pytest.raises(CheckpointError, match="do not fit this build"):
+            checkpoint_load(path)
 
     def test_the_benchmark_parameter_file_loads(self):
         params, opt, manifest = checkpoint_load(

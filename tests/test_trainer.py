@@ -47,23 +47,6 @@ def tiny_config(**kw):
 
 
 class TestBuffers:
-    def test_replay_rejects_failures(self):
-        buf = ReplayBuffer(10)
-        with pytest.raises(ValueError):
-            from argsynth.trainer import TraceRecord
-            buf.add(TraceRecord(0, "partition_update",
-                                make_env([1, 2], 0, 1, 0), [],
-                                make_env([1, 2], 0, 1, 0), 0))
-
-    def test_replay_takes_value_only_traces_of_failures_only(self):
-        from argsynth.trainer import TraceRecord
-        buf = ReplayBuffer(10)
-        e = make_env([1, 2], 0, 1, 0)
-        with pytest.raises(ValueError):
-            buf.add(TraceRecord(0, "partition_update", e, [], e, 1, value_only=True))
-        buf.add(TraceRecord(0, "partition_update", e, [], e, 0, value_only=True))
-        assert len(buf) == 1
-
     def test_an_empty_replay_samples_nothing_and_draws_nothing(self):
         r = rng(4)
         state = r.bit_generator.state
@@ -275,13 +258,13 @@ class TestTrainer:
 
     def test_failed_episodes_always_reach_the_value_head(self, monkeypatch):
         real = trainer_module.train_step
-        seen = []  # (value-only rows in the batch, value traces held)
+        seen = []  # (failed traces in the batch, value traces held)
 
         def run(strip_value_only=False):
             def step(params, opt, batch):
-                seen.append((sum(tr.value_only for tr in batch), len(trainer.value_traces)))
+                seen.append((sum(tr.reward == 0 for tr in batch), len(trainer.value_traces)))
                 if strip_value_only:
-                    batch = [tr for tr in batch if not tr.value_only]
+                    batch = [tr for tr in batch if tr.reward != 0]
                 return real(params, opt, batch)
 
             monkeypatch.setattr(trainer_module, "train_step", step)
@@ -294,8 +277,7 @@ class TestTrainer:
 
         trained = run()
         assert len(trained.replay) > 0 and len(trained.value_traces) > 0
-        assert all(r.value_only and r.reward == 0 and r.steps
-                   for r in trained.value_traces)
+        assert all(r.reward == 0 and r.steps for r in trained.value_traces)
         # Every gradient step mixes in batch_size // 4 = 2 of them, or all
         # there are.
         assert seen and all(rows == min(2, held) for rows, held in seen)
