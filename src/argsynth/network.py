@@ -5,6 +5,13 @@ program-embedding matrix indexed by the task being executed, an LSTM core,
 and three heads (program softmax, argument softmax, logistic value). The
 graph is fixed, so the backward pass is written out by hand and validated
 against central differences; no autodiff framework is involved.
+
+Training packs a batch into step-major rows (`_unroll`): each layer runs
+once over all rows, and only the LSTM cell is stepped in time. Its sums
+are taken in another order than a step-by-step or trace-by-trace loop's,
+so the loss agrees with such a loop within 1e-12 relative and each
+gradient within 1e-10 relative, not bit for bit; run to run it is
+byte-reproducible.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -127,17 +134,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """Activations of one network step: vectors for one trace, or one row
-    per running trace. The encoder output is `x[..., :enc]`, and `tanh(c)`
-    is recomputed where it is needed, so that the tape the backward pass
-    reads stays small."""
+    """Outputs of one network step: vectors for one trace, or one row per
+    input."""
 
-    a1: np.ndarray
-    x: np.ndarray
-    gi: np.ndarray
-    gf: np.ndarray
-    gg: np.ndarray
-    go: np.ndarray
     h: np.ndarray
     c: np.ndarray
     pi_p: np.ndarray
@@ -165,7 +164,7 @@ def recurrent_half(params: ParameterSet, u: np.ndarray, h_prev: np.ndarray,
                     c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
     """The second piece of `_step`: `h_prev @ lstm_wh` plus the input half
     `u`, the bias, the gates, the cell and the two policy heads. Returns
-    (gi, gf, gg, go, h, c, pi_p, pi_a); writes into none of its inputs."""
+    (h, c, pi_p, pi_a); writes into none of its inputs."""
     a = params.arrays
     H = params.dims.hidden
     # Clipping below at -500 keeps exp(-z) finite. No upper clip is needed:
@@ -192,7 +191,7 @@ def recurrent_half(params: ParameterSet, u: np.ndarray, h_prev: np.ndarray,
     pi_a = h @ a["arg_w"]
     pi_a += a["arg_b"]
     _softmax_in_place(pi_a)
-    return gi, gf, gg, go, h, c, pi_p, pi_a
+    return h, c, pi_p, pi_a
 
 
 def value_head(params: ParameterSet, h: np.ndarray) -> np.ndarray:
@@ -224,12 +223,10 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     operation rounds each entry the same whether it writes a new array or
     an old one, and every operation here runs in the order of the plain
     expressions, so the results are the same bits. One sigmoid pass covers
-    all four gate blocks; the g-block is then overwritten with its tanh.
-    The activations are stored block by block, so that each gate is a
-    contiguous array for the elementwise work of the backward pass."""
-    a1, x, u = input_half(params, obs, task)
-    gi, gf, gg, go, h, c, pi_p, pi_a = recurrent_half(params, u, h_prev, c_prev)
-    return _Step(a1, x, gi, gf, gg, go, h, c, pi_p, pi_a, value_head(params, h))
+    all four gate blocks; the g-block is then overwritten with its tanh."""
+    u = input_half(params, obs, task)[2]
+    h, c, pi_p, pi_a = recurrent_half(params, u, h_prev, c_prev)
+    return _Step(h, c, pi_p, pi_a, value_head(params, h))
 
 
 def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
@@ -269,7 +266,7 @@ def forward_rows(params: ParameterSet, obs: Sequence[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Training: the batch packed into rows, one batched step per time step
+# Training: the batch packed into step-major rows, only the cell stepped in time
 
 
 def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: np.ndarray,
@@ -284,37 +281,68 @@ def step_loss_terms(pi_p: np.ndarray, pi_a: np.ndarray, value: np.ndarray,
     return np.where(reward == 1, ce_p + ce_a + sq, sq)
 
 
-def _unroll(params: ParameterSet, batch: Sequence) -> Iterator[tuple]:
-    """Run the batch forward one time step at a time, all traces at once.
+def _unroll(params: ParameterSet, batch: Sequence) -> Optional[tuple]:
+    """Run the batch forward as packed rows; None when it holds no step.
 
     Traces are sorted by length, longest first (a stable sort), so the
-    traces still running at step t are the first b_t rows: no padding and
-    no mask on the recurrence. Every trace starts from the zero hidden
-    state. Yields, per step, for its b_t rows: (obs, task, reward, h_prev,
-    c_prev, pi_p targets, pi_a targets, `_Step`, row losses).
+    traces still running at step t are the first b_t of them. Rows are
+    step-major, b_0 rows of step 0, then b_1 of step 1, and so on: no
+    padding and no mask. Every trace starts from the zero hidden state.
+    The input half runs once over all rows; per step only `h_prev @
+    lstm_wh`, the bias, the gates and the cell run, on that step's rows,
+    in `recurrent_half`'s operation order; the heads, the value head and
+    the loss terms then run once over all rows. Returns (widths b_t, obs,
+    task, reward, pi_p targets, pi_a targets, a1, x, gates, h, c, pi_p,
+    pi_a, value, row losses), all but the widths one row per row; `gates`
+    holds `x @ lstm_wx`, then the gates i, f, g, o in column blocks.
     """
-    d = params.dims
+    a, d = params.arrays, params.dims
+    H = d.hidden
     traces = sorted(batch, key=lambda tr: len(tr.steps), reverse=True)
-    lengths = [len(tr.steps) for tr in traces]
     task = np.array([tr.task_index for tr in traces], dtype=np.intp)
     if task.size and not (0 <= task.min() and task.max() < d.tasks):
         raise ValueError(f"task index outside [0, {d.tasks})")
-    reward = np.array([tr.reward for tr in traces], dtype=np.float64)
-    h = c = np.zeros((len(traces), d.hidden))
-    b = len(traces)
-    for t in range(lengths[0] if traces else 0):
-        while lengths[b - 1] <= t:
-            b -= 1
-        steps = [tr.steps[t] for tr in traces[:b]]
-        obs = np.array([st.obs for st in steps])
-        if obs.shape != (b, d.obs):
-            raise ValueError(f"observation rows {obs.shape} != ({b}, {d.obs})")
-        tp = np.array([st.pi_p_mcts for st in steps])
-        ta = np.array([st.pi_a_mcts for st in steps])
-        rows = _step(params, obs, task[:b], h[:b], c[:b])
-        terms = step_loss_terms(rows.pi_p, rows.pi_a, rows.value, tp, ta, reward[:b])
-        yield obs, task[:b], reward[:b], h[:b], c[:b], tp, ta, rows, terms
-        h, c = rows.h, rows.c
+    lengths = np.array([len(tr.steps) for tr in traces], dtype=np.intp)
+    widths = (lengths[:, None] > np.arange(lengths.max(initial=0))).sum(axis=0).tolist()
+    steps = [tr.steps[t] for t, b in enumerate(widths) for tr in traces[:b]]
+    if not steps:
+        return None
+    obs = np.array([st.obs for st in steps])
+    if obs.shape != (len(steps), d.obs):
+        raise ValueError(f"observation rows {obs.shape} != ({len(steps)}, {d.obs})")
+    trace = np.arange(len(steps)) - np.repeat(np.cumsum(widths) - widths, widths)
+    reward = np.array([tr.reward for tr in traces], dtype=np.float64)[trace]
+    a1, x, gates = input_half(params, obs, task[trace])
+    h, c = np.empty((len(steps), H)), np.empty((len(steps), H))
+    o = p = 0
+    for t, b in enumerate(widths):
+        z = gates[o:o + b]
+        if t:
+            z += h[p:p + b] @ a["lstm_wh"]
+        z += a["lstm_b"]
+        np.maximum(z, -500.0, out=z)
+        tanh_g = np.tanh(z[:, 2 * H:3 * H])
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z[:, 2 * H:3 * H] = tanh_g
+        ct = np.multiply(z[:, :H], tanh_g, out=c[o:o + b])
+        if t:
+            ct += z[:, H:2 * H] * c[p:p + b]
+        np.multiply(np.tanh(ct, out=h[o:o + b]), z[:, 3 * H:], out=h[o:o + b])
+        p, o = o, o + b
+    pi_p = h @ a["prog_w"]
+    pi_p += a["prog_b"]
+    _softmax_in_place(pi_p)
+    pi_a = h @ a["arg_w"]
+    pi_a += a["arg_b"]
+    _softmax_in_place(pi_a)
+    value = value_head(params, h)
+    tp = np.array([st.pi_p_mcts for st in steps])
+    ta = np.array([st.pi_a_mcts for st in steps])
+    return (widths, obs, task[trace], reward, tp, ta, a1, x, gates, h, c, pi_p, pi_a, value,
+            step_loss_terms(pi_p, pi_a, value, tp, ta, reward))
 
 
 def _ce_dlogits(pi: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -327,80 +355,92 @@ def _ce_dlogits(pi: np.ndarray, target: np.ndarray) -> np.ndarray:
 def loss(params: ParameterSet, batch: Sequence) -> float:
     """Summed loss over a batch of traces.
 
-    The batch runs as packed rows: sorted by trace length, longest first
-    (stable), each time step is one batched pass over the traces still
-    running. Hidden states are recomputed from zero along each trace's
-    stored observations; the snapshots saved in traces are never fed back
-    in, because they go stale as parameters move. Only traces of reward 1
-    add policy terms (`step_loss_terms`).
+    The batch runs as packed rows (`_unroll`): sorted by trace length,
+    longest first (stable), step-major, each layer once over all rows and
+    only the LSTM cell stepped in time. Hidden states are recomputed from
+    zero along each trace's stored observations; the snapshots saved in
+    traces are never fed back in, because they go stale as parameters
+    move. Only traces of reward 1 add policy terms (`step_loss_terms`).
+    The rows are summed in one pass, so the loss can differ in its last
+    bits (within 1e-12 relative) from a sum step by step or trace by trace.
     """
-    total = 0.0
-    for *_, terms in _unroll(params, batch):
-        total += float(terms.sum())
-    return total
+    run = _unroll(params, batch)
+    return 0.0 if run is None else float(run[-1].sum())
 
 
 def loss_and_grads(params: ParameterSet, batch: Sequence) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus exact gradients via backpropagation through time.
 
-    Packed as in `loss` (longest trace first, one batched pass per time
-    step over the running rows, hidden states recomputed from zero), so
-    the loss equals `loss(params, batch)` exactly. Each step's weight
-    gradients are `X.T @ dY` over its rows; rows whose reward is not 1
-    have zero logit gradients.
+    Packed as in `loss`, so the loss equals `loss(params, batch)` exactly.
+    The heads' gradients and their `dh` take one pass over all rows; rows
+    whose reward is not 1 have zero logit gradients. Then, last step first,
+    only the cell's backward runs per step: `dc`, the gate gradients
+    (written over the gates) and `dh_prev += dgates @ lstm_wh.T`. Each
+    weight gradient of the LSTM, the embedding and the encoder is then one
+    product over all rows, so it can differ in its last bits (within 1e-10
+    relative) from a sum step by step or trace by trace.
     """
-    a = params.arrays
-    d = params.dims
-    grads = params.zeros_like()
-    tape = list(_unroll(params, batch))
-    total = 0.0
-    for *_, terms in tape:
-        total += float(terms.sum())
-    width = len(tape[0][0]) if tape else 0
-    dh_next = np.zeros((width, d.hidden))
-    dc_next = np.zeros((width, d.hidden))
-    while tape:
-        # Popping drops each step's activations once they are used.
-        obs, task, reward, h_prev, c_prev, tp, ta, r, _ = tape.pop()
-        b = len(obs)
-        dlog_p = _ce_dlogits(r.pi_p, tp)
-        dlog_a = _ce_dlogits(r.pi_a, ta)
-        solved = reward == 1
-        if not solved.all():
-            dlog_p[~solved] = 0.0
-            dlog_a[~solved] = 0.0
-        v = r.value
-        dv = 2.0 * (v - reward) * v * (1.0 - v)
-        grads["prog_w"] += r.h.T @ dlog_p
-        grads["prog_b"] += dlog_p.sum(axis=0)
-        grads["arg_w"] += r.h.T @ dlog_a
-        grads["arg_b"] += dlog_a.sum(axis=0)
-        grads["value_w"] += dv @ r.h
-        grads["value_b"][0] += dv.sum()
-        dh = (dlog_p @ a["prog_w"].T + dlog_a @ a["arg_w"].T
-              + dv[:, None] * a["value_w"] + dh_next[:b])
-        tanh_c = np.tanh(r.c)
-        do = dh * tanh_c
-        dc = dh * r.go * (1.0 - tanh_c ** 2) + dc_next[:b]
-        dc_next[:b] = dc * r.gf
-        dgates = np.concatenate([
-            dc * r.gg * r.gi * (1.0 - r.gi),
-            dc * c_prev * r.gf * (1.0 - r.gf),
-            dc * r.gi * (1.0 - r.gg ** 2),
-            do * r.go * (1.0 - r.go),
-        ], axis=1)
-        grads["lstm_wx"] += r.x.T @ dgates
-        grads["lstm_wh"] += h_prev.T @ dgates
-        grads["lstm_b"] += dgates.sum(axis=0)
-        dx = dgates @ a["lstm_wx"].T
-        dh_next[:b] = dgates @ a["lstm_wh"].T
-        np.add.at(grads["prog_embed"], task, dx[:, d.enc:])
-        dz2 = dx[:, :d.enc] * (r.x[:, :d.enc] > 0)
-        grads["enc_w2"] += r.a1.T @ dz2
-        grads["enc_b2"] += dz2.sum(axis=0)
-        dz1 = (dz2 @ a["enc_w2"].T) * (r.a1 > 0)
-        grads["enc_w1"] += obs.T @ dz1
-        grads["enc_b1"] += dz1.sum(axis=0)
+    a, d = params.arrays, params.dims
+    H = d.hidden
+    run = _unroll(params, batch)
+    if run is None:
+        return 0.0, params.zeros_like()
+    widths, obs, task, reward, tp, ta, a1, x, gates, h, c, pi_p, pi_a, v, terms = run
+    dlog_p = _ce_dlogits(pi_p, tp)
+    dlog_a = _ce_dlogits(pi_a, ta)
+    dlog_p[reward != 1] = 0.0
+    dlog_a[reward != 1] = 0.0
+    dv = 2.0 * (v - reward) * v * (1.0 - v)
+    grads = dict.fromkeys(a)  # in parameter order, which `train_step` sums in
+    grads.update(prog_w=h.T @ dlog_p, prog_b=dlog_p.sum(axis=0), arg_w=h.T @ dlog_a,
+                 arg_b=dlog_a.sum(axis=0), value_w=dv @ h, value_b=dv.sum(keepdims=True))
+    dh = dlog_p @ a["prog_w"].T
+    dh += dlog_a @ a["arg_w"].T
+    dh += dv[:, None] * a["value_w"]
+    total = float(terms.sum())
+    del run, pi_p, pi_a, tp, ta, dlog_p, dlog_a, terms  # lowers the peak memory
+    # The factors of the cell's backward that the forward pass fixes, over
+    # all rows at once, each gate's written over it: per step, dc = dh *
+    # k_c + dc_next, and the gates' gradients are their factors times dc
+    # (times dh for o).
+    b0 = widths[0]
+    prev = np.arange(b0, len(h)) - np.repeat(widths[:-1], widths[1:]).astype(np.intp)
+    g4 = gates.reshape(len(h), 4, H)
+    gi, gf, gg, go = g4.transpose(1, 0, 2)
+    forget = gf.copy()
+    gf *= 1.0 - gf
+    gf[:b0] = 0.0  # c_prev is zero
+    gf[b0:] *= c[prev]
+    tanh_c = np.tanh(c, out=c)
+    k_c = go * (1.0 - tanh_c ** 2)
+    go *= 1.0 - go
+    go *= tanh_c
+    k_g = np.multiply(gi, 1.0 - gg ** 2, out=c)  # c is read no more
+    gi *= 1.0 - gi
+    gi *= gg
+    gg[...] = k_g
+    dc_next = np.zeros((b0, H))
+    o = len(h)
+    for t in range(len(widths) - 1, -1, -1):
+        b = widths[t]
+        o -= b
+        dc = dh[o:o + b] * k_c[o:o + b]
+        dc += dc_next[:b]
+        g4[o:o + b, :3] *= dc[:, None]
+        g4[o:o + b, 3] *= dh[o:o + b]
+        if t:
+            np.multiply(dc, forget[o:o + b], out=dc_next[:b])
+            p = o - widths[t - 1]
+            dh[p:p + b] += gates[o:o + b] @ a["lstm_wh"].T
+    del dh, k_c, forget
+    dx = gates @ a["lstm_wx"].T
+    dz2 = dx[:, :d.enc] * (x[:, :d.enc] > 0)
+    dz1 = dz2 @ a["enc_w2"].T
+    dz1 *= a1 > 0
+    grads.update(lstm_wx=x.T @ gates, lstm_wh=h[prev].T @ gates[b0:],
+                 lstm_b=gates.sum(axis=0), prog_embed=np.eye(d.tasks)[task].T @ dx[:, d.enc:],
+                 enc_w2=a1.T @ dz2, enc_b2=dz2.sum(axis=0),
+                 enc_w1=obs.T @ dz1, enc_b1=dz1.sum(axis=0))
     return total, grads
 
 

@@ -966,7 +966,7 @@ class NetworkGreedyPolicy:
                     self.input_hits += 1
                 first = hidden is None
                 h, c = zero_hidden(params.dims) if first else hidden
-                *_, h, c, pi_p, pi_a = recurrent_half(params, entry[0], h, c)
+                h, c, pi_p, pi_a = recurrent_half(params, entry[0], h, c)
                 hidden = HiddenState(h, c)
                 if first:
                     self.first_misses += 1

@@ -31,7 +31,6 @@ from .search import (
     Evaluator,
     EpisodeStep,
     NetworkEvaluator,
-    NetworkGreedyPolicy,
     SearchConfig,
     SearchStats,
     check_tunables,

@@ -10,9 +10,10 @@ _spec.loader.exec_module(bc)
 # Stands in for the program in a fake checkout: the names the battery
 # calls, returning data that depends on MARK only where the comments say,
 # search trees whose one prior is PRIOR, grown by a tree generator that
-# `run_search` drives, as the program's search module has, and greedy
-# steps that select from a `pi_p` of PI. Importing it logs
-# the importing process and its working directory.
+# `run_search` drives, as the program's search module has, greedy steps
+# that select from a `pi_p` of PI, and a `loss` column of LOSS in the
+# trainer's metrics. Importing it logs the importing process and its
+# working directory.
 FAKE_ARGSYNTH = '''\
 import os
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 MARK = {mark!r}
 PRIOR = {prior!r}
 PI = {pi!r}
+LOSS = {loss!r}
 with open(Path(__file__).resolve().parents[3] / "imports.log", "a") as fh:
     fh.write(f"{{os.getpid()}} {{Path.cwd().name}}\\n")
 if MARK == "broken":
@@ -52,7 +54,7 @@ class Trainer:  # MARK shows in the training digests
                             e_final=MARK, steps=[STEP])
 
     def metrics_csv(self):
-        return f"{{self.seed}},{{self.iterations}},{{MARK}}"
+        return f"seed,iterations,loss,mark\\n{{self.seed}},{{self.iterations}},{{LOSS}},{{MARK}}\\n"
 
     def search_csv(self):
         return ""
@@ -146,18 +148,21 @@ def train_step(params, opt, batch):
 '''
 
 
-def fake_checkout(path, mark, prior=1.0, pi=1.0):
+def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5):
     package = path / "src" / "argsynth"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior, pi=pi))
+    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior, pi=pi,
+                                                              loss=loss))
     (path / "bench").mkdir()
     (path / "bench" / "params.ckpt").write_bytes(b"fake")
     return str(path)
 
 
-def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0, change_pi=1.0):
+def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0, change_pi=1.0,
+        change_loss=28.5):
     parent = fake_checkout(tmp_path / "parent", parent_mark)
-    change = fake_checkout(tmp_path / "change", change_mark, change_prior, change_pi)
+    change = fake_checkout(tmp_path / "change", change_mark, change_prior, change_pi,
+                           change_loss)
     code = bc.main([parent, change])
     return code, capsys.readouterr()
 
@@ -169,7 +174,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 14 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 16 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -177,8 +182,10 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "b")
     assert code == 1 and out.out.rstrip().endswith("DIFFERENT")
     assert differing(out.out) == ["train seed 0: metrics_csv + search_csv",
+                                  "train seed 0: metrics_csv without loss + search_csv",
                                   "train seed 0: every episode",
                                   "train seed 5: metrics_csv + search_csv",
+                                  "train seed 5: metrics_csv without loss + search_csv",
                                   "train seed 5: every episode",
                                   "greedy eval grid seed 0",
                                   "greedy eval grid seed 0: every trial and step"]
@@ -206,6 +213,18 @@ def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
     assert code == 1
     assert differing(out.out) == ["greedy eval grid seed 0: every trial and step"]
     assert " over 5 greedy steps" in out.out
+
+
+def test_a_change_to_the_loss_alone_shows_only_on_the_full_metrics_line(tmp_path, capsys):
+    """A change that reorders training's float sums moves the `loss` column
+    in its last bits: the full line reads DIFFERS, the line without the
+    loss `same`."""
+    code, out = run(tmp_path, capsys, "a", "a", change_loss=28.500000000000004)
+    assert code == 1
+    assert differing(out.out) == ["train seed 0: metrics_csv + search_csv",
+                                  "train seed 5: metrics_csv + search_csv"]
+    assert "same  train seed 0: metrics_csv without loss + search_csv" in out.out
+    assert "same  train seed 5: metrics_csv without loss + search_csv" in out.out
 
 
 def test_a_digest_that_covers_nothing_fails_its_side(tmp_path, capsys):

@@ -86,6 +86,16 @@ class TestInit:
             "prog_w", "prog_b", "arg_w", "arg_b", "value_w", "value_b")
         assert tuple(init_params(0, small_dims()).arrays) == network.PARAM_LAYOUT
 
+    def test_copy_shares_no_array_with_the_original(self):
+        params = init_params(3, small_dims())
+        twin = params.copy()
+        assert twin.dims == params.dims and list(twin.arrays) == list(params.arrays)
+        for name, array in params.arrays.items():
+            assert twin.arrays[name].tobytes() == array.tobytes()
+            assert not np.shares_memory(twin.arrays[name], array)
+        twin.arrays["lstm_b"] += 1.0
+        assert not params.arrays["lstm_b"].any()
+
     def test_head_dimension_tracks_library(self):
         params = init_params(0, dims_for_library(build_library("args")))
         assert params.arrays["prog_w"].shape[1] == 12
@@ -464,8 +474,11 @@ class TestBatchedMatchesLoopReference:
 
 class TestStepWritesIntoNothingItWasGiven:
     """`_step` adds, clips and activates in place, but only on arrays it
-    has just made: its inputs, the hidden rows `_unroll` passes as views
-    of the previous step's output, and the parameters keep every byte."""
+    has just made: its inputs and the parameters keep every byte. The
+    packed training pass works in place on its own row buffers: the
+    traces and the parameters keep every byte, and no gradient it returns
+    shares memory with a parameter, a trace or another gradient (the
+    optimizer writes into each)."""
 
     @staticmethod
     def _checked_step(monkeypatch, params):
@@ -504,20 +517,25 @@ class TestStepWritesIntoNothingItWasGiven:
             for given in (obs, h, c, *params.arrays.values()):
                 assert not np.shares_memory(x, given)
 
-    def test_loss_and_loss_and_grads(self, monkeypatch):
+    def test_loss_and_loss_and_grads(self):
         dims = small_dims()
         params = init_params(51, dims)
         r = rng(51)
-        # Lengths 1..6: the running rows shrink, so later steps get h[:b].
-        batch = [random_trace(r, dims, n, n % 4, 1.0) for n in range(1, 7)]
-        saved = [[(st.obs.tobytes(), st.pi_p_mcts.tobytes(), st.pi_a_mcts.tobytes())
-                  for st in tr.steps] for tr in batch]
-        calls = self._checked_step(monkeypatch, params)
+        # Lengths 1..6: the running rows shrink from step to step; odd
+        # lengths are solved traces, even ones train the value alone.
+        batch = [random_trace(r, dims, n, n % 4, float(n % 2)) for n in range(1, 7)]
+        given = [x for tr in batch for st in tr.steps
+                 for x in (st.obs, st.pi_p_mcts, st.pi_a_mcts)]
+        saved = [x.tobytes() for x in given]
+        frozen = {k: v.tobytes() for k, v in params.arrays.items()}
         loss(params, batch)
-        loss_and_grads(params, batch)
-        assert calls == [2] * 12
-        assert saved == [[(st.obs.tobytes(), st.pi_p_mcts.tobytes(), st.pi_a_mcts.tobytes())
-                          for st in tr.steps] for tr in batch]
+        _, grads = loss_and_grads(params, batch)
+        assert [x.tobytes() for x in given] == saved
+        assert {k: v.tobytes() for k, v in params.arrays.items()} == frozen
+        for name, g in grads.items():
+            others = [o for k, o in grads.items() if k != name]
+            for x in (*given, *params.arrays.values(), *others):
+                assert not np.shares_memory(g, x), name
 
 
 def reference_train_step(params, opt, batch):
@@ -608,6 +626,52 @@ class TestTrainStep:
             if final < 0.01:
                 break
         assert final < 0.01
+
+
+class TestTrainStepRefuses:
+    """`train_step` refuses a batch that the packed pass cannot read, and a
+    loss or a gradient that is not finite, before any parameter or
+    optimizer state moves."""
+
+    @staticmethod
+    def assert_refused(batch, error, match):
+        params = init_params(60, small_dims())
+        opt = init_optimizer(params, lr=1e-2)
+        frozen = {k: v.tobytes() for k, v in params.arrays.items()}
+        with pytest.raises(error, match=match):
+            train_step(params, opt, batch)
+        assert {k: v.tobytes() for k, v in params.arrays.items()} == frozen
+        assert opt.t == 0
+        assert not any(m.any() or v.any() for m, v in zip(opt.m.values(), opt.v.values()))
+
+    @pytest.mark.parametrize("task", [-1, 4])
+    def test_a_task_index_out_of_range(self, task):
+        r = rng(61)
+        batch = [random_trace(r, small_dims(), 3, 0), random_trace(r, small_dims(), 2, task)]
+        self.assert_refused(batch, ValueError, "task index outside")
+
+    def test_observation_rows_of_the_wrong_width(self):
+        dims = dc_replace(small_dims(), obs=OBS_DIM - 1)
+        r = rng(62)
+        batch = [random_trace(r, dims, 3, 0), random_trace(r, dims, 1, 2)]
+        self.assert_refused(batch, ValueError, "observation rows")
+
+    def test_a_loss_that_is_not_finite(self):
+        trace = random_trace(rng(63), small_dims(), 3, 1)
+        trace.steps[1].obs[4] = np.nan
+        self.assert_refused([trace], FloatingPointError, "non-finite loss")
+
+    def test_a_gradient_that_is_not_finite(self, monkeypatch):
+        real = network.loss_and_grads
+
+        def poisoned(params, batch):
+            value, grads = real(params, batch)
+            grads["lstm_wh"][0, 0] = np.inf
+            return value, grads
+
+        monkeypatch.setattr(network, "loss_and_grads", poisoned)
+        self.assert_refused([random_trace(rng(64), small_dims(), 2, 3)],
+                            FloatingPointError, "non-finite gradient")
 
 
 class TestValueHead:

@@ -936,6 +936,30 @@ class TestSearchEpisode:
         assert record.reward == 0 and stats.simulations == 4
         assert replay_trace(record, lib) == 0
 
+    def test_a_committed_learned_call_that_fails_ends_the_episode(self):
+        # One simulation only expands the root, so the episode commits the
+        # pair of largest prior: a call of partition_update. With no nested
+        # budget that call fails, and the episode ends at once, with reward
+        # 0 and the state before the call as its final state.
+        lib = build_library("args")
+        task, env = TaskId.PARTITION, sample_task_env(TaskId.PARTITION, 5, rng(14))
+        pi_p = np.full(len(lib), 0.1 / (len(lib) - 1))
+        pi_p[lib.index("partition_update")] = 0.9
+        pi_a = np.full(ARG_SPACE, 1.0 / ARG_SPACE)
+
+        class FixedPrior:
+            def evaluate_many(self, requests):
+                return [(pi_p, pi_a, 0.5, hidden) for _, _, hidden in requests]
+
+            def initial_hidden(self):
+                return HiddenState(np.zeros(1), np.zeros(1))
+
+        cfg = SearchConfig(simulations=1, nested_simulations=0, dirichlet_weight=0.0)
+        record, stats = run_episode(task, env, FixedPrior(), lib, cfg, rng(14))
+        assert [s.action_name for s in record.steps] == ["partition_update"]
+        assert record.reward == 0 and record.e_final == env
+        assert stats.simulations == 1 and stats.recursions == 0
+
     def test_policies_in_steps_are_distributions(self):
         lib = build_library("args")
         r = rng(13)

@@ -420,15 +420,15 @@ class TestBehaviourOracle:
     """
 
     DIGESTS = {
-        "default": "9463d6beed2358869d62ef18a36f99f1a8720e37d6e1bef6cde905ee94fd7b83",
-        "noargs-exact": "9645e43b695750c45c32df2f66ad17a78ce6a44b5752eea5d063dbbbd6d2151d",
+        "default": "32be910e0e4a7e1168e147997238973cc85274f0e80e1f9ddc65ff474a6a84b8",
+        "noargs-exact": "b4c6ad1c6c1ba7177702fad948ce64af0d94e192951f790b97613fc9d70465b0",
     }
 
     # The statistics behind the visit counts: a last-bit change in a prior
     # seldom moves a visit count, so the CSVs alone would not show it.
     TREES = {
-        "default": "3581edd30466aba8cae8060337b58da75d351ac11e8e4546ebe44e44620a8e56",
-        "noargs-exact": "d0350b29fcabaa5c62000b00a62fe49bda14bc87c828646d5a9ea56b012956ee",
+        "default": "7d7176516b28598422e9760d25aa46f25e97560c6f78c64f378c7979518ca848",
+        "noargs-exact": "b8bd3be74ebed91e23268329cf8f3975eaa5295c594c3084d4fa0ba43b1610bd",
     }
 
     # Recorded from this trainer with `test_network.reference_train_step`

@@ -7,7 +7,10 @@ Each side runs as its own process, from the checkout's root, with that
 checkout's `src/` first on the import path. The battery:
 
 - per trainer seed (0 and 5), three default-config iterations: the sha256
-  of `Trainer.metrics_csv() + search_csv()`; a digest of every episode
+  of `Trainer.metrics_csv() + search_csv()`; the same without the
+  `loss` column, which reads `same` where a change only reorders the
+  float sums of training (the loss moves in its last bits, nothing else
+  does); a digest of every episode
   the trainer ran (each `TraceRecord` it built: actions, `pi_p_mcts`,
   `pi_a_mcts`, hidden snapshots, reward and final state); and a digest of
   every tree those episodes grew, top-level and nested;
@@ -76,6 +79,13 @@ def _sha(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+def _drop_column(csv_text: str, column: str) -> str:
+    """`csv_text` without the column headed `column`."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    k = rows[0].index(column)
+    return "\n".join(",".join(r[:k] + r[k + 1:]) for r in rows) + "\n"
+
+
 class Tally:
     """A running sha256 and the number of items it covered."""
 
@@ -140,8 +150,10 @@ def battery(A) -> dict[str, str]:
             tally.update(trees=Tally("trees"), records=Tally("episodes"))
             trainer = A.Trainer(A.RunConfig(seed=seed).to_train_config())
             trainer.run(TRAIN_ITERATIONS)
-            out[f"train seed {seed}: metrics_csv + search_csv"] = _sha(
-                trainer.metrics_csv() + trainer.search_csv())
+            metrics, searches = trainer.metrics_csv(), trainer.search_csv()
+            out[f"train seed {seed}: metrics_csv + search_csv"] = _sha(metrics + searches)
+            out[f"train seed {seed}: metrics_csv without loss + search_csv"] = _sha(
+                _drop_column(metrics, "loss") + searches)
             out[f"train seed {seed}: every episode"] = tally["records"].digest()
             out[f"train seed {seed}: statistics of every tree"] = tally["trees"].digest()
         tally["records"] = None
