@@ -6,12 +6,14 @@ and three heads (program softmax, argument softmax, logistic value). The
 graph is fixed, so the backward pass is written out by hand and validated
 against central differences; no autodiff framework is involved.
 
-Training packs a batch into step-major rows (`_unroll`): each layer runs
-once over all rows, and only the LSTM cell is stepped in time. Its sums
-are taken in another order than a step-by-step or trace-by-trace loop's,
-so the loss agrees with such a loop within 1e-12 relative and each
-gradient within 1e-10 relative, not bit for bit; run to run it is
-byte-reproducible.
+A step splits into an input half, the LSTM cell `_cell`, the policy heads
+`_heads` and a value head (`_step`); search, greedy play and training all
+run that one cell and those heads. Training packs a batch into step-major
+rows (`_unroll`): each layer runs once over all rows, and only the cell is
+stepped in time. Its sums are taken in another order than a step-by-step
+or trace-by-trace loop's, so the loss agrees with such a loop within 1e-12
+relative and each gradient within 1e-10 relative, not bit for bit; run to
+run it is byte-reproducible.
 """
 from __future__ import annotations
 
@@ -160,38 +162,57 @@ def input_half(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray
     return a1, x, x @ a["lstm_wx"]
 
 
-def recurrent_half(params: ParameterSet, u: np.ndarray, h_prev: np.ndarray,
-                    c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The second piece of `_step`: `h_prev @ lstm_wh` plus the input half
-    `u`, the bias, the gates, the cell and the two policy heads. Returns
-    (h, c, pi_p, pi_a); writes into none of its inputs."""
-    a = params.arrays
+def _cell(params: ParameterSet, z: np.ndarray, c_prev: Optional[np.ndarray],
+          c: Optional[np.ndarray] = None, h: Optional[np.ndarray] = None) -> tuple:
+    """The LSTM cell on the pre-activation `z` ([..., 4 hidden], bias not
+    yet added), in place: the bias, the clip, then one sigmoid pass over
+    the gate blocks i, f, g, o, the g block then overwritten with its tanh.
+    Returns (c, h), written into `c` and `h` when given; `c_prev` None is
+    the zero cell state. An elementwise operation rounds each entry the
+    same whether it writes a new array or an old one, and each runs in the
+    order of the plain expressions, so working in place gives the same
+    bits. IEEE addition commutes, signed zeros included, so `i*g + f*c_prev`
+    is `f*c_prev + i*g` to the bit."""
     H = params.dims.hidden
+    z += params.arrays["lstm_b"]
     # Clipping below at -500 keeps exp(-z) finite. No upper clip is needed:
     # sigmoid and tanh round to exactly 1 from z = 37 on.
-    z = h_prev @ a["lstm_wh"]
-    z += u
-    z += a["lstm_b"]
     np.maximum(z, -500.0, out=z)
-    # [4, ..., hidden]: the gate blocks i, f, g, o first.
-    z = z.reshape(*z.shape[:-1], 4, H).swapaxes(0, -2)
-    gates = np.negative(z, out=np.empty(z.shape))
-    np.exp(gates, out=gates)
-    gates += 1.0
-    np.divide(1.0, gates, out=gates)
-    gi, gf, gg, go = gates
-    np.tanh(z[2], out=gg)
-    c = gf * c_prev
-    c += gi * gg
-    h = np.tanh(c)
-    h *= go
+    gg = z[..., 2 * H:3 * H]
+    tanh_g = np.tanh(gg)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    gg[...] = tanh_g
+    c = np.multiply(z[..., :H], gg, out=c)
+    if c_prev is not None:
+        c += z[..., H:2 * H] * c_prev
+    h = np.tanh(c, out=h)
+    h *= z[..., 3 * H:]
+    return c, h
+
+
+def _heads(params: ParameterSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The program and argument softmax heads: (pi_p, pi_a)."""
+    a = params.arrays
     pi_p = h @ a["prog_w"]
     pi_p += a["prog_b"]
     _softmax_in_place(pi_p)
     pi_a = h @ a["arg_w"]
     pi_a += a["arg_b"]
     _softmax_in_place(pi_a)
-    return h, c, pi_p, pi_a
+    return pi_p, pi_a
+
+
+def recurrent_half(params: ParameterSet, u: np.ndarray, h_prev: np.ndarray,
+                    c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The second piece of `_step`: `h_prev @ lstm_wh + u`, `_cell` and
+    `_heads`. Returns (h, c, pi_p, pi_a); writes into none of its inputs."""
+    z = h_prev @ params.arrays["lstm_wh"]
+    z += u
+    c, h = _cell(params, z, c_prev)
+    return (h, c) + _heads(params, h)
 
 
 def value_head(params: ParameterSet, h: np.ndarray) -> np.ndarray:
@@ -211,19 +232,14 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     The step is three pieces, called in turn: the input half
     (`input_half`: the encoder and `u = x @ lstm_wx`), which depends only
     on the observation and the task; the recurrent half (`recurrent_half`:
-    `z = h_prev @ lstm_wh`, then `z += u`, the bias, the gates, the cell
-    and the policy heads); and the value head (`value_head`). Greedy
-    execution keeps input halves to reuse and never calls the value head.
-    The pre-activation is summed as `(h_prev @ lstm_wh + u) + lstm_b`;
-    IEEE addition commutes, so that is the same bits as
-    `(x @ lstm_wx + h_prev @ lstm_wh) + lstm_b`.
-
-    The adds, clips and activations work in place on arrays this step has
-    just made, never on its inputs or the parameters. An elementwise
-    operation rounds each entry the same whether it writes a new array or
-    an old one, and every operation here runs in the order of the plain
-    expressions, so the results are the same bits. One sigmoid pass covers
-    all four gate blocks; the g-block is then overwritten with its tanh."""
+    `z = h_prev @ lstm_wh`, then `z += u`, the cell `_cell` and the policy
+    heads `_heads`); and the value head (`value_head`). Greedy execution
+    keeps input halves to reuse and never calls the value head. The
+    pre-activation is summed as `(h_prev @ lstm_wh + u) + lstm_b`; IEEE
+    addition commutes, so that is the same bits as
+    `(x @ lstm_wx + h_prev @ lstm_wh) + lstm_b`. The adds, clips and
+    activations work in place on arrays this step has just made, never on
+    its inputs or the parameters."""
     u = input_half(params, obs, task)[2]
     h, c, pi_p, pi_a = recurrent_half(params, u, h_prev, c_prev)
     return _Step(h, c, pi_p, pi_a, value_head(params, h))
@@ -289,12 +305,11 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Optional[tuple]:
     step-major, b_0 rows of step 0, then b_1 of step 1, and so on: no
     padding and no mask. Every trace starts from the zero hidden state.
     The input half runs once over all rows; per step only `h_prev @
-    lstm_wh`, the bias, the gates and the cell run, on that step's rows,
-    in `recurrent_half`'s operation order; the heads, the value head and
-    the loss terms then run once over all rows. Returns (widths b_t, obs,
-    task, reward, pi_p targets, pi_a targets, a1, x, gates, h, c, pi_p,
-    pi_a, value, row losses), all but the widths one row per row; `gates`
-    holds `x @ lstm_wx`, then the gates i, f, g, o in column blocks.
+    lstm_wh` and `_cell` run, on that step's rows; the heads, the value
+    head and the loss terms then run once over all rows. Returns (widths
+    b_t, obs, task, reward, pi_p targets, pi_a targets, a1, x, gates, h, c,
+    pi_p, pi_a, value, row losses), all but the widths one row per row;
+    `gates` holds `x @ lstm_wx`, then the gates i, f, g, o in column blocks.
     """
     a, d = params.arrays, params.dims
     H = d.hidden
@@ -319,25 +334,9 @@ def _unroll(params: ParameterSet, batch: Sequence) -> Optional[tuple]:
         z = gates[o:o + b]
         if t:
             z += h[p:p + b] @ a["lstm_wh"]
-        z += a["lstm_b"]
-        np.maximum(z, -500.0, out=z)
-        tanh_g = np.tanh(z[:, 2 * H:3 * H])
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        z[:, 2 * H:3 * H] = tanh_g
-        ct = np.multiply(z[:, :H], tanh_g, out=c[o:o + b])
-        if t:
-            ct += z[:, H:2 * H] * c[p:p + b]
-        np.multiply(np.tanh(ct, out=h[o:o + b]), z[:, 3 * H:], out=h[o:o + b])
+        _cell(params, z, c[p:p + b] if t else None, c[o:o + b], h[o:o + b])
         p, o = o, o + b
-    pi_p = h @ a["prog_w"]
-    pi_p += a["prog_b"]
-    _softmax_in_place(pi_p)
-    pi_a = h @ a["arg_w"]
-    pi_a += a["arg_b"]
-    _softmax_in_place(pi_a)
+    pi_p, pi_a = _heads(params, h)
     value = value_head(params, h)
     tp = np.array([st.pi_p_mcts for st in steps])
     ta = np.array([st.pi_a_mcts for st in steps])

@@ -11,9 +11,9 @@ _spec.loader.exec_module(bc)
 # calls, returning data that depends on MARK only where the comments say,
 # search trees whose one prior is PRIOR, grown by a tree generator that
 # `run_search` drives, as the program's search module has, greedy steps
-# that select from a `pi_p` of PI, and a `loss` column of LOSS in the
-# trainer's metrics. Importing it logs the importing process and its
-# working directory.
+# that select from a `pi_p` of PI, a `loss` column of LOSS in the
+# trainer's metrics, and network steps whose `pi_p` is CELL. Importing it
+# logs the importing process and its working directory.
 FAKE_ARGSYNTH = '''\
 import os
 from pathlib import Path
@@ -25,6 +25,7 @@ MARK = {mark!r}
 PRIOR = {prior!r}
 PI = {pi!r}
 LOSS = {loss!r}
+CELL = {cell!r}
 with open(Path(__file__).resolve().parents[3] / "imports.log", "a") as fh:
     fh.write(f"{{os.getpid()}} {{Path.cwd().name}}\\n")
 if MARK == "broken":
@@ -136,7 +137,20 @@ def dims_for_library(lib):
 
 
 def init_params(seed, dims):
-    return NS(arrays={{"w": np.zeros(dims)}})
+    return NS(dims=NS(obs=2, tasks=4, programs=2, args=2), arrays={{"w": np.zeros(dims)}})
+
+
+def forward(params, obs, task, hidden=None):
+    return NS(pi_p=np.full(2, CELL), pi_a=obs, value=0.5,
+              hidden=NS(h=np.zeros(1), c=np.ones(1)))
+
+
+def forward_rows(params, obs, task, hidden):
+    return [forward(params, o, t, hs) for o, t, hs in zip(obs, task, hidden)]
+
+
+def loss_and_grads(params, batch):
+    return float(len(batch)), {{"w": params.arrays["w"].copy()}}
 
 
 def init_optimizer(params, lr):
@@ -148,21 +162,21 @@ def train_step(params, opt, batch):
 '''
 
 
-def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5):
+def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5, cell=1.0):
     package = path / "src" / "argsynth"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior, pi=pi,
-                                                              loss=loss))
+                                                              loss=loss, cell=cell))
     (path / "bench").mkdir()
     (path / "bench" / "params.ckpt").write_bytes(b"fake")
     return str(path)
 
 
 def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0, change_pi=1.0,
-        change_loss=28.5):
+        change_loss=28.5, change_cell=1.0):
     parent = fake_checkout(tmp_path / "parent", parent_mark)
     change = fake_checkout(tmp_path / "change", change_mark, change_prior, change_pi,
-                           change_loss)
+                           change_loss, change_cell)
     code = bc.main([parent, change])
     return code, capsys.readouterr()
 
@@ -174,7 +188,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 16 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 17 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -213,6 +227,15 @@ def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
     assert code == 1
     assert differing(out.out) == ["greedy eval grid seed 0: every trial and step"]
     assert " over 5 greedy steps" in out.out
+
+
+def test_a_last_bit_change_in_the_cell_shows_on_the_clipped_network_line(tmp_path, capsys):
+    """The clipped-network digest reads the bytes of each network step, so
+    a last-bit change in what the cell computes shows there."""
+    code, out = run(tmp_path, capsys, "a", "a", change_cell=float.fromhex("0x1.0000000000001p+0"))
+    assert code == 1
+    assert differing(out.out) == [
+        "network at scale 300: forward, forward_rows and loss_and_grads"]
 
 
 def test_a_change_to_the_loss_alone_shows_only_on_the_full_metrics_line(tmp_path, capsys):

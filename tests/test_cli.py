@@ -85,6 +85,14 @@ def test_eval_on_a_saved_checkpoint(tmp_path, tiny_file, capsys):
     assert lines[0] == "program,length,accuracy" and len(lines) == 1 + 4 * 2
 
 
+def test_eval_without_out_writes_the_table_to_stdout(tmp_path, tiny_file, capsys):
+    ckpt = saved_params(tmp_path / "p.ckpt")
+    assert cli.main(["eval", "--config", tiny_file, "--checkpoint", ckpt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "program,length,accuracy" and len(lines) == 1 + 4 * 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_on_a_saved_checkpoint(tmp_path, capsys):
     ckpt = saved_params(tmp_path / "p.ckpt")
     assert cli.main(["run", "--program", "partition", "--list", "3,1,2",

@@ -145,6 +145,12 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros(OBS_DIM), 4)
 
+    def test_an_observation_of_the_wrong_shape(self):
+        params = init_params(0, dims_for_library(build_library("args")))
+        for obs in (np.zeros(OBS_DIM + 1), np.zeros((1, OBS_DIM))):
+            with pytest.raises(ValueError, match="observation shape"):
+                forward(params, obs, 0)
+
 
 class TestLoss:
     def test_worked_unit_example(self):
@@ -295,7 +301,9 @@ class TestStepPieces:
     `x @ lstm_wx`, `h @ lstm_wh` and the bias in that order. The biases
     are drawn nonzero, so that the order of that sum shows. The recurrent
     half leaves the input half it is given as it was: greedy play keeps it
-    to reuse."""
+    to reuse. `_cell` on a buffer of rows, writing into row slices of
+    larger `c` and `h` arrays as the packed training pass does, gives each
+    row the bytes of `_cell` on that row alone, and writes no other row."""
 
     ROWS = 5
 
@@ -349,6 +357,17 @@ class TestStepPieces:
             pi_p, pi_a, value, hh, cc = self.pieces(params, obs, np.array(tasks), h, c)
             for j, out in enumerate(rows):
                 self.same_bytes(out, (pi_p[j], pi_a[j], value[j], hh[j], cc[j]))
+            pre = h @ a["lstm_wh"] + input_half(params, obs, np.array(tasks))[2]
+            z, c_prev = pre.copy(), c if i % 2 else None
+            c_rows, h_rows = np.full((2, self.ROWS + 2, H), np.nan)
+            network._cell(params, z, c_prev, c_rows[1:-1], h_rows[1:-1])
+            for j in range(self.ROWS):
+                alone = pre[j].copy()
+                cj, hj = network._cell(params, alone, None if c_prev is None else c_prev[j])
+                assert z[j].tobytes() == alone.tobytes()
+                assert c_rows[j + 1].tobytes() == cj.tobytes()
+                assert h_rows[j + 1].tobytes() == hj.tobytes()
+            assert np.isnan(c_rows[[0, -1]]).all() and np.isnan(h_rows[[0, -1]]).all()
         assert (lowest < -500.0) == (scale > 1.0)
 
 
@@ -473,12 +492,38 @@ class TestBatchedMatchesLoopReference:
 
 
 class TestStepWritesIntoNothingItWasGiven:
-    """`_step` adds, clips and activates in place, but only on arrays it
-    has just made: its inputs and the parameters keep every byte. The
-    packed training pass works in place on its own row buffers: the
+    """A step works in place only on arrays it has just made. `_step`'s
+    recurrent half makes `z = h_prev @ lstm_wh + u`; `_cell` turns it into
+    the gates in place and writes `c` and `h` into new arrays; `_heads`
+    normalises logits it has made. So the step's inputs, the input half
+    `u` and the parameters keep every byte. `_cell` writes into nothing but
+    `z`, `c` and `h`, whether it is handed a vector by the recurrent half
+    or row slices by the packed training pass: `c_prev` and the parameters
+    keep every byte. That pass works in place on its own row buffers: the
     traces and the parameters keep every byte, and no gradient it returns
     shares memory with a parameter, a trace or another gradient (the
     optimizer writes into each)."""
+
+    @staticmethod
+    def _checked_cell(monkeypatch, params):
+        frozen = {k: v.tobytes() for k, v in params.arrays.items()}
+        cell = network._cell
+        calls = []
+
+        def checked(p, z, c_prev, c=None, h=None):
+            kept = None if c_prev is None else c_prev.tobytes()
+            c_out, h_out = cell(p, z, c_prev, c, h)
+            assert (None if c_prev is None else c_prev.tobytes()) == kept
+            assert {k: v.tobytes() for k, v in p.arrays.items()} == frozen
+            assert (c is None or c_out is c) and (h is None or h_out is h)
+            for out in (c_out, h_out):
+                for x in (c_prev, *p.arrays.values()):
+                    assert x is None or not np.shares_memory(out, x)
+            calls.append((c_prev is None, c is None and h is None))
+            return c_out, h_out
+
+        monkeypatch.setattr(network, "_cell", checked)
+        return calls
 
     @staticmethod
     def _checked_step(monkeypatch, params):
@@ -504,6 +549,7 @@ class TestStepWritesIntoNothingItWasGiven:
     def test_forward(self, monkeypatch):
         params = init_params(50, dims_for_library(build_library("args")))
         calls = self._checked_step(monkeypatch, params)
+        cells = self._checked_cell(monkeypatch, params)
         r = rng(50)
         H = params.dims.hidden
         obs, h, c = r.random(OBS_DIM), r.uniform(-1.0, 1.0, H), r.normal(0.0, 3.0, H)
@@ -512,14 +558,15 @@ class TestStepWritesIntoNothingItWasGiven:
         assert [x.tobytes() for x in (obs, h, c)] == before
         out = forward(params, obs, 2, out.hidden)
         forward(params, obs, 3)
-        assert calls == [1, 1, 1]
+        assert calls == [1, 1, 1] and cells == [(False, True)] * 3
         for x in (out.pi_p, out.pi_a, out.hidden.h, out.hidden.c):
             for given in (obs, h, c, *params.arrays.values()):
                 assert not np.shares_memory(x, given)
 
-    def test_loss_and_loss_and_grads(self):
+    def test_loss_and_loss_and_grads(self, monkeypatch):
         dims = small_dims()
         params = init_params(51, dims)
+        cells = self._checked_cell(monkeypatch, params)
         r = rng(51)
         # Lengths 1..6: the running rows shrink from step to step; odd
         # lengths are solved traces, even ones train the value alone.
@@ -532,6 +579,7 @@ class TestStepWritesIntoNothingItWasGiven:
         _, grads = loss_and_grads(params, batch)
         assert [x.tobytes() for x in given] == saved
         assert {k: v.tobytes() for k, v in params.arrays.items()} == frozen
+        assert cells == ([(True, False)] + [(False, False)] * 5) * 2
         for name, g in grads.items():
             others = [o for k, o in grads.items() if k != name]
             for x in (*given, *params.arrays.values(), *others):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import argsynth.programs as programs_module
-from argsynth.env import NONE, P1, P2, P3, TASKS, TaskId, make_env, sample_task_env
+from argsynth.env import NONE, P1, P2, P3, TASKS, EnvError, TaskId, make_env, sample_task_env
 from argsynth.programs import (
     EMPTY_ARGS,
     LibraryError,
@@ -56,6 +56,11 @@ class TestLibrary:
         assert [lib.task_index(t) for t in
                 (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
                  TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT)] == [0, 1, 2, 3]
+
+    def test_an_atomic_has_no_task_index(self):
+        lib = build_library("args")
+        with pytest.raises(LibraryError, match="not a learned program: 'swap'"):
+            lib.task_index("swap")
 
     def test_unknown_program(self):
         lib = build_library("args")
@@ -129,6 +134,15 @@ class TestValidTuples:
         env = make_env([1, 2, 3], 0, 2, 1)
         assert not atomic_feasible(env, lib.spec("swap"), (P2, P1, NONE))
         assert atomic_feasible(env, lib.spec("swap"), (P1, P2, NONE))
+        with pytest.raises(EnvError, match="invalid argument tuple"):
+            apply_atomic(env, lib.spec("swap"), (P2, P1, NONE))
+
+    @pytest.mark.parametrize("check", [atomic_feasible, apply_atomic])
+    def test_a_learned_spec_is_refused_as_an_atomic(self, check):
+        lib = build_library("args")
+        env = make_env([1, 2, 3], 0, 2, 1, registry=0)
+        with pytest.raises(LibraryError, match="partition_update is not atomic"):
+            check(env, lib.spec("partition_update"), EMPTY_ARGS)
 
 
 class TestFeasiblePairs:

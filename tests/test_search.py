@@ -539,6 +539,16 @@ class TestExpand:
                rng(), SearchStats())
         assert "pop" not in {spec.name for spec, _ in node.edges}
 
+    def test_an_expanded_node_is_not_expanded_again(self):
+        node = prepared_node(make_env([3, 1, 2], 0, 2, 1, registry=0), self.lib)
+        mp, ma = uniform_masked(node, self.lib)
+        cfg = SearchConfig(mode=MODE_EXACT, training=False)
+        expand(node, mp, ma, cfg, rng(), SearchStats())
+        edges = list(node.edges)
+        with pytest.raises(SearchError, match="expand on an expanded or terminal node"):
+            expand(node, mp, ma, cfg, rng(), SearchStats())
+        assert node.edges == edges
+
     def test_training_noise_perturbs_priors(self):
         env = make_env([3, 1, 2], 0, 2, 1, registry=0)
         plain, noisy = [], []
@@ -768,6 +778,10 @@ class TestRunSearch:
         assert stats.simulations == 100
         assert stats.nodes_expanded > 0
         assert stats.max_depth >= 1
+
+    def test_an_episode_at_its_step_cap_has_no_budget_left(self):
+        with pytest.raises(SearchError, match="no action budget left"):
+            self.search(0, steps_taken=step_cap(self.task, self.env.n))
 
     def test_approx_expands_at_most_n_per_node(self):
         cfg = SearchConfig(mode=MODE_APPROX, n_expand=4, simulations=100,

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,19 @@ class TestTrainer:
         without = run(strip_value_only=True)
         assert trained.metrics_rows[-1]["loss"] != without.metrics_rows[-1]["loss"]
         assert trained.metrics_csv() == run().metrics_csv()
+
+    def test_a_stored_trace_that_no_longer_replays_is_an_error(self):
+        """Every trace the replay buffer takes loses its final `stop`, so it
+        no longer replays to its reward; the iteration's probe of the
+        buffer refuses it before any gradient step."""
+        trainer = Trainer(tiny_config(
+            search=SearchConfig(mode="exact", simulations=60, nested_simulations=8,
+                                training=True), n_episodes=4, train_length_max=3))
+        add = trainer.replay.add
+        trainer.replay.add = lambda record: add(replace(record, steps=record.steps[:-1]))
+        with pytest.raises(RuntimeError, match="no longer replays to reward 1"):
+            trainer.run(3)
+        assert trainer.replay and not trainer.metrics_rows
 
     def test_failed_env_dump_parses_back(self):
         from argsynth.env import env_from_record

@@ -35,6 +35,12 @@ checkout's `src/` first on the import path. The battery:
   each greedy step, nested ones included, selects from, and each trial's
   trace entries, reward and final state. A last-bit change in a policy
   output seldom changes an accuracy, so the rows alone would miss it;
+- the network on clipped inputs: `init_params(0)` with every bias drawn
+  nonzero, all scaled by 300, so that the LSTM's pre-activations reach
+  the -500 clip (`bench/params.ckpt` seldom does). The bytes of
+  `forward` on 20 chained vectors, of `forward_rows` on 3 chained waves
+  of 5 rows, and of `loss_and_grads` on one packed batch of traces of
+  lengths 1-6, solved and failed;
 - the parameters and the Adam moments `m` and `v` after 16 `train_step`s
   from a fresh network on batches of the episodes above. This digest
   differs whenever the episodes do.
@@ -58,6 +64,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace as NS
 
 SIDES = ("parent", "change")
 DIGESTS_FLAG = "--digests-of-this-checkout"
@@ -73,6 +80,9 @@ LOCKSTEP_SIMULATIONS = (25, 15)  # top-level and nested
 EVAL_LENGTHS = (5, 10, 20, 40, 60)
 EVAL_TRIALS = 5
 TRAIN_STEPS, TRAIN_BATCH = 16, 16
+CLIPPED_SCALE = 300.0
+CLIPPED_VECTORS, CLIPPED_WAVES, CLIPPED_ROWS = 20, 3, 5
+CLIPPED_TRACE_LENGTHS = range(1, 7)
 
 
 def _sha(data: bytes | str) -> str:
@@ -222,6 +232,9 @@ def battery(A) -> dict[str, str]:
     out["greedy eval grid seed 0"] = _sha(repr(rows))
     out["greedy eval grid seed 0: every trial and step"] = greedy.digest()
 
+    out[f"network at scale {CLIPPED_SCALE:g}: forward, forward_rows and loss_and_grads"] = (
+        clipped_network(A, lib, generator(13)))
+
     net = A.init_params(0, A.dims_for_library(lib))
     opt = A.init_optimizer(net, lr=1e-3)
     rng = generator(7)
@@ -234,6 +247,52 @@ def battery(A) -> dict[str, str]:
             h.update(array.tobytes())
     out[f"params, m and v after {TRAIN_STEPS} train_steps"] = h.hexdigest()
     return out
+
+
+def clipped_network(A, lib, rng) -> str:
+    """The bytes of `forward`, `forward_rows` and `loss_and_grads` on a
+    network whose pre-activations reach the clip: `init_params(0)` with the
+    all-zero arrays (the biases) drawn nonzero, then every array scaled."""
+    import numpy as np
+
+    net = A.init_params(0, A.dims_for_library(lib))
+    for array in net.arrays.values():
+        if not array.any():
+            array[...] = rng.uniform(-1.0, 1.0, array.shape)
+        array *= CLIPPED_SCALE
+    d = net.dims
+    h = hashlib.sha256()
+
+    def hash_output(out):
+        for array in (out.pi_p, out.pi_a, np.float64(out.value), out.hidden.h, out.hidden.c):
+            h.update(array.tobytes())
+
+    hidden, outs = None, []
+    for i in range(CLIPPED_VECTORS):
+        outs.append(A.forward(net, rng.random(d.obs), i % d.tasks, hidden))
+        hash_output(outs[-1])
+        hidden = outs[-1].hidden
+    wave = outs[:CLIPPED_ROWS]
+    for _ in range(CLIPPED_WAVES):
+        wave = A.forward_rows(net, list(rng.random((CLIPPED_ROWS, d.obs))),
+                              [j % d.tasks for j in range(CLIPPED_ROWS)],
+                              [out.hidden for out in wave])
+        for out in wave:
+            hash_output(out)
+
+    def target(n):
+        p = rng.random(n)
+        return p / p.sum()
+
+    batch = [NS(task_index=n % d.tasks, reward=n % 2,
+                steps=[NS(obs=rng.random(d.obs), pi_p_mcts=target(d.programs),
+                          pi_a_mcts=target(d.args)) for _ in range(n)])
+             for n in CLIPPED_TRACE_LENGTHS]
+    total, grads = A.loss_and_grads(net, batch)
+    h.update(np.float64(total).tobytes())
+    for name in sorted(grads):
+        h.update(grads[name].tobytes())
+    return h.hexdigest()
 
 
 def digests_of(checkout: Path) -> dict[str, str]:
