@@ -7,6 +7,7 @@ number of concurrent episodes can share them without coordination.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -68,7 +69,7 @@ class EnvState:
 
     def is_sorted(self) -> bool:
         v = self.values
-        return all(v[i] <= v[i + 1] for i in range(len(v) - 1))
+        return all(map(operator.le, v, v[1:]))
 
 
 def make_env(

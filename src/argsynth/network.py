@@ -8,9 +8,10 @@ against central differences; no autodiff framework is involved.
 
 A step splits into an input half, the LSTM cell `_cell`, the policy heads
 `_heads` and a value head (`_step`); search, greedy play and training all
-run that one cell and those heads. Training packs a batch into step-major
-rows (`_unroll`): each layer runs once over all rows, and only the cell is
-stepped in time. Its sums are taken in another order than a step-by-step
+run that one cell, and search and training those heads. A greedy step
+chooses on the logits instead (`greedy_select`). Training packs a batch
+into step-major rows (`_unroll`): each layer runs once over all rows, and
+only the cell is stepped in time. Its sums are taken in another order than a step-by-step
 or trace-by-trace loop's, so the loss agrees with such a loop within 1e-12
 relative and each gradient within 1e-10 relative, not bit for bit; run to
 run it is byte-reproducible.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -193,14 +195,19 @@ def _cell(params: ParameterSet, z: np.ndarray, c_prev: Optional[np.ndarray],
     return c, h
 
 
+def _logits(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A policy head's logits, `h @ w + b`, in a new array."""
+    z = h @ w
+    z += b
+    return z
+
+
 def _heads(params: ParameterSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The program and argument softmax heads: (pi_p, pi_a)."""
     a = params.arrays
-    pi_p = h @ a["prog_w"]
-    pi_p += a["prog_b"]
+    pi_p = _logits(h, a["prog_w"], a["prog_b"])
     _softmax_in_place(pi_p)
-    pi_a = h @ a["arg_w"]
-    pi_a += a["arg_b"]
+    pi_a = _logits(h, a["arg_w"], a["arg_b"])
     _softmax_in_place(pi_a)
     return pi_p, pi_a
 
@@ -234,8 +241,9 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     on the observation and the task; the recurrent half (`recurrent_half`:
     `z = h_prev @ lstm_wh`, then `z += u`, the cell `_cell` and the policy
     heads `_heads`); and the value head (`value_head`). Greedy execution
-    keeps input halves to reuse and never calls the value head. The
-    pre-activation is summed as `(h_prev @ lstm_wh + u) + lstm_b`; IEEE
+    keeps input halves to reuse, runs the same sums and `_cell` itself,
+    and chooses on the logits (`greedy_select`), never calling the value
+    head. The pre-activation is summed as `(h_prev @ lstm_wh + u) + lstm_b`; IEEE
     addition commutes, so that is the same bits as
     `(x @ lstm_wx + h_prev @ lstm_wh) + lstm_b`. The adds, clips and
     activations work in place on arrays this step has just made, never on
@@ -569,13 +577,83 @@ def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_select(pi_p: np.ndarray, pi_a: np.ndarray,
-                  feasible: FeasibleSet) -> tuple[ProgramSpec, ArgTuple]:
-    """Most probable feasible program, then its most probable argument
-    tuple; ties break toward the lowest index."""
+def _clear_argmax(z: np.ndarray, candidates: np.ndarray) -> Optional[int]:
+    """Position in `candidates` of the greatest of the logits z[candidates],
+    when the softmax of `z` surely ranks that entry above the others too.
+    None when it may not: a logit of `z` is not finite, another candidate
+    lies within 1e-12 (1 + max|z|) of the best, or the best lies more than
+    700 below max z, where exp underflows. Outside these cases the best's
+    exp exceeds any other candidate's by a relative 1e-12, far beyond the
+    rounding of the softmax's subtraction, exp and division.
+
+    The logits are read as Python floats: on a head of 12 or 64 entries
+    that costs less than numpy's reductions. A NaN or an infinity makes
+    their sum non-finite (so does a sum that overflows, which only sends
+    the choice to the probabilities)."""
+    v = z.tolist()
+    if not math.isfinite(sum(v)):
+        return None
+    hi, lo = max(v), min(v)
+    c = z[candidates].tolist()
+    best = max(c)
+    k = c.index(best)
+    c[k] = -math.inf
+    if best < hi - 700.0 or max(c) >= best - 1e-12 * (1.0 + max(hi, -lo)):
+        return None
+    return k
+
+
+def argument_logits_finite(params: ParameterSet) -> bool:
+    """Whether every argument logit `h @ arg_w + arg_b` is finite for every
+    h with |h| <= 1, which every LSTM output that is not NaN has: each
+    column's sum of |arg_w| plus max |arg_b| is below 1e300."""
+    a = params.arrays
+    with np.errstate(over="ignore"):  # a sum that overflows fails the bound
+        bound = (np.add.reduce(np.abs(a["arg_w"]), axis=0)
+                 + np.maximum.reduce(np.abs(a["arg_b"])))
+    return bool((bound < 1e300).all())
+
+
+def greedy_select(params: ParameterSet, h: np.ndarray, feasible: FeasibleSet,
+                  logits: list, args_finite: bool
+                  ) -> Optional[tuple[ProgramSpec, ArgTuple]]:
+    """The greedy choice from the LSTM output `h`: the most probable feasible
+    program, then its most probable argument tuple, ties broken toward the
+    lowest index; None when the network's probabilities of that choice are
+    not finite.
+
+    It picks on the logits and normalises nothing. The program logits are
+    `logits[0]` and the argument logits `logits[1]`; each is computed from
+    `h` as `_heads` computes it (`_logits`) and written there when it is
+    None, and only when it is read. The argument logits are read when the
+    chosen program has more than one feasible row, or when `args_finite`
+    (`argument_logits_finite`) is false, so that a non-finite one is seen.
+    When a choice on the logits may differ from one on the probabilities
+    (`_clear_argmax`), it is made on the probabilities of both softmax
+    heads (`_heads`) instead."""
+    a = params.arrays
     progs = feasible.prog_support
+    if logits[0] is None:
+        logits[0] = _logits(h, a["prog_w"], a["prog_b"])
+    k = _clear_argmax(logits[0], progs)
+    if k is not None:
+        rows, args = feasible.rows_of[int(progs[k])]
+        if len(rows) == 1 and args_finite:
+            return feasible[rows[0]]
+        if logits[1] is None:
+            logits[1] = _logits(h, a["arg_w"], a["arg_b"])
+        j = _clear_argmax(logits[1], args)
+        if j is not None:
+            return feasible[rows[j]]
+    pi_p, pi_a = _heads(params, h)
     rows, args = feasible.rows_of[int(progs[pi_p[progs].argmax()])]
-    return feasible[rows[pi_a[args].argmax()]]
+    row = rows[pi_a[args].argmax()]
+    # argmax takes the first NaN it meets, so a NaN that could have steered
+    # the choice is in the chosen entries.
+    if not (math.isfinite(pi_p[feasible.prog_idx[row]])
+            and math.isfinite(pi_a[feasible.arg_idx[row]])):
+        return None
+    return feasible[row]
 
 
 # ---------------------------------------------------------------------------

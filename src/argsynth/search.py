@@ -84,15 +84,17 @@ step is split so that its input half (the encoder and `x @ lstm_wx`)
 depends on the observation and the task alone, and every call starts
 from the zero hidden state. So `NetworkGreedyPolicy` keeps, per
 (task index, observation bytes), the input half and the first answer of a
-call that started there; a step runs only the recurrent half and the
-policy heads, and a call's first step that finds its answer runs neither.
-Greedy selection reads no value, so no step runs the value head. The
+call that started there; a step runs only `h_prev @ lstm_wh` and the
+cell, and a call's first step that finds its answer runs neither. The
+choice is `network.greedy_select`'s, on the logits: no step runs the
+value head, and the argument head only where the choice reads it. The
 memo is a dict that the top-level `execute_greedy` call makes and passes
 down its recursion; it dies when that call returns. A longer-lived memo
 would go stale when `train_step` updates the parameters in place, and
-would answer a repeated evaluation grid from its previous round. The
-steps give `forward`'s bytes, so the traces are those of a policy that
-calls `forward` on every step.
+would answer a repeated evaluation grid from its previous round. Each
+step's cell gives `forward`'s bytes and the choice is the one `forward`'s
+probabilities give, so the traces are those of a policy that calls
+`forward` on every step.
 """
 from __future__ import annotations
 
@@ -108,12 +110,13 @@ from .env import EnvState, TaskId, observe, reward, step_cap
 from .network import (
     HiddenState,
     ParameterSet,
+    _cell,
+    argument_logits_finite,
     forward,
     forward_rows,
     greedy_select,
     input_half,
     masked_distributions,
-    recurrent_half,
     zero_hidden,
 )
 from .programs import ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec, feasible_pairs
@@ -921,20 +924,24 @@ class GreedyPolicy(Protocol):
 class NetworkGreedyPolicy:
     """Follows the network's argmax program/argument choice (no search).
     Each call's step function keeps the task index, the caller level and
-    the hidden state, which starts at zero.
+    the last step's LSTM output, which starts from the zero hidden state.
 
-    A step runs the network's recurrent half and its policy heads, never
-    the value head, which greedy selection does not read. The execution's
-    memo, keyed by (task index, observation bytes), holds the input half
-    of each key (`network.input_half`), and, once a call has started from
-    that key, the call's first answer (priors and hidden state): every
+    A step runs `h_prev @ lstm_wh + u` and the cell, then
+    `network.greedy_select` on the cell's output; it never runs the value
+    head. The execution's memo, keyed by (task index, observation bytes),
+    holds the input half u of each key (`network.input_half`), and, once a
+    call has started from that key, the call's first answer (the cell's
+    output and the logits that `greedy_select` computed from it): every
     call starts from the zero hidden state, so that answer depends on the
-    key alone. The steps give `forward`'s bytes.
+    key alone. `memo[None]` holds what the execution computes once:
+    `zeros @ lstm_wh`, to which a call's first step adds its u, and
+    whether every argument logit is finite (`network.argument_logits_finite`).
+    The cells give `forward`'s bytes.
 
     `first_hits` / `first_misses` count the calls' first steps that found
     or computed their answer, and `input_hits` / `input_misses` the steps
-    that ran the recurrent half and found or computed its input half. They
-    count over the policy's life and are no part of any result."""
+    that ran the cell and found or computed its input half. They count
+    over the policy's life and are no part of any result."""
 
     def __init__(self, params: ParameterSet, lib: ProgramLibrary):
         self.params = params
@@ -947,37 +954,44 @@ class NetworkGreedyPolicy:
         params, lib = self.params, self.lib
         task_index = lib.task_index(task)
         level = lib.spec(task.program_name).level
-        hidden: Optional[HiddenState] = None  # until the call's first step
+        once = memo.get(None)
+        if once is None:
+            zero = zero_hidden(params.dims)
+            once = memo[None] = (zero.h @ params.arrays["lstm_wh"], zero.c,
+                                 argument_logits_finite(params))
+        zero_wh, zero_c, args_finite = once
+        # (h, c, [program logits, argument logits]) of the last step
+        last: Optional[tuple] = None  # until the call's first step
 
         def step(env: EnvState) -> tuple[ProgramSpec, ArgTuple]:
-            nonlocal hidden
+            nonlocal last
             obs = observe(env)
             key = (task_index, obs.tobytes())
             # [input half, the first answer of a call that started here]
             entry = memo.get(key)
-            if hidden is None and entry is not None and entry[1] is not None:
+            if last is None and entry is not None and entry[1] is not None:
                 self.first_hits += 1
-                pi_p, pi_a, hidden = entry[1]
+                last = entry[1]
             else:
                 if entry is None:
                     self.input_misses += 1
                     entry = memo[key] = [input_half(params, obs, task_index)[2], None]
                 else:
                     self.input_hits += 1
-                first = hidden is None
-                h, c = zero_hidden(params.dims) if first else hidden
-                h, c, pi_p, pi_a = recurrent_half(params, entry[0], h, c)
-                hidden = HiddenState(h, c)
-                if first:
+                if last is None:
                     self.first_misses += 1
-                    entry[1] = (pi_p, pi_a, hidden)
-            spec, args = greedy_select(pi_p, pi_a, feasible_pairs(env, level, lib))
-            # argmax takes the first NaN it meets, so a NaN that could have
-            # steered the choice is in the chosen entries.
-            p, a = pi_p[lib.index(spec.name)], pi_a[P.args_encode(args)]
-            if not (math.isfinite(p) and math.isfinite(a)):
-                raise SearchError(f"non-finite greedy choice ({p}, {a}) from the network")
-            return spec, args
+                    c, h = _cell(params, zero_wh + entry[0], zero_c)
+                    last = entry[1] = (h, c, [None, None])
+                else:
+                    z = last[0] @ params.arrays["lstm_wh"]
+                    z += entry[0]
+                    c, h = _cell(params, z, last[1])
+                    last = (h, c, [None, None])
+            choice = greedy_select(params, last[0], feasible_pairs(env, level, lib),
+                                   last[2], args_finite)
+            if choice is None:
+                raise SearchError("non-finite greedy choice from the network")
+            return choice
 
         return step
 

@@ -11,9 +11,11 @@ _spec.loader.exec_module(bc)
 # calls, returning data that depends on MARK only where the comments say,
 # search trees whose one prior is PRIOR, grown by a tree generator that
 # `run_search` drives, as the program's search module has, greedy steps
-# that select from a `pi_p` of PI, a `loss` column of LOSS in the
-# trainer's metrics, and network steps whose `pi_p` is CELL. Importing it
-# logs the importing process and its working directory.
+# whose LSTM cell state is PI, run through `_cell` from the module named
+# by CELL_HOME (the program's search module imports it from `network`),
+# a `loss` column of LOSS in the trainer's metrics, and network steps whose
+# `pi_p` is CELL. Importing it logs the importing process and its working
+# directory.
 FAKE_ARGSYNTH = '''\
 import os
 from pathlib import Path
@@ -26,6 +28,7 @@ PRIOR = {prior!r}
 PI = {pi!r}
 LOSS = {loss!r}
 CELL = {cell!r}
+CELL_HOME = {cell_home!r}
 with open(Path(__file__).resolve().parents[3] / "imports.log", "a") as fh:
     fh.write(f"{{os.getpid()}} {{Path.cwd().name}}\\n")
 if MARK == "broken":
@@ -105,13 +108,19 @@ def SearchStats():
 
 
 def _execute_greedy(env, task, policy, lib, trace=None):  # MARK shows in the final state
-    search.greedy_select(np.full(2, PI), np.ones(2), None)
+    getattr(search if CELL_HOME == "search" else network, "_cell")(policy, np.zeros(2), None)
     trace.append(NS(depth=0, name="stop", args=(0, 0, 0)))
     return 1, MARK
 
 
-search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes,
-            greedy_select=lambda pi_p, pi_a, feasible: ("stop", (0, 0, 0)))
+def _cell(params, z, c_prev):
+    return np.full(2, PI), np.ones(2)
+
+
+network = NS(_cell=_cell)
+search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes)
+if CELL_HOME == "search":
+    search._cell = _cell
 trainer = NS(TraceRecord=NS, execute_greedy=_execute_greedy)
 STEP = NS(action_name="stop", action_args=(0, 0, 0), pi_p_mcts=np.ones(2),
           pi_a_mcts=np.ones(2), hidden=np.zeros(1))
@@ -162,19 +171,19 @@ def train_step(params, opt, batch):
 '''
 
 
-def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5, cell=1.0):
+def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5, cell=1.0, cell_home="search"):
     package = path / "src" / "argsynth"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(mark=mark, prior=prior, pi=pi,
-                                                              loss=loss, cell=cell))
+    (package / "__init__.py").write_text(FAKE_ARGSYNTH.format(
+        mark=mark, prior=prior, pi=pi, loss=loss, cell=cell, cell_home=cell_home))
     (path / "bench").mkdir()
     (path / "bench" / "params.ckpt").write_bytes(b"fake")
     return str(path)
 
 
 def run(tmp_path, capsys, parent_mark, change_mark, change_prior=1.0, change_pi=1.0,
-        change_loss=28.5, change_cell=1.0):
-    parent = fake_checkout(tmp_path / "parent", parent_mark)
+        change_loss=28.5, change_cell=1.0, parent_cell_home="search"):
+    parent = fake_checkout(tmp_path / "parent", parent_mark, cell_home=parent_cell_home)
     change = fake_checkout(tmp_path / "change", change_mark, change_prior, change_pi,
                            change_loss, change_cell)
     code = bc.main([parent, change])
@@ -188,8 +197,17 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 17 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 18 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
+
+
+def test_the_greedy_cell_is_read_in_the_module_that_calls_it(tmp_path, capsys):
+    """A side whose greedy step runs `network._cell`, where `search` has no
+    `_cell`, and one whose step runs the `_cell` that `search` imported read
+    the same greedy digest."""
+    code, out = run(tmp_path, capsys, "a", "a", parent_cell_home="network")
+    assert code == 0
+    assert out.out.count("same  ") == 18 and " over 5 greedy cell steps" in out.out
 
 
 def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
@@ -202,7 +220,7 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
                                   "train seed 5: metrics_csv without loss + search_csv",
                                   "train seed 5: every episode",
                                   "greedy eval grid seed 0",
-                                  "greedy eval grid seed 0: every trial and step"]
+                                  "greedy eval grid seed 0: every trial, cell output and choice"]
     pids, dirs = zip(*(line.split() for line in
                        (tmp_path / "imports.log").read_text().splitlines()))
     assert dirs == ("parent", "change")
@@ -221,21 +239,23 @@ def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
 
 
 def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
-    """A last-bit change in what a greedy step selects from changes the
-    greedy step digest, though no accuracy row moves."""
+    """A last-bit change in a greedy step's cell output changes the greedy
+    step digest, though no accuracy row moves."""
     code, out = run(tmp_path, capsys, "a", "a", change_pi=float.fromhex("0x1.0000000000001p+0"))
     assert code == 1
-    assert differing(out.out) == ["greedy eval grid seed 0: every trial and step"]
-    assert " over 5 greedy steps" in out.out
+    assert differing(out.out) == ["greedy eval grid seed 0: every trial, cell output and choice"]
+    assert " over 5 greedy cell steps" in out.out
 
 
 def test_a_last_bit_change_in_the_cell_shows_on_the_clipped_network_line(tmp_path, capsys):
-    """The clipped-network digest reads the bytes of each network step, so
-    a last-bit change in what the cell computes shows there."""
+    """The scaled-network digests, the clipped one at scale 300 and the
+    one at scale 3, read the bytes of each network step, so a last-bit
+    change in what the cell computes shows on both."""
     code, out = run(tmp_path, capsys, "a", "a", change_cell=float.fromhex("0x1.0000000000001p+0"))
     assert code == 1
     assert differing(out.out) == [
-        "network at scale 300: forward, forward_rows and loss_and_grads"]
+        "network at scale 300: forward, forward_rows and loss_and_grads",
+        "network at scale 3: forward, forward_rows and loss_and_grads"]
 
 
 def test_a_change_to_the_loss_alone_shows_only_on_the_full_metrics_line(tmp_path, capsys):

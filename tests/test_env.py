@@ -9,6 +9,7 @@ from argsynth.env import (
     ATOMIC_SLOT_SETS,
     EnvError,
     EnvState,
+    MAX_VALUE,
     RangeFrame,
     TaskId,
     TASKS,
@@ -76,6 +77,13 @@ class TestObserve:
     def test_sorted_flag(self):
         assert observe(make_env([0, 1], 0, 1, 0))[-1] == 1.0
         assert observe(make_env([1, 0], 0, 1, 0))[-1] == 0.0
+
+    @given(st.lists(st.integers(0, MAX_VALUE), min_size=2, max_size=12), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_is_sorted_is_the_pairwise_comparison(self, values, presort):
+        v = tuple(sorted(values) if presort else values)
+        env = make_env(list(v), 0, len(v) - 1, 0)
+        assert env.is_sorted() == all(v[i] <= v[i + 1] for i in range(len(v) - 1))
 
     def test_registry_features(self):
         env = make_env([2, 2, 2], 1, 2, 0, registry=1)

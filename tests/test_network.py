@@ -14,6 +14,7 @@ from argsynth import network
 from argsynth.env import OBS_DIM, TASKS, TaskId, make_env, observe, sample_task_env
 from argsynth.expert import expert_script
 from argsynth.network import (
+    argument_logits_finite,
     CheckpointError,
     HiddenState,
     NetworkDims,
@@ -37,7 +38,7 @@ from argsynth.network import (
     value_head,
     zero_hidden,
 )
-from argsynth.programs import (EMPTY_ARGS, apply_atomic, args_encode, build_library,
+from argsynth.programs import (ARG_SPACE, EMPTY_ARGS, apply_atomic, args_encode, build_library,
                                feasible_pairs)
 from argsynth.search import EpisodeStep, SearchConfig, UniformEvaluator
 from argsynth.trainer import TraceRecord, run_episode
@@ -50,6 +51,30 @@ def rng(seed=0):
 def small_dims(programs=12):
     return NetworkDims(programs=programs, obs=OBS_DIM, enc=6, embed=5,
                        hidden=8, args=64, tasks=4)
+
+
+def softmax(z):
+    with np.errstate(all="ignore"):
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+
+def probability_choice(zp, za, feasible, lib):
+    """The greedy choice on the probabilities of logits `zp` and `za`, pair
+    by pair: the first most probable feasible program in index order, then
+    its first most probable argument tuple in feasible order; None where a
+    probability it compares is NaN."""
+    pi_p, pi_a = softmax(zp), softmax(za)
+    by_prog = {}
+    for spec, args in feasible:
+        by_prog.setdefault(lib.index(spec.name), []).append((spec, args))
+    if any(np.isnan(pi_p[i]) for i in by_prog):
+        return None
+    cands = by_prog[max(sorted(by_prog), key=lambda i: pi_p[i])]
+    mass = [pi_a[args_encode(args)] for _, args in cands]
+    if any(np.isnan(m) for m in mass):
+        return None
+    return cands[max(range(len(cands)), key=lambda k: (mass[k], -k))]
 
 
 def random_trace(r, dims, nsteps=3, task_index=0, reward=1.0, one_hot=False):
@@ -823,60 +848,167 @@ class TestMaskingAndGreedy:
             i = self.lib.index(name)
             assert mp[i] == pytest.approx(pi_p[i] / kept, abs=1e-9)
 
+    LIBS = {mode: build_library(mode) for mode in ("args", "noargs")}
+
+    @staticmethod
+    def logit_network(lib, zp, za, args_finite=True):
+        """A network whose program and argument logits at h = 0 are `zp`
+        and `za`: zero weights, the logits as biases. `args_finite=False`
+        puts a finite 1e300 into `arg_w`, which h = 0 does not read, so
+        that `argument_logits_finite` fails."""
+        params = init_params(0, dims_for_library(lib))
+        a = params.arrays
+        a["prog_w"][...] = 0.0
+        a["arg_w"][...] = 0.0
+        a["prog_b"][...] = zp
+        a["arg_b"][...] = za
+        if not args_finite:
+            a["arg_w"][0, 0] = 1e300
+        return params
+
+    @classmethod
+    def select(cls, lib, zp, za, feasible, args_finite=True):
+        """(choice, the logits list greedy_select filled, whether it chose
+        on the probabilities) at h = 0 on `logit_network`."""
+        params = cls.logit_network(lib, zp, za, args_finite)
+        assert argument_logits_finite(params) == (
+            args_finite and bool(np.isfinite(za).all()))
+        logits, heads = [None, None], []
+        real = network._heads
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(network, "_heads", lambda *a: heads.append(1) or real(*a))
+            choice = greedy_select(params, np.zeros(params.dims.hidden), feasible, logits,
+                                   argument_logits_finite(params))
+        return choice, logits, bool(heads)
+
+    @classmethod
+    def random_case(cls, seed):
+        """(lib, feasible set, random program logits, random argument
+        logits, numpy generator) of a sampled state of either mode."""
+        r = rng(seed)
+        lib = cls.LIBS[("args", "noargs")[seed % 2]]
+        task = TASKS[seed // 2 % 4]
+        env = sample_task_env(task, int(r.integers(2, 8)), r)
+        feasible = feasible_pairs(env, lib.spec(task.program_name).level, lib)
+        return lib, feasible, r.normal(0, 3, len(lib)), r.normal(0, 3, ARG_SPACE), r
+
     def test_greedy_argmax_and_tiebreak(self):
-        pi_p = np.zeros(12)
-        pi_p[self.lib.index("save_ptr")] = 0.7
-        pi_p[self.lib.index("stop")] = 0.2
-        pi_a = np.full(64, 1 / 64)
-        spec, args = greedy_select(pi_p, pi_a, self.feasible)
-        assert spec.name == "save_ptr"
-        assert args == (1, 0, 0)  # equal argument mass: lowest index wins
+        zp = np.zeros(12)
+        zp[self.lib.index("save_ptr")] = 2.0
+        zp[self.lib.index("stop")] = 1.0
+        choice, _, on_probabilities = self.select(self.lib, zp, np.zeros(64), self.feasible)
+        assert choice == (self.lib.spec("save_ptr"), (1, 0, 0))  # equal logits: lowest index
+        assert on_probabilities
 
     def test_greedy_skips_infeasible_favourite(self):
-        pi_p = np.zeros(12)
-        pi_p[self.lib.index("pop")] = 0.9  # infeasible: stack empty
-        pi_p[self.lib.index("push")] = 0.1
-        pi_a = np.full(64, 1 / 64)
-        spec, _ = greedy_select(pi_p, pi_a, self.feasible)
-        assert spec.name == "push"
+        zp = np.zeros(12)
+        zp[self.lib.index("pop")] = 3.0  # infeasible: stack empty
+        zp[self.lib.index("push")] = 1.0
+        choice, logits, on_probabilities = self.select(self.lib, zp, np.zeros(64), self.feasible)
+        assert choice[0].name == "push"
+        # push has one feasible row here, and the argument logits are finite
+        # for any h: the argument head is not computed.
+        assert logits[1] is None and not on_probabilities
 
     def test_logit_shift_invariance(self):
         r = rng(12)
-        lib = build_library("args")
-        params = init_params(13, dims_for_library(lib))
-        obs = r.random(OBS_DIM)
-        out = forward(params, obs, 0)
-        base = greedy_select(out.pi_p, out.pi_a, self.feasible)
-        # Adding a constant to all logits rescales every probability by the
-        # same factor, so softmax output and the argmax are unchanged.
-        shifted_p = out.pi_p * np.exp(3.0)
-        shifted_a = out.pi_a * np.exp(3.0)
-        assert greedy_select(shifted_p, shifted_a, self.feasible) == base
+        params = init_params(13, dims_for_library(self.lib))
+        h = forward(params, r.random(OBS_DIM), 0).hidden.h
+        finite = argument_logits_finite(params)
+        base = greedy_select(params, h, self.feasible, [None, None], finite)
+        # Adding a constant to all logits of a head leaves its softmax and
+        # its argmax unchanged.
+        params.arrays["prog_b"] += 3.0
+        params.arrays["arg_b"] += 3.0
+        assert greedy_select(params, h, self.feasible, [None, None], finite) == base
 
     def test_greedy_matches_loop_reference(self):
-        # The pair-by-pair selection: first most probable program in index
-        # order, then its first most probable argument in feasible order.
-        def reference(pi_p, pi_a, feasible, lib):
-            by_prog = {}
-            for spec, args in feasible:
-                by_prog.setdefault(lib.index(spec.name), []).append((spec, args))
-            best_p = max(sorted(by_prog), key=lambda i: pi_p[i])
-            cands = by_prog[best_p]
-            return cands[max(range(len(cands)),
-                             key=lambda k: (pi_a[args_encode(cands[k][1])], -k))]
-
         r = rng(14)
-        for mode in ("args", "noargs"):
-            lib = build_library(mode)
+        chose_on_logits = 0
+        for mode, lib in self.LIBS.items():
             for i in range(300):
                 task = TASKS[i % 4]
                 env = sample_task_env(task, int(r.integers(2, 8)), r)
                 feasible = feasible_pairs(env, lib.spec(task.program_name).level, lib)
                 # Coarse values, so ties are common.
-                pi_p = r.integers(0, 4, len(lib)) / 4.0
-                pi_a = r.integers(0, 4, 64) / 4.0
-                assert greedy_select(pi_p, pi_a, feasible) == \
-                    reference(pi_p, pi_a, feasible, lib)
+                zp = r.integers(0, 4, len(lib)) / 4.0
+                za = r.integers(0, 4, 64) / 4.0
+                args_finite = i % 3 != 0
+                choice, logits, on_probabilities = self.select(lib, zp, za, feasible,
+                                                               args_finite)
+                assert choice == probability_choice(zp, za, feasible, lib)
+                if not on_probabilities:
+                    # The argument head is computed where the choice reads it.
+                    one_row = sum(s is choice[0] for s, _ in feasible) == 1
+                    assert (logits[1] is None) == (one_row and args_finite)
+                    chose_on_logits += 1
+        assert chose_on_logits > 100
+
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 0.999), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_a_near_tie_inside_the_band_is_chosen_on_the_probabilities(
+            self, seed, frac, in_args):
+        lib, feasible, zp, za, r = self.random_case(seed)
+        progs = feasible.prog_support
+        if in_args:
+            multi = [p for p in progs if len(feasible.rows_of[int(p)][0]) > 1]
+            if not multi:
+                return
+            zp[progs] -= 10.0
+            zp[multi[0]] += 20.0  # the program whose arguments tie
+            z, cands = za, feasible.rows_of[int(multi[0])][1]
+        else:
+            if len(progs) < 2:
+                return
+            z, cands = zp, progs
+        i, j = r.choice(cands, 2, replace=False)
+        z[i] = z[j] = z[cands].max() + 1.0
+        z[i] -= frac * 1e-12 * (1.0 + np.abs(z).max())
+        choice, _, on_probabilities = self.select(lib, zp, za, feasible)
+        assert on_probabilities
+        assert choice == probability_choice(zp, za, feasible, lib)
+
+    @given(st.integers(0, 2**31 - 1), st.floats(700.01, 2000.0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_best_logit_700_below_the_head_maximum_is_chosen_on_the_probabilities(
+            self, seed, gap, in_args):
+        lib, feasible, zp, za, r = self.random_case(seed)
+        progs = feasible.prog_support
+        if in_args:
+            multi = [p for p in progs if len(feasible.rows_of[int(p)][0]) > 1]
+            if not multi:
+                return
+            zp[progs] -= 10.0
+            zp[multi[0]] += 20.0
+            z, cands = za, feasible.rows_of[int(multi[0])][1]
+        else:
+            z, cands = zp, progs
+        outside = np.setdiff1d(np.arange(len(z)), cands)
+        if not len(outside):
+            return
+        z[r.choice(outside)] = z[cands].max() + gap
+        choice, _, on_probabilities = self.select(lib, zp, za, feasible)
+        assert on_probabilities
+        assert choice == probability_choice(zp, za, feasible, lib)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_non_finite_logits_are_chosen_on_the_probabilities(
+            self, seed, bad, in_args, feasible_entry):
+        lib, feasible, zp, za, r = self.random_case(seed)
+        z = za if in_args else zp
+        cands = feasible.arg_idx if in_args else feasible.prog_support
+        pool = cands if feasible_entry else np.setdiff1d(np.arange(len(z)), cands)
+        if not len(pool):
+            return
+        z[r.choice(pool)] = bad
+        with np.errstate(all="ignore"):
+            choice, _, on_probabilities = self.select(lib, zp, za, feasible)
+        assert on_probabilities
+        assert choice == probability_choice(zp, za, feasible, lib)
+        if np.isnan(bad) or bad > 0:
+            assert choice is None  # the whole head's softmax is NaN
 
 
 class TestCheckpoints:

@@ -18,6 +18,7 @@ from argsynth.env import (
 from argsynth.expert import ExpertPolicy
 from argsynth.network import (
     HiddenState,
+    argument_logits_finite,
     dims_for_library,
     forward,
     init_optimizer,
@@ -988,13 +989,25 @@ class TestSearchEpisode:
             assert s.pi_a_mcts.sum() == pytest.approx(1.0)
 
 
+def choose_on_probabilities(pi_p, pi_a, feasible):
+    """The greedy choice on a step's probabilities: the most probable
+    feasible program, then its most probable argument tuple, `argmax`
+    breaking ties toward the lowest index."""
+    progs = feasible.prog_support
+    rows, args = feasible.rows_of[int(progs[pi_p[progs].argmax()])]
+    return feasible[rows[pi_a[args].argmax()]]
+
+
 class ForwardEveryStep:
     """Greedy play as one `forward` on the vector per step, the value head
-    included, with nothing kept between steps but the hidden state: the
-    reference that `NetworkGreedyPolicy` must match bit for bit."""
+    included, with nothing kept between steps but the hidden state, and
+    the choice made on `forward`'s probabilities: the reference that
+    `NetworkGreedyPolicy` must match bit for bit. Each step's (h, c) bytes
+    go to `cells`."""
 
     def __init__(self, params, lib):
         self.params, self.lib = params, lib
+        self.cells = []
 
     def start(self, task, env, memo):
         task_index = self.lib.task_index(task)
@@ -1004,26 +1017,39 @@ class ForwardEveryStep:
         def step(env):
             nonlocal hidden
             pi_p, pi_a, _, hidden = forward(self.params, observe(env), task_index, hidden)
-            return search.greedy_select(pi_p, pi_a, feasible_pairs(env, level, self.lib))
+            self.cells.append((hidden.h.tobytes(), hidden.c.tobytes()))
+            return choose_on_probabilities(pi_p, pi_a, feasible_pairs(env, level, self.lib))
 
         return step
 
 
 def greedy_run(monkeypatch, policy, lib, task, env):
-    """(reward, final state, trace, the bytes of the `pi_p` and `pi_a`
-    that each step selected from) of one greedy execution."""
-    chosen = []
-    select = search.greedy_select
+    """(reward, final state, trace, the (h, c) bytes of the cell output that
+    each step chose from) of one greedy execution. For a
+    `NetworkGreedyPolicy`, each `search.greedy_select` call is matched to
+    the `search._cell` call that made its h, an earlier step's for a call's
+    first step that found its answer in the memo."""
+    steps, made = [], {}
+    cell, select = search._cell, search.greedy_select
 
-    def recording(pi_p, pi_a, feasible):
-        chosen.append((pi_p.tobytes(), pi_a.tobytes()))
-        return select(pi_p, pi_a, feasible)
+    def recording_cell(*args, **kwargs):
+        c, h = cell(*args, **kwargs)
+        made[id(h)] = (h, c)  # keeps h alive, so its id is not reused
+        return c, h
+
+    def recording_select(params, h, *rest):
+        steps.append((h.tobytes(), made[id(h)][1].tobytes()))
+        return select(params, h, *rest)
 
     trace = []
     with monkeypatch.context() as m:
-        m.setattr(search, "greedy_select", recording)
+        m.setattr(search, "_cell", recording_cell)
+        m.setattr(search, "greedy_select", recording_select)
         r, final = execute_greedy(env, task, policy, lib, trace=trace)
-    return r, final, [(t.depth, t.name, t.args) for t in trace], chosen
+    if isinstance(policy, ForwardEveryStep):
+        steps, policy.cells = policy.cells, []
+    assert len(steps) == len(trace)
+    return r, final, [(t.depth, t.name, t.args) for t in trace], steps
 
 
 class TestExecuteGreedy:
@@ -1338,6 +1364,51 @@ class TestGreedyNonFinite:
         with pytest.raises(SearchError, match="non-finite greedy choice"):
             execute_greedy(env, TaskId.PARTITION, NetworkGreedyPolicy(params, self.lib),
                            self.lib)
+
+    def test_finite_argument_weights_past_the_bound_are_read_on_every_step(self):
+        """Finite argument weights whose column sums pass 1e300 fail
+        `argument_logits_finite`, so a step computes the argument head even
+        for a one-row program. Here they overflow it on the first step,
+        which chooses `stop`, and greedy play raises as `forward`'s NaN
+        probabilities say it must."""
+        params = init_params(0, dims_for_library(self.lib))
+        params.arrays["arg_w"][...] = 1e308
+        params.arrays["arg_b"][...] = 1.7e308
+        params.arrays["prog_b"][self.lib.index("stop")] = 100.0
+        env = sample_task_env(TaskId.PARTITION, 5, rng(3))
+        with np.errstate(all="ignore"):
+            out = forward(params, observe(env), self.lib.task_index(TaskId.PARTITION))
+        assert np.isnan(out.pi_a).all() and out.pi_p.argmax() == self.lib.index("stop")
+        with pytest.raises(SearchError, match="non-finite greedy choice"), \
+                np.errstate(all="ignore"):
+            execute_greedy(env, TaskId.PARTITION, NetworkGreedyPolicy(params, self.lib),
+                           self.lib)
+
+    def test_finite_logits_past_the_bound_give_forwards_choices(self, monkeypatch):
+        """One weight of 1e300 fails the bound while every argument logit
+        stays finite: each step computes the argument head and chooses as
+        `forward`'s probabilities do."""
+        params = init_params(0, dims_for_library(self.lib))
+        params.arrays["arg_w"][0, 0] = 1e300
+        assert not argument_logits_finite(params)
+        read = []
+        select = search.greedy_select
+
+        def spying(params, h, feasible, logits, args_finite):
+            choice = select(params, h, feasible, logits, args_finite)
+            read.append(logits[1] is not None)
+            return choice
+
+        for task in TASKS:
+            env = sample_task_env(task, 6, rng(4))
+            want = greedy_run(monkeypatch, ForwardEveryStep(params, self.lib), self.lib,
+                              task, env)
+            assert greedy_run(monkeypatch, NetworkGreedyPolicy(params, self.lib), self.lib,
+                              task, env) == want
+            with monkeypatch.context() as m:
+                m.setattr(search, "greedy_select", spying)
+                execute_greedy(env, task, NetworkGreedyPolicy(params, self.lib), self.lib)
+        assert len(read) > 20 and all(read)
 
 
 class TestEvaluateMany:

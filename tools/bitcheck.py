@@ -30,17 +30,24 @@ checkout's `src/` first on the import path. The battery:
   digest above combines;
 - the greedy `evaluate_generalization` grid with `bench/params.ckpt` at
   seed 0, lengths 5/10/20/40/60, five trials a cell: one digest of its
-  accuracy rows, and one of its trials, read through `search.greedy_select`
-  and the grid's `execute_greedy`: the bytes of the `pi_p` and `pi_a` that
-  each greedy step, nested ones included, selects from, and each trial's
-  trace entries, reward and final state. A last-bit change in a policy
-  output seldom changes an accuracy, so the rows alone would miss it;
-- the network on clipped inputs: `init_params(0)` with every bias drawn
-  nonzero, all scaled by 300, so that the LSTM's pre-activations reach
-  the -500 clip (`bench/params.ckpt` seldom does). The bytes of
-  `forward` on 20 chained vectors, of `forward_rows` on 3 chained waves
-  of 5 rows, and of `loss_and_grads` on one packed batch of traces of
-  lengths 1-6, solved and failed;
+  accuracy rows, and one of its trials, read through the LSTM cell
+  `_cell` and the grid's `execute_greedy`: the bytes of the cell state and
+  output of each greedy step that runs the cell, nested ones included
+  (a call's first step that finds its answer in the execution's memo
+  runs none), and each trial's trace entries, which hold every step's
+  choice, its reward and its final state. A last-bit change in a cell
+  output seldom changes an accuracy, so the rows alone would miss it.
+  `_cell` is patched under that name in each module that has it, so a
+  step function that calls it from `search` or through `network` is read
+  alike;
+- the network at two scales: `init_params(0)` with every bias drawn
+  nonzero, all scaled by 300 and by 3. At 300 the LSTM's pre-activations
+  reach the -500 clip (`bench/params.ckpt` seldom does) and every gate
+  saturates; at 3 every pre-activation lies inside (-37, 37), where the
+  gates are not yet rounded to 0 or 1, and the gradients are of order 1.
+  The bytes of `forward` on 20 chained vectors, of `forward_rows` on 3
+  chained waves of 5 rows, and of `loss_and_grads` on one packed batch of
+  traces of lengths 1-6, solved and failed;
 - the parameters and the Adam moments `m` and `v` after 16 `train_step`s
   from a fresh network on batches of the episodes above. This digest
   differs whenever the episodes do.
@@ -48,7 +55,7 @@ checkout's `src/` first on the import path. The battery:
 Trees are read where they are grown: through `search._grow`, the tree
 generator that both `run_search` and the trainer's lockstep episodes use.
 Each episode, tree and greedy-step digest ends with the number of
-episodes, trees or greedy steps it covered, and a side whose digest
+episodes, trees or greedy cell steps it covered, and a side whose digest
 covered none fails.
 
 Exits 1 when any digest differs or a side fails to produce them, 0 when
@@ -80,9 +87,9 @@ LOCKSTEP_SIMULATIONS = (25, 15)  # top-level and nested
 EVAL_LENGTHS = (5, 10, 20, 40, 60)
 EVAL_TRIALS = 5
 TRAIN_STEPS, TRAIN_BATCH = 16, 16
-CLIPPED_SCALE = 300.0
-CLIPPED_VECTORS, CLIPPED_WAVES, CLIPPED_ROWS = 20, 3, 5
-CLIPPED_TRACE_LENGTHS = range(1, 7)
+NETWORK_SCALES = (300.0, 3.0)
+NETWORK_VECTORS, NETWORK_WAVES, NETWORK_ROWS = 20, 3, 5
+NETWORK_TRACE_LENGTHS = range(1, 7)
 
 
 def _sha(data: bytes | str) -> str:
@@ -205,14 +212,16 @@ def battery(A) -> dict[str, str]:
         A.search._grow = grow
         A.trainer.TraceRecord = make_record
 
-    select, execute = A.search.greedy_select, A.trainer.execute_greedy
-    greedy = Tally("greedy steps")
+    cell, execute = A.network._cell, A.trainer.execute_greedy
+    cell_modules = [m for m in (A.network, A.search) if hasattr(m, "_cell")]
+    greedy = Tally("greedy cell steps")
 
-    def hashing_select(pi_p, pi_a, feasible):
+    def hashing_cell(*args, **kwargs):
+        c, h = cell(*args, **kwargs)
         greedy.count += 1
-        greedy.sha.update(pi_p.tobytes())
-        greedy.sha.update(pi_a.tobytes())
-        return select(pi_p, pi_a, feasible)
+        greedy.sha.update(c.tobytes())
+        greedy.sha.update(h.tobytes())
+        return c, h
 
     def hashing_execute(env, task, policy, lib):
         trace = []
@@ -221,19 +230,22 @@ def battery(A) -> dict[str, str]:
                                 r, final)).encode())
         return r, final
 
-    A.search.greedy_select = hashing_select  # every step, nested ones too
+    for module in cell_modules:  # every step that runs the cell, nested ones too
+        module._cell = hashing_cell
     A.trainer.execute_greedy = hashing_execute  # each trial of the grid
     try:
         rows = A.evaluate_generalization(A.NetworkGreedyPolicy(params, lib), lib, seed=0,
                                          lengths=EVAL_LENGTHS, trials=EVAL_TRIALS)
     finally:
-        A.search.greedy_select = select
+        for module in cell_modules:
+            module._cell = cell
         A.trainer.execute_greedy = execute
     out["greedy eval grid seed 0"] = _sha(repr(rows))
-    out["greedy eval grid seed 0: every trial and step"] = greedy.digest()
+    out["greedy eval grid seed 0: every trial, cell output and choice"] = greedy.digest()
 
-    out[f"network at scale {CLIPPED_SCALE:g}: forward, forward_rows and loss_and_grads"] = (
-        clipped_network(A, lib, generator(13)))
+    for scale in NETWORK_SCALES:
+        out[f"network at scale {scale:g}: forward, forward_rows and loss_and_grads"] = (
+            scaled_network(A, lib, generator(13), scale))
 
     net = A.init_params(0, A.dims_for_library(lib))
     opt = A.init_optimizer(net, lr=1e-3)
@@ -249,17 +261,17 @@ def battery(A) -> dict[str, str]:
     return out
 
 
-def clipped_network(A, lib, rng) -> str:
-    """The bytes of `forward`, `forward_rows` and `loss_and_grads` on a
-    network whose pre-activations reach the clip: `init_params(0)` with the
-    all-zero arrays (the biases) drawn nonzero, then every array scaled."""
+def scaled_network(A, lib, rng, scale: float) -> str:
+    """The bytes of `forward`, `forward_rows` and `loss_and_grads` on
+    `init_params(0)` with the all-zero arrays (the biases) drawn nonzero,
+    then every array times `scale`."""
     import numpy as np
 
     net = A.init_params(0, A.dims_for_library(lib))
     for array in net.arrays.values():
         if not array.any():
             array[...] = rng.uniform(-1.0, 1.0, array.shape)
-        array *= CLIPPED_SCALE
+        array *= scale
     d = net.dims
     h = hashlib.sha256()
 
@@ -268,14 +280,14 @@ def clipped_network(A, lib, rng) -> str:
             h.update(array.tobytes())
 
     hidden, outs = None, []
-    for i in range(CLIPPED_VECTORS):
+    for i in range(NETWORK_VECTORS):
         outs.append(A.forward(net, rng.random(d.obs), i % d.tasks, hidden))
         hash_output(outs[-1])
         hidden = outs[-1].hidden
-    wave = outs[:CLIPPED_ROWS]
-    for _ in range(CLIPPED_WAVES):
-        wave = A.forward_rows(net, list(rng.random((CLIPPED_ROWS, d.obs))),
-                              [j % d.tasks for j in range(CLIPPED_ROWS)],
+    wave = outs[:NETWORK_ROWS]
+    for _ in range(NETWORK_WAVES):
+        wave = A.forward_rows(net, list(rng.random((NETWORK_ROWS, d.obs))),
+                              [j % d.tasks for j in range(NETWORK_ROWS)],
                               [out.hidden for out in wave])
         for out in wave:
             hash_output(out)
@@ -287,7 +299,7 @@ def clipped_network(A, lib, rng) -> str:
     batch = [NS(task_index=n % d.tasks, reward=n % 2,
                 steps=[NS(obs=rng.random(d.obs), pi_p_mcts=target(d.programs),
                           pi_a_mcts=target(d.args)) for _ in range(n)])
-             for n in CLIPPED_TRACE_LENGTHS]
+             for n in NETWORK_TRACE_LENGTHS]
     total, grads = A.loss_and_grads(net, batch)
     h.update(np.float64(total).tobytes())
     for name in sorted(grads):
