@@ -229,7 +229,7 @@ def value_head(params: ParameterSet, h: np.ndarray) -> np.ndarray:
 
 
 def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
-          h_prev: np.ndarray, c_prev: np.ndarray) -> _Step:
+          h_prev: np.ndarray, c_prev: np.ndarray, u: Optional[np.ndarray] = None) -> _Step:
     """The network on one observation (obs [obs], an int task, h/c
     [hidden]) or on b rows at once (obs [b, obs], task [b], h/c
     [b, hidden]). Rows go through matrix products and a vector through
@@ -247,23 +247,38 @@ def _step(params: ParameterSet, obs: np.ndarray, task: int | np.ndarray,
     addition commutes, so that is the same bits as
     `(x @ lstm_wx + h_prev @ lstm_wh) + lstm_b`. The adds, clips and
     activations work in place on arrays this step has just made, never on
-    its inputs or the parameters."""
-    u = input_half(params, obs, task)[2]
+    its inputs or the parameters; `u`, when given, is this input's half,
+    kept from an earlier step."""
+    if u is None:
+        u = input_half(params, obs, task)[2]
     h, c, pi_p, pi_a = recurrent_half(params, u, h_prev, c_prev)
     return _Step(h, c, pi_p, pi_a, value_head(params, h))
 
 
 def forward(params: ParameterSet, obs: np.ndarray, task_index: int,
-            hidden: Optional[HiddenState] = None) -> PolicyOutput:
+            hidden: Optional[HiddenState] = None,
+            inputs: Optional[dict] = None) -> PolicyOutput:
     """One deterministic step of the network; returns policies, value and
-    the next hidden state."""
+    the next hidden state.
+
+    `inputs`, when given, is the caller's dict of input halves keyed by
+    (task index, observation bytes): the step takes its u from there, or
+    computes it and adds it. u depends on that key alone and no step
+    writes into it, so a kept u gives the bytes of a fresh one. The caller
+    bounds the dict and drops it when the parameters change."""
     d = params.dims
     if obs.shape != (d.obs,):
         raise ValueError(f"observation shape {obs.shape} != ({d.obs},)")
     if not (0 <= task_index < d.tasks):
         raise ValueError(f"task index {task_index} outside [0, {d.tasks})")
     h_prev, c_prev = zero_hidden(d) if hidden is None else hidden
-    r = _step(params, obs, task_index, h_prev, c_prev)
+    u = None
+    if inputs is not None:
+        key = (task_index, obs.tobytes())
+        u = inputs.get(key)
+        if u is None:
+            u = inputs[key] = input_half(params, obs, task_index)[2]
+    r = _step(params, obs, task_index, h_prev, c_prev, u)
     return PolicyOutput(r.pi_p, r.pi_a, float(r.value), HiddenState(r.h, r.c))
 
 

@@ -21,14 +21,26 @@ then closed forms of j: sqrt(visits + j), N + j, and W plus j copies of
 the value, summed in sequence. `_fast_forward` scores them row by row, in
 Python floats, with the operations of `puct_select` in its order, and
 stops at the first row that would leave the path, so that row is found
-exactly. A row is scored only against the edges that could win it: the
-visited ones, and each unvisited edge whose prior is above that of every
-unvisited edge before it; an unvisited edge with a lower or equal prior
-than an earlier one never scores above it. Their scores only grow from
+exactly. A row is scored only against the edges that could win it, which
+the node keeps as its candidate list (below). Their scores only grow from
 row to row, so a row in which the path's edge scores above all of their
 last-row scores needs no more. The visits before the row that leaves are
 applied in one step, and the tree, the statistics and the random stream
 end as the one-at-a-time loop would leave them, bit for bit.
+
+Each expanded node keeps the edges that can win a selection, in index
+order: every visited edge, and each unvisited edge whose prior is above
+the prior of every unvisited edge before it (`_candidates`). An edge left
+off is unvisited, and an earlier unvisited edge on the list has a prior
+at least as high. Every operation of `Q + c_puct * P * s / (1 + N)` is
+monotone in P, so that earlier edge scores at least as much and, at the
+lower index, wins a tie. `puct_select` and `_fast_forward` score only the
+list. `expand` builds it; `backup` updates it when an edge gets its first
+visit, re-checking only the unvisited edges after that edge, whose
+highest earlier prior may have fallen. The fast-forward adds visits only
+to edges already visited, so it leaves the list as it is. On the
+exact-mode `search_nested` benchmark a selection meets 19.4 edges on
+average, 5.2 of them on the list.
 
 Approximate expansion draws its sample with `_sample_distinct`, numpy's
 no-replacement algorithm of `Generator.choice` written out inline. A call
@@ -48,14 +60,15 @@ float64 entries are, every score is computed in the order of the array
 expression, and only a strictly greater score replaces the best, so ties
 go to the lowest index as `argmax` gives them. That holds because every
 prior and value is finite: the evaluator's priors and leaf values are
-checked (`joint_prior`, `_expand_and_eval`), and a non-finite one raises
+checked (`joint_prior`, `_grow`), and a non-finite one raises
 SearchError instead of steering the search, so no NaN reaches a
 comparison.
 
-A tree is grown by a generator, `_grow`: where a simulation reaches a leaf
-to evaluate, `_expand_and_eval` yields the request (state, task index,
-hidden state) and resumes with the evaluator's answer, through `_simulate`
-and `_grow`. The evaluator has one leaf call, `Evaluator.evaluate_many`,
+A tree is grown by one generator loop, `_grow`: each simulation walks the
+tree, and where it reaches a leaf to evaluate, `_grow` yields the request
+(state, task index, hidden state), resumes with the evaluator's answer,
+expands the leaf and backs up, all inline; that is its only `yield`. The
+evaluator has one leaf call, `Evaluator.evaluate_many`,
 which answers a wave of requests. `run_search` answers each request at
 once as a wave of one, and `search_episode` calls `run_search` once per
 step, so a single episode and every nested search run as a plain loop.
@@ -73,9 +86,14 @@ the answers of its last `EVALUATOR_MEMO` waves of one and gives a repeat
 the same answer again, the arrays that `forward` gave it. The network is
 deterministic and a request is keyed by its state, task index and the
 bytes of its hidden state, so a search that gets the kept answer runs
-bit for bit as one that computes it again. Lockstep's waves of several
-rows go to the network each time, because a row's answer can differ in
-its last bits from the wave of one's.
+bit for bit as one that computes it again. A wave of one that misses
+still often repeats a (task, observation) pair with another hidden state,
+so the evaluator also keeps the input halves of its last `EVALUATOR_MEMO`
+such pairs (the encoder and `x @ lstm_wx`, which depend on nothing else)
+and hands them to `forward`, which then runs only the recurrent half and
+the heads, to the same bytes. Lockstep's waves of several rows go to the
+network each time, and use neither memo, because a row's answer can
+differ in its last bits from the wave of one's.
 
 Greedy execution (`execute_greedy`) reuses work within one execution too.
 A program's steps often come back to an observation, and the calls of a
@@ -222,9 +240,12 @@ class Evaluator(Protocol):
     def initial_hidden(self) -> HiddenState: ...
 
 
-# Answers of waves of one that `NetworkEvaluator` keeps. Measured on the
-# `search_nested` benchmark (see CHANGES.md): 16, 64, 256 and unbounded
-# memos answered 15%, 19%, 20% and 20.2% of the leaf requests.
+# Answers of waves of one that `NetworkEvaluator` keeps, and input halves.
+# Measured on the `search_nested` benchmark (see CHANGES.md): 16, 64, 256
+# and unbounded memos answered 15%, 19%, 20% and 20.2% of the leaf
+# requests. Of the 5,162 `forward` calls left in a round at seed 1, input
+# halves kept first in, first out answered 1,125 / 1,718 / 2,113 / 2,309 /
+# 2,498 at 16 / 64 / 256 / 1024 / unbounded entries (about 4 KB each).
 EVALUATOR_MEMO = 64
 
 
@@ -238,16 +259,22 @@ class NetworkEvaluator:
     A wave of one that repeats one of the last `EVALUATOR_MEMO` waves of
     one, to the bytes of its hidden state, gets that wave's answer again:
     the arrays `forward` gave, shared. `hits` and `misses` count such
-    waves. Larger waves neither read nor fill the memo. The answers hold
-    while the parameters stay as they are: `train_step` updates them in
-    place, so an evaluator serves one set of frozen parameters, and the
-    trainer makes a new one each iteration.
+    waves. A miss goes to `forward` with the evaluator's dict of input
+    halves, which keeps the last `EVALUATOR_MEMO` (task index, observation)
+    pairs in insertion order; `input_hits` and `input_misses` count the
+    misses whose input half was kept or computed. Larger waves neither
+    read nor fill either memo. The memos hold while the parameters stay
+    as they are: `train_step` updates them in place, so an evaluator
+    serves one set of frozen parameters, and the trainer makes a new one
+    each iteration.
     """
 
     def __init__(self, params: ParameterSet):
         self.params = params
         self._memo: dict[tuple, Evaluation] = {}
+        self._inputs: dict[tuple, np.ndarray] = {}
         self.hits = self.misses = 0
+        self.input_hits = self.input_misses = 0
 
     def evaluate_many(self, requests):
         if len(requests) == 1:
@@ -258,7 +285,15 @@ class NetworkEvaluator:
                 self.hits += 1
                 return [answer]
             self.misses += 1
-            answer = forward(self.params, observe(env), task_index, hidden)
+            inputs = self._inputs
+            kept = len(inputs)
+            answer = forward(self.params, observe(env), task_index, hidden, inputs)
+            if len(inputs) > kept:  # `forward` computed the input half and added it
+                self.input_misses += 1
+                if len(inputs) > EVALUATOR_MEMO:
+                    del inputs[next(iter(inputs))]
+            else:
+                self.input_hits += 1
             self._memo[key] = answer
             if len(self._memo) > EVALUATOR_MEMO:
                 del self._memo[next(iter(self._memo))]
@@ -299,6 +334,11 @@ class Node:
     it current. An expanded node's first visit is the one that expanded
     it, so `visits` is always the sum of `N` plus one.
 
+    `candidates` lists, in index order, the edges that can win a
+    selection (`_candidates`; see the module docstring). `expand` writes
+    it, and `backup` updates it when an edge gets its first visit; no
+    other visit changes it.
+
     `backup` and `_fast_forward` are the only writers of the statistics.
     A run of k simulations that repeat one path to a terminal leaf may be
     applied at once: `visits` and `N[idx]` rise by k, `W[idx]` gets the
@@ -314,7 +354,7 @@ class Node:
 
     __slots__ = (
         "env", "h_in", "h_out", "depth", "feasible", "edges", "P", "N", "W", "Q",
-        "children", "visits", "terminal", "value",
+        "candidates", "children", "visits", "terminal", "value",
     )
 
     def __init__(self, env: Optional[EnvState], h_in: HiddenState, depth: int):
@@ -326,6 +366,7 @@ class Node:
         self.edges: FeasibleSet | list = []
         # Empty until `expand` fills them; an unexpanded node has no edges.
         self.P = self.N = self.W = self.Q = ()
+        self.candidates: list[int] | tuple = ()
         self.children: list[Optional["Node"]] = []
         self.visits = 0
         self.terminal = False
@@ -338,30 +379,53 @@ class Node:
 FPU_Q = 0.5
 
 
+def _candidates(P: Sequence[float], N: Sequence[float], start: int = 0,
+                top: float = -math.inf) -> list[int]:
+    """The edges from `start` on that can win a selection, in index order:
+    every visited one, and each unvisited one whose prior is above `top`
+    and above the prior of every unvisited edge between `start` and it.
+    `top` is the highest prior of an unvisited edge before `start`."""
+    out = []
+    for e in range(start, len(P)):
+        if N[e] == 0.0:
+            if P[e] <= top:
+                continue
+            top = P[e]
+        out.append(e)
+    return out
+
+
 def puct_select(node: Node, c_puct: float) -> int:
     """Index of the child maximizing Q plus the prior-weighted exploration
     bonus; unvisited children count as value-neutral; ties go to the
     lowest index.
 
     One scalar loop computes `Q + c_puct * P * sqrt(visits) / (1 + N)` per
-    edge in the operation order of the array expression, and keeps the
-    first best score, so it picks the edge that `argmax` over the arrays
-    would. The statistics must be finite."""
+    edge of the node's candidate list, in the operation order of the array
+    expression, and keeps the first best score in index order. An edge off
+    the list never scores above an earlier one on it, so this is the edge
+    that `argmax` over all the arrays would pick. The statistics must be
+    finite."""
     if not node.edges:
         raise SearchError("puct_select on a childless node")
     # sqrt(visits) is sqrt(sum(N) + 1), the parent count of the PUCT bonus.
     s = math.sqrt(node.visits)
-    best, best_score, i = 0, -math.inf, 0
-    for p, n, q in zip(node.P, node.N, node.Q):
-        score = q + c_puct * p * s / (1.0 + n)
+    P, N, Q = node.P, node.N, node.Q
+    best, best_score = 0, -math.inf
+    for i in node.candidates:
+        score = Q[i] + c_puct * P[i] * s / (1.0 + N[i])
         if score > best_score:
             best, best_score = i, score
-        i += 1
     return best
 
 
 def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
-    """Add one visit carrying `value` to every node/edge along the path."""
+    """Add one visit carrying `value` to every node/edge along the path.
+
+    An edge's first visit updates its node's candidate list: the edges
+    before it keep their places, it stays on as a visited edge, and the
+    unvisited edges after it are checked again, since its prior no longer
+    shadows theirs."""
     for node, idx in path:
         node.visits += 1
         if idx is not None:
@@ -370,6 +434,16 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
             node.N[idx] = n
             node.W[idx] = w
             node.Q[idx] = w / n
+            if n == 1.0:
+                head, top = [], -math.inf
+                for e in node.candidates:
+                    if e >= idx:
+                        break
+                    head.append(e)
+                    if node.N[e] == 0.0:  # unvisited ones on the list rise in prior
+                        top = node.P[e]
+                head += _candidates(node.P, node.N, idx, top)
+                node.candidates = head
 
 
 def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) -> np.ndarray:
@@ -483,6 +557,7 @@ def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
     node.N = [0.0] * k
     node.W = [0.0] * k
     node.Q = [FPU_Q] * k
+    node.candidates = _candidates(node.P, node.N)
     node.children = [None] * k
     stats.nodes_expanded += k
 
@@ -511,15 +586,12 @@ class SearchResult:
 
 
 class _Context:
-    """Per-tree bundle shared by every simulation of one search."""
+    """Per-tree bundle that `_materialize` reads for every child it makes."""
 
-    __slots__ = ("task", "task_index", "caller_level", "target", "lib",
-                 "evaluator", "cfg", "stats", "rng", "cache")
+    __slots__ = ("task", "target", "lib", "evaluator", "cfg", "stats", "rng", "cache")
 
     def __init__(self, task, e_initial, lib, evaluator, cfg, stats, rng, cache):
         self.task = task
-        self.task_index = lib.task_index(task)
-        self.caller_level = lib.spec(task.program_name).level
         self.target = E.oracle_transform(task, e_initial)  # what `stop` is scored against
         self.lib = lib
         self.evaluator = evaluator
@@ -585,67 +657,22 @@ def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
     return child
 
 
-def _expand_and_eval(node: Node, ctx: _Context) -> Generator[LeafRequest, Evaluation, float]:
-    node.feasible = feasible_pairs(node.env, ctx.caller_level, ctx.lib)
-    pi_p, pi_a, value, h_out = yield node.env, ctx.task_index, node.h_in
-    if not math.isfinite(value):
-        raise SearchError(f"non-finite leaf value {value} from the evaluator")
-    node.h_out = h_out
-    mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
-    expand(node, mp, ma, ctx.cfg, ctx.rng, ctx.stats)
-    return value
-
-
 SearchPath = list[tuple[Node, Optional[int]]]
-
-
-def _simulate(root: Node, ctx: _Context, max_depth: int
-              ) -> Generator[LeafRequest, Evaluation, tuple[SearchPath, float]]:
-    path: SearchPath = []
-    node = root
-    while True:
-        if node.terminal:
-            path.append((node, None))
-            value = node.value
-            break
-        if not node.edges:
-            value = yield from _expand_and_eval(node, ctx)
-            path.append((node, None))
-            break
-        idx = puct_select(node, ctx.cfg.c_puct)
-        child = node.children[idx]
-        if child is None:
-            child = _materialize(node, idx, ctx, max_depth)
-        path.append((node, idx))
-        node = child
-    backup(path, value)
-    ctx.stats.simulations += 1
-    ctx.stats.max_depth = max(ctx.stats.max_depth, node.depth)
-    return path, value
 
 
 def _rivals(node: Node, idx: int, c_puct: float
             ) -> tuple[list[tuple[float, float, float]], list[tuple[float, float, float]]]:
-    """The edges of `node` that could take a simulation from edge `idx`,
-    below and above it, each as (Q, c_puct * P, 1 + N): the terms of its
-    score in `puct_select`.
-
-    Every visited edge is a rival. The unvisited ones (N 0, Q FPU_Q) score
-    FPU_Q plus a bonus that only their prior sets, so one with a prior at
-    or below that of an unvisited edge of lower index never scores above
-    that edge: whenever it would beat edge `idx`, the lower edge beats
-    it too, ties included. Only those with a prior above every such lower
-    prior are kept."""
+    """The edges of `node` that could take a simulation from its visited
+    edge `idx`, below and above it, each as (Q, c_puct * P, 1 + N): the
+    terms of its score in `puct_select`. They are the node's candidate
+    list without `idx`: an edge off the list never scores above an earlier
+    one on it, so whenever it would beat edge `idx`, that edge beats it
+    too, ties included."""
     lower, upper = [], []
-    top = -math.inf  # the highest prior of an unvisited edge so far
-    for e, (p, n, q) in enumerate(zip(node.P, node.N, node.Q)):
-        if e == idx:
-            continue
-        if n == 0.0:
-            if p <= top:
-                continue
-            top = p
-        (lower if e < idx else upper).append((q, c_puct * p, 1.0 + n))
+    P, N, Q = node.P, node.N, node.Q
+    for e in node.candidates:
+        if e != idx:
+            (lower if e < idx else upper).append((Q[e], c_puct * P[e], 1.0 + N[e]))
     return lower, upper
 
 
@@ -716,8 +743,10 @@ def _grow(
     steps_taken: int = 0, cache: Optional[dict] = None,
 ) -> Generator[LeafRequest, Evaluation, SearchResult]:
     """`run_search` as a search generator: it yields each leaf request of
-    this tree and returns the SearchResult. Nested searches of learned
-    calls still run to completion inside it, through `evaluator`."""
+    this tree and returns the SearchResult. Each simulation runs inline,
+    selection, leaf evaluation, expansion and backup, and a run of them
+    down a path that repeats goes to `_fast_forward`. Nested searches of
+    learned calls still run to completion inside it, through `evaluator`."""
     cfg.validate()
     ctx = _Context(task, e_initial, lib, evaluator, cfg, stats, rng, cache)
     cap = step_cap(task, e_initial.n)
@@ -725,18 +754,45 @@ def _grow(
     if max_depth < 1:
         raise SearchError("no action budget left for this episode")
     root = Node(env=env, h_in=hidden, depth=0)
+    c_puct, task_index = cfg.c_puct, lib.task_index(task)
+    caller_level = lib.spec(task.program_name).level
     left = cfg.simulations
     last_leaf = None
     while left:
-        path, value = yield from _simulate(root, ctx, max_depth)
+        # One simulation: walk down to a terminal or to a leaf, which is
+        # evaluated and expanded, then back up.
+        path: SearchPath = []
+        node = root
+        while True:
+            if node.terminal:
+                value = node.value
+                break
+            if not node.edges:
+                node.feasible = feasible_pairs(node.env, caller_level, lib)
+                pi_p, pi_a, value, h_out = yield node.env, task_index, node.h_in
+                if not math.isfinite(value):
+                    raise SearchError(f"non-finite leaf value {value} from the evaluator")
+                node.h_out = h_out
+                mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
+                expand(node, mp, ma, cfg, rng, stats)
+                break
+            idx = puct_select(node, c_puct)
+            child = node.children[idx]
+            if child is None:
+                child = _materialize(node, idx, ctx, max_depth)
+            path.append((node, idx))
+            node = child
+        path.append((node, None))
+        backup(path, value)
+        stats.simulations += 1
+        stats.max_depth = max(stats.max_depth, node.depth)
         left -= 1
-        leaf = path[-1][0]
-        if leaf.terminal and leaf is last_leaf and left:
+        if node.terminal and node is last_leaf and left:
             # Same leaf, same path: a tree node has one path from the root.
-            k = _fast_forward(path, value, left, cfg.c_puct)
+            k = _fast_forward(path, value, left, c_puct)
             stats.simulations += k
             left -= k
-        last_leaf = leaf
+        last_leaf = node
     counts = np.array(root.N)
     if counts.sum() > 0:
         if cfg.temperature <= 0.0:

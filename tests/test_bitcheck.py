@@ -77,6 +77,10 @@ def NetworkEvaluator(params):
     return params
 
 
+def UniformEvaluator(lib):
+    return lib
+
+
 def SearchConfig(**kw):
     return kw
 
@@ -197,7 +201,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 18 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 20 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -207,7 +211,7 @@ def test_the_greedy_cell_is_read_in_the_module_that_calls_it(tmp_path, capsys):
     the same greedy digest."""
     code, out = run(tmp_path, capsys, "a", "a", parent_cell_home="network")
     assert code == 0
-    assert out.out.count("same  ") == 18 and " over 5 greedy cell steps" in out.out
+    assert out.out.count("same  ") == 20 and " over 5 greedy cell steps" in out.out
 
 
 def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
@@ -235,7 +239,11 @@ def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
                                   "train seed 5: statistics of every tree",
                                   "search seed 101: statistics of every tree",
                                   "search seed 202: statistics of every tree",
-                                  "lockstep: 7 exact partition episodes, with every tree"]
+                                  "lockstep: 7 exact partition episodes, with every tree",
+                                  "uniform priors, c_puct 0: 12 exact partition episodes, "
+                                  "with every tree",
+                                  "uniform priors, c_puct 1: 12 exact partition episodes, "
+                                  "with every tree"]
 
 
 def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
@@ -285,7 +293,11 @@ def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
                                   "train seed 5: statistics of every tree",
                                   "search seed 101: statistics of every tree",
                                   "search seed 202: statistics of every tree",
-                                  "lockstep: 7 exact partition episodes, with every tree"]
+                                  "lockstep: 7 exact partition episodes, with every tree",
+                                  "uniform priors, c_puct 0: 12 exact partition episodes, "
+                                  "with every tree",
+                                  "uniform priors, c_puct 1: 12 exact partition episodes, "
+                                  "with every tree"]
     assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 

@@ -556,10 +556,10 @@ class TestStepWritesIntoNothingItWasGiven:
         step = network._step
         calls = []
 
-        def checked(p, obs, task, h_prev, c_prev):
-            given = (obs, h_prev, c_prev)
+        def checked(p, obs, task, h_prev, c_prev, u=None):
+            given = (obs, h_prev, c_prev) + (() if u is None else (u,))
             before = [x.tobytes() for x in given]
-            r = step(p, obs, task, h_prev, c_prev)
+            r = step(p, obs, task, h_prev, c_prev, u)
             assert [x.tobytes() for x in given] == before
             assert {k: v.tobytes() for k, v in p.arrays.items()} == frozen
             for out in (r.h, r.c, r.pi_p, r.pi_a):
@@ -584,6 +584,12 @@ class TestStepWritesIntoNothingItWasGiven:
         out = forward(params, obs, 2, out.hidden)
         forward(params, obs, 3)
         assert calls == [1, 1, 1] and cells == [(False, True)] * 3
+        inputs = {}
+        for _ in range(2):  # the input half computed, then kept
+            kept = forward(params, obs, 1, HiddenState(h, c), inputs)
+        assert calls == [1] * 5 and len(inputs) == 1
+        fresh = forward(params, obs, 1, HiddenState(h, c))
+        assert kept.hidden.h.tobytes() == fresh.hidden.h.tobytes()
         for x in (out.pi_p, out.pi_a, out.hidden.h, out.hidden.c):
             for given in (obs, h, c, *params.arrays.values()):
                 assert not np.shares_memory(x, given)

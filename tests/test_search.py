@@ -62,8 +62,9 @@ def arr(stat):
 
 def bare_node(n_children, priors=None, N=None, W=None):
     """An expanded node with the given edge statistics, as `backup` would
-    have left it: Q is each edge's mean value (FPU_Q while unvisited) and
-    the expanding visit counts on top of the edge visits."""
+    have left it: Q is each edge's mean value (FPU_Q while unvisited), the
+    expanding visit counts on top of the edge visits, and the candidate
+    list is the one `expand` derives, from these statistics."""
     node = Node(env=make_env([1, 2], 0, 1, 0), h_in=None, depth=0)
     node.edges = [("edge", i) for i in range(n_children)]
     P = np.array(priors if priors is not None else [1 / n_children] * n_children)
@@ -71,6 +72,7 @@ def bare_node(n_children, priors=None, N=None, W=None):
     W = np.array(W if W is not None else [0.0] * n_children, dtype=float)
     node.P, node.N, node.W = P.tolist(), N.tolist(), W.tolist()
     node.Q = np.where(N > 0, W / np.maximum(N, 1.0), FPU_Q).tolist()
+    node.candidates = search._candidates(node.P, node.N)
     node.visits = int(N.sum()) + 1
     node.children = [None] * n_children
     return node
@@ -133,25 +135,38 @@ class TestPuctProperty:
             assert puct_select(node, c_puct) == reference_puct(node, c_puct)
 
     def test_matches_reference_in_searched_trees(self):
+        """In an exact and an approximate tree, every expanded node's
+        statistics are consistent, its candidate list follows the rule,
+        and `puct_select` picks the reference's edge."""
         lib = build_library("args")
         env = make_env([2, 9, 5, 1], 0, 3, 1, registry=0)
         ev = UniformEvaluator(lib)
-        cfg = SearchConfig(mode=MODE_EXACT, simulations=150, training=True)
-        res = run_search(TaskId.PARTITION_UPDATE, env, ev.initial_hidden(), env,
-                         lib, ev, cfg, SearchStats(), rng(21))
-        stack, checked = [res.root], 0
-        while stack:
-            node = stack.pop()
-            if node.edges and not node.terminal:
-                N, W, Q = arr(node.N), arr(node.W), arr(node.Q)
-                assert node.visits == N.sum() + 1
-                seen = N > 0
-                assert np.array_equal(Q[seen], W[seen] / N[seen])
-                assert np.all(Q[~seen] == FPU_Q)
-                assert puct_select(node, cfg.c_puct) == reference_puct(node, cfg.c_puct)
-                checked += 1
-                stack.extend(c for c in node.children if c is not None)
-        assert checked > 10
+        for mode in (MODE_EXACT, MODE_APPROX):
+            cfg = SearchConfig(mode=mode, simulations=150, training=True)
+            res = run_search(TaskId.PARTITION_UPDATE, env, ev.initial_hidden(), env,
+                             lib, ev, cfg, SearchStats(), rng(21))
+            stack, checked = [res.root], 0
+            while stack:
+                node = stack.pop()
+                if node.edges and not node.terminal:
+                    N, W, Q = arr(node.N), arr(node.W), arr(node.Q)
+                    assert node.visits == N.sum() + 1
+                    seen = N > 0
+                    assert np.array_equal(Q[seen], W[seen] / N[seen])
+                    assert np.all(Q[~seen] == FPU_Q)
+                    assert node.candidates == candidate_rule(node.P, node.N)
+                    assert puct_select(node, cfg.c_puct) == reference_puct(node, cfg.c_puct)
+                    checked += 1
+                    stack.extend(c for c in node.children if c is not None)
+            assert checked > 10
+
+
+def candidate_rule(P, N):
+    """A node's candidate list from its definition: every visited edge, and
+    each unvisited one whose prior is above that of every unvisited edge
+    before it."""
+    return [e for e in range(len(P))
+            if N[e] > 0 or all(P[e] > P[j] for j in range(e) if N[j] == 0)]
 
 
 @st.composite
@@ -210,6 +225,51 @@ class TestScalarStatistics:
                 assert arr(got).tobytes() == want.tobytes()
             want_idx = int((Q + c_puct * P * math.sqrt(visits) / (1.0 + N)).argmax())
             assert puct_select(node, c_puct) == want_idx
+
+
+class TestCandidates:
+    """The candidate list that `expand` builds and `backup` updates on an
+    edge's first visit."""
+
+    @given(
+        priors=tied_priors(),
+        moves=st.lists(st.integers(0, 39), max_size=60),
+        value=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_backups_keep_the_rule(self, priors, moves, value):
+        m = len(priors)
+        node = bare_node(m, priors=priors)
+        assert node.candidates == candidate_rule(node.P, node.N)
+        for idx in moves:
+            backup([(node, idx % m)], value)
+            assert node.candidates == candidate_rule(node.P, node.N)
+            assert node.candidates == search._candidates(node.P, node.N)
+
+    def test_expand_lists_the_rising_priors(self):
+        lib = build_library("args")
+        node = prepared_node(make_env([3, 1, 2], 0, 2, 0), lib)
+        m = len(node.feasible)
+        pi_p = np.linspace(1.0, 2.0, len(lib))
+        pi_a = np.linspace(2.0, 1.0, ARG_SPACE)
+        mp, ma = masked_distributions(pi_p / pi_p.sum(), pi_a / pi_a.sum(), node.feasible)
+        expand(node, mp, ma, SearchConfig(mode=MODE_EXACT), rng(0), SearchStats())
+        assert len(node.candidates) < m
+        assert node.candidates == candidate_rule(node.P, [0.0] * m)
+
+    def test_a_first_visit_rechecks_only_the_edges_after_it(self):
+        # Unvisited edge 1 (prior 0.3) shadows 2, 3 (a tie) and 4. Once 1 is
+        # visited, 2 and 3 each rise above every unvisited prior before
+        # them, while 4 (0.25) still trails 3's 0.3; once 3 is visited too,
+        # 4 is above 2's 0.2. A later visit changes nothing.
+        node = bare_node(5, priors=[0.1, 0.3, 0.2, 0.3, 0.25])
+        assert node.candidates == [0, 1]
+        backup([(node, 1)], 1.0)
+        assert node.candidates == [0, 1, 2, 3]
+        backup([(node, 3)], 0.0)
+        assert node.candidates == [0, 1, 2, 3, 4]
+        backup([(node, 1)], 1.0)
+        assert node.candidates == [0, 1, 2, 3, 4]
 
 
 class TestBackup:
@@ -1511,6 +1571,52 @@ class TestEvaluateMany:
         assert ev.hits == search.EVALUATOR_MEMO
         ev.evaluate_many([requests[0]])
         assert ev.misses == search.EVALUATOR_MEMO + 2
+
+    def assert_fresh_forward_bytes(self, ev, answer, request):
+        want = forward(ev.params, observe(request[0]), request[1], request[2])
+        assert answer[0].tobytes() == want[0].tobytes()
+        assert answer[1].tobytes() == want[1].tobytes()
+        assert answer[2] == want[2]
+        assert answer[3].h.tobytes() == want[3].h.tobytes()
+        assert answer[3].c.tobytes() == want[3].c.tobytes()
+
+    def test_kept_input_halves_give_the_bytes_of_forward(self, monkeypatch):
+        """An observation repeated with other hidden states takes its input
+        half from the memo; one evicted is computed again; every answer
+        has the bytes of a fresh `forward`."""
+        monkeypatch.setattr(search, "EVALUATOR_MEMO", 2)
+        ev = NetworkEvaluator(trained_params())
+        a, b, c = self.requests(9, 3)
+        assert len({(t, observe(env).tobytes()) for env, t, _ in (a, b, c)}) == 3
+        r = rng(10)
+        H = ev.params.dims.hidden
+
+        def ask(request):
+            env, t, _ = request
+            request = (env, t, HiddenState(r.normal(size=H), r.normal(size=H)))
+            answer, = ev.evaluate_many([request])
+            self.assert_fresh_forward_bytes(ev, answer, request)
+
+        for request in (a, a, a, b, a, c):  # c evicts a, the oldest
+            ask(request)
+        assert (ev.input_hits, ev.input_misses) == (3, 3)
+        assert len(ev._inputs) == 2
+        ask(a)  # evicted, computed again; b goes
+        ask(c)
+        assert (ev.input_hits, ev.input_misses) == (4, 4)
+        ask(b)
+        assert (ev.input_hits, ev.input_misses) == (4, 5)
+        assert (ev.hits, ev.misses) == (0, 9)
+
+    def test_an_answer_hit_leaves_the_input_halves_alone(self):
+        ev = NetworkEvaluator(init_params(1, dims_for_library(self.lib)))
+        request, = self.requests(11, 1)
+        first, = ev.evaluate_many([request])
+        again, = ev.evaluate_many([request])
+        assert again is first
+        assert (ev.hits, ev.misses, ev.input_hits, ev.input_misses) == (1, 1, 0, 1)
+        ev.evaluate_many(self.requests(12, 2))
+        assert (ev.input_hits, ev.input_misses) == (0, 1) and len(ev._inputs) == 1
 
     def test_search_episodes_run_as_without_the_memo(self, monkeypatch):
         cfg = SearchConfig(mode=MODE_EXACT, training=True)

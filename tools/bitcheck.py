@@ -28,6 +28,12 @@ checkout's `src/` first on the import path. The battery:
   episodes grew, top-level and nested. The top level runs in waves of
   several rows while the nested searches run in waves of one, which no
   digest above combines;
+- per `c_puct` of 0 and 1, one digest of 12 exact-mode `partition`
+  episodes with `UniformEvaluator` and no noise, sharing a nested memo:
+  what each episode returns, then every tree it grew. Every prior of a
+  node ties there, so selections come down to the lowest-index rule of
+  equal scores (at `c_puct` 0, every unvisited edge scores alike), which
+  the searches with `bench/params.ckpt` seldom reach;
 - the greedy `evaluate_generalization` grid with `bench/params.ckpt` at
   seed 0, lengths 5/10/20/40/60, five trials a cell: one digest of its
   accuracy rows, and one of its trials, read through the LSTM cell
@@ -84,6 +90,9 @@ EPISODES = 40
 # seeded with the seed plus 1000.
 LOCKSTEP_JOBS = [(2 + i % 4, 300 + i) for i in range(7)]
 LOCKSTEP_SIMULATIONS = (25, 15)  # top-level and nested
+TIE_C_PUCTS = (0.0, 1.0)
+TIE_EPISODES, TIE_SEED = 12, 303
+TIE_SIMULATIONS = (60, 30)  # top-level and nested
 EVAL_LENGTHS = (5, 10, 20, 40, 60)
 EVAL_TRIALS = 5
 TRAIN_STEPS, TRAIN_BATCH = 16, 16
@@ -208,6 +217,22 @@ def battery(A) -> dict[str, str]:
             hash_steps(lock.sha, steps)
         lock.sha.update(repr(stats).encode())
         out[f"lockstep: {len(jobs)} exact partition episodes, with every tree"] = lock.digest()
+
+        uniform = A.UniformEvaluator(lib)
+        top, nested = TIE_SIMULATIONS
+        for c_puct in TIE_C_PUCTS:
+            rng, cache, tally["trees"] = generator(TIE_SEED), {}, Tally("trees")
+            cfg = A.SearchConfig(mode=A.MODE_EXACT, c_puct=c_puct, dirichlet_weight=0.0,
+                                 simulations=top, nested_simulations=nested)
+            ties = tally["trees"]
+            for i in range(TIE_EPISODES):
+                env = A.sample_task_env(A.TaskId.PARTITION, 2 + i % 4, rng)
+                record, stats = A.run_episode(A.TaskId.PARTITION, env, uniform, lib,
+                                              cfg, rng, cache=cache)
+                ties.sha.update(repr((record.reward, record.e_final, stats)).encode())
+                hash_steps(ties.sha, record.steps)
+            out[f"uniform priors, c_puct {c_puct:g}: {TIE_EPISODES} exact partition "
+                "episodes, with every tree"] = ties.digest()
     finally:
         A.search._grow = grow
         A.trainer.TraceRecord = make_record
