@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .env import OBS_DIM
+from .pairwise import SupportSum
 from .programs import ARG_SPACE, ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec
 
 LOG_CLAMP = 1e-12
@@ -571,24 +572,32 @@ def train_step(params: ParameterSet, opt: AdamState, batch: Sequence) -> float:
 
 
 def masked_distributions(pi_p: np.ndarray, pi_a: np.ndarray,
-                         feasible: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict both policies to the feasible supports and renormalize.
+                         feasible: FeasibleSet) -> tuple[list[float], list[float]]:
+    """Restrict both policies to the feasible supports and renormalize, as
+    full-length lists of Python floats, 0.0 off the supports.
 
-    A zero masked mass (every feasible entry starved) falls back to
-    uniform over the support so the search always has a usable prior. A
-    NaN mass is not zero: it stays NaN, so that the search's own check
-    (`search.joint_prior`) rejects the network's output.
+    Each masked total is `np.add.reduce` of the policy with the entries
+    off the support zeroed, summed from the support alone in numpy's
+    pairwise order (`feasible.prog_sum`, `feasible.arg_sum`), so every
+    entry has the bits of numpy's `where`, sum and division. A zero
+    masked mass (every feasible entry starved) falls back to uniform over
+    the support so the search always has a usable prior. A NaN mass is
+    not zero: it stays NaN, so that the search's own check (in
+    `search.expand`) rejects the network's output.
     """
-    return _masked(pi_p, feasible.prog_mask), _masked(pi_a, feasible.arg_mask)
+    return _masked(pi_p.tolist(), feasible.prog_sum), _masked(pi_a.tolist(), feasible.arg_sum)
 
 
-def _masked(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.where(mask, pi, 0.0)
-    total = np.add.reduce(out)
+def _masked(pi: list[float], plan: SupportSum) -> list[float]:
+    total = plan.total(pi)
+    out = [0.0] * len(pi)
     if total == 0:
-        out[mask] = 1.0 / np.count_nonzero(mask)
+        u = 1.0 / len(plan.support)
+        for i in plan.support:
+            out[i] = u
     else:
-        out /= total
+        for i in plan.support:
+            out[i] = pi[i] / total
     return out
 
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import env as E
 from .env import NONE, P1, P2, P3, EnvState, TaskId
+from .pairwise import SupportSum
 
 ArgTuple = tuple[int, int, int]
 
@@ -265,22 +266,33 @@ def _signature(environment: EnvState, entry_checks: Iterable[tuple[int, TaskId]]
 class FeasibleSet(list):
     """Feasible `(spec, args)` pairs with their policy-head indices.
 
-    `prog_idx[k]`/`arg_idx[k]` are the program index and encoded argument
-    of pair k; `prog_mask`/`arg_mask` mark the programs and arguments the
-    pairs use. Sets from `feasible_pairs` are shared by every caller that
-    meets the same signature, so they must not be mutated.
+    `heads[k]` is (program index, encoded argument) of pair k, as Python
+    ints; `prog_idx`/`arg_idx` hold the same as arrays, built when first
+    read. `prog_mask`/`arg_mask` mark the programs and arguments the pairs
+    use, and `prog_sum`/`arg_sum` sum a policy over them (`SupportSum`).
+    Sets from `feasible_pairs` are shared by every caller that meets the
+    same signature, so they must not be mutated.
     """
 
-    def __init__(self, pairs, prog_idx: np.ndarray, arg_idx: np.ndarray, n_programs: int):
+    def __init__(self, pairs, heads: list[tuple[int, int]], n_programs: int):
         super().__init__(pairs)
-        self.prog_idx = prog_idx
-        self.arg_idx = arg_idx
+        self.heads = heads
         self.n_programs = n_programs
 
-    def take(self, rows: np.ndarray) -> "FeasibleSet":
-        """The pairs at `rows`, in that order."""
-        return FeasibleSet([self[i] for i in rows], self.prog_idx[rows],
-                           self.arg_idx[rows], self.n_programs)
+    def take(self, rows: Sequence[int]) -> "FeasibleSet":
+        """The pairs at `rows`, in that order. Its index arrays are built
+        only if read, as the search reads them at the root alone."""
+        heads = self.heads
+        return FeasibleSet([self[i] for i in rows], [heads[i] for i in rows],
+                           self.n_programs)
+
+    @cached_property
+    def prog_idx(self) -> np.ndarray:
+        return np.array([p for p, _ in self.heads], dtype=np.intp)
+
+    @cached_property
+    def arg_idx(self) -> np.ndarray:
+        return np.array([a for _, a in self.heads], dtype=np.intp)
 
     @cached_property
     def prog_mask(self) -> np.ndarray:
@@ -298,6 +310,14 @@ class FeasibleSet(list):
     def prog_support(self) -> np.ndarray:
         """Distinct program indices of the pairs, ascending."""
         return np.flatnonzero(self.prog_mask)
+
+    @cached_property
+    def prog_sum(self) -> SupportSum:
+        return SupportSum(sorted({p for p, _ in self.heads}), self.n_programs)
+
+    @cached_property
+    def arg_sum(self) -> SupportSum:
+        return SupportSum(sorted({a for _, a in self.heads}), ARG_SPACE)
 
     @cached_property
     def rows_of(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -319,8 +339,7 @@ class ActionTable:
         rows = [(i, spec, args) for i, spec in enumerate(programs)
                 for args in valid_arg_tuples(spec)]
         self.pairs = [(spec, args) for _, spec, args in rows]
-        self.prog_idx = np.array([i for i, _, _ in rows], dtype=np.intp)
-        self.arg_idx = np.array([args_encode(args) for _, _, args in rows], dtype=np.intp)
+        self.heads = [(i, args_encode(args)) for i, _, args in rows]
         self.programs = programs
         self._entry_checks: dict[int, tuple[tuple[int, TaskId], ...]] = {}
         self._memo: dict[tuple[int, int], FeasibleSet] = {}
@@ -340,7 +359,7 @@ class ActionTable:
             if not rows:  # `stop` is level 0 with no precondition
                 raise LibraryError(f"no callable pair below level {caller_level}")
             found = self._memo[key] = FeasibleSet(
-                [self.pairs[k] for k in rows], self.prog_idx[rows], self.arg_idx[rows],
+                [self.pairs[k] for k in rows], [self.heads[k] for k in rows],
                 len(self.programs))
         return found
 

@@ -43,26 +43,35 @@ exact-mode `search_nested` benchmark a selection meets 19.4 edges on
 average, 5.2 of them on the list.
 
 Approximate expansion draws its sample with `_sample_distinct`, numpy's
-no-replacement algorithm of `Generator.choice` written out inline. A call
-to the library spends most of its time on argument handling around a few
-small array operations, and a training search expands thousands of nodes
-per iteration. The inline version makes the same picks from the same
-random numbers; a property test pins it to `Generator.choice`, pick for
-pick and in the generator's final state. Dirichlet noise is drawn the same
-way, by `_dirichlet`.
+no-replacement algorithm of `Generator.choice` written out on Python
+floats: the cumulative sum in sequence (`accumulate`), its division by
+its last entry and the inversion of each draw (`bisect_right`), round
+after round. A call to the library spends most of its time on argument
+handling around a few small array operations, and a training search
+expands thousands of nodes per iteration. The list version makes the same
+picks from the same random numbers; a property test pins it to
+`Generator.choice`, pick for pick and in the generator's final state.
+Dirichlet noise is drawn the same way, by `_dirichlet`.
 
-Each node's edge statistics are lists of Python floats, not numpy arrays.
-Approximate expansion leaves about five edges per node, and on so few
-entries a numpy call costs far more in call overhead than in arithmetic;
-`puct_select` and `backup` run once per node per simulation. The bits are
-those of the array formulas: Python floats are IEEE doubles, as numpy's
-float64 entries are, every score is computed in the order of the array
-expression, and only a strictly greater score replaces the best, so ties
-go to the lowest index as `argmax` gives them. That holds because every
+The path from a leaf's network answer to its edges runs on lists of
+Python floats, and so do each node's edge statistics. Approximate
+expansion leaves about five edges per node of some 18 feasible pairs,
+and on so few entries a numpy call costs far more in call overhead than
+in arithmetic. `masked_distributions` masks the policies, and `expand`
+forms the joint prior, mixes in the noise, renormalizes and samples,
+calling numpy only to draw random numbers; `puct_select` and `backup`
+run once per node per simulation. The bits are those of the array
+formulas: Python floats are IEEE doubles, as numpy's float64 entries
+are, and every operation is made in the order of the array expression.
+A sum is taken in numpy's pairwise order (`pairwise.pairwise_sum`, and
+`pairwise.SupportSum` for a masked total), so the bit-identity rests on
+numpy summing float64 that way, which a property test checks. In a
+selection only a strictly greater score replaces the best, so ties go
+to the lowest index as `argmax` gives them. That holds because every
 prior and value is finite: the evaluator's priors and leaf values are
-checked (`joint_prior`, `_grow`), and a non-finite one raises
-SearchError instead of steering the search, so no NaN reaches a
-comparison.
+checked (`expand`, `_grow`), and so is the prior after the noise; a
+non-finite one raises SearchError instead of steering the search, so no
+NaN reaches a comparison.
 
 A tree is grown by one generator loop, `_grow`: each simulation walks the
 tree, and where it reaches a leaf to evaluate, `_grow` yields the request
@@ -117,7 +126,9 @@ probabilities give, so the traces are those of a policy that calls
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace as dc_replace
+from itertools import accumulate
 from typing import Any, Callable, Generator, Optional, Protocol, Sequence
 
 import numpy as np
@@ -137,6 +148,7 @@ from .network import (
     masked_distributions,
     zero_hidden,
 )
+from .pairwise import pairwise_sum
 from .programs import ArgTuple, FeasibleSet, ProgramLibrary, ProgramSpec, feasible_pairs
 
 MODE_EXACT = "exact"
@@ -145,8 +157,9 @@ MODE_APPROX = "approx"
 
 class SearchError(RuntimeError):
     """Broken search contract: no action budget, a nested search of an
-    atomic, a selection at a node without edges, or a non-finite network
-    output. No state lacks a callable pair: every learned call can stop."""
+    atomic, a selection at a node without edges, a non-finite network
+    output or noise, or a prior with no mass to renormalize. No state
+    lacks a callable pair: every learned call can stop."""
 
 
 def tunable(default, need: Optional[str] = None,
@@ -446,114 +459,141 @@ def backup(path: Sequence[tuple[Node, Optional[int]]], value: float) -> None:
                 node.candidates = head
 
 
-def joint_prior(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray) -> np.ndarray:
-    """Factorized prior over the node's feasible pairs, renormalized."""
-    pri = pi_p_masked[node.feasible.prog_idx] * pi_a_masked[node.feasible.arg_idx]
-    total = np.add.reduce(pri)
-    if not math.isfinite(total):
-        raise SearchError(f"non-finite prior mass {total} from the evaluator")
-    if total > 0:
-        return pri / total
-    return np.full(len(pri), 1.0 / len(pri))
-
-
 # numpy's tolerance on the sum of a probability vector.
 _P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def _sample_distinct(rng: np.random.Generator, p: np.ndarray, k: int) -> list[int]:
+def _sample_distinct(rng: np.random.Generator, p: list[float], k: int) -> list[int]:
     """`rng.choice(len(p), size=k, replace=False, p=p)` as a list: the same
     picks, in the same order, with the generator left in the same state.
 
-    It is numpy's algorithm, in rounds: draw one uniform per pick still
-    missing, zero the entries already picked, invert the draws through the
-    normalized cumulative sum (`searchsorted`, side right) and keep each
-    new index at its first occurrence. A zeroed entry is never drawn again,
-    so the rounds end once k distinct indices are picked. numpy's input
-    checks are kept, each raising ValueError.
+    It is numpy's algorithm, in rounds, on Python floats: draw one uniform
+    per pick still missing, zero the entries already picked, take the
+    cumulative sum in sequence (`accumulate`, as `np.cumsum` adds), divide
+    it by its last entry, invert each draw through it (`bisect_right`, as
+    `searchsorted` side right) and keep each new index at its first
+    occurrence. A zeroed entry is never drawn again, so the rounds end once
+    k distinct indices are picked. numpy's input checks are kept, each
+    raising ValueError; the sum they read need not have numpy's bits (its
+    own is Kahan's), only its tolerance. `p` is left as it is.
     """
-    total = float(p.sum())
+    total = sum(p)
     if math.isnan(total):
         raise ValueError("Probabilities contain NaN")
-    if (p < 0).any():
+    if min(p) < 0:
         raise ValueError("Probabilities are not non-negative")
     if abs(total - 1.0) > _P_SUM_ATOL:
         raise ValueError("Probabilities do not sum to 1")
-    if np.count_nonzero(p > 0) < k:
+    if len(p) - p.count(0.0) < k:
         raise ValueError("Fewer non-zero entries in p than size")
     picked: list[int] = []
     while len(picked) < k:
-        x = rng.random(k - len(picked))
+        draws = rng.random(k - len(picked)).tolist()
         if picked:
-            p = p.copy()
-            p[picked] = 0.0
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        for i in cdf.searchsorted(x, side="right").tolist():
+            p = p[:]
+            for i in picked:
+                p[i] = 0.0
+        cdf = list(accumulate(p))
+        last = cdf[-1]
+        if last != 1.0:  # c / 1.0 is c
+            cdf = [c / last for c in cdf]
+        for x in draws:
+            i = bisect_right(cdf, x)
             if i not in picked:
                 picked.append(i)
     return picked
 
 
-def _dirichlet(rng: np.random.Generator, alpha: float, m: int) -> np.ndarray:
-    """`rng.dirichlet(np.full(m, alpha))`: the same values, with the
-    generator left in the same state.
+def _dirichlet(rng: np.random.Generator, alpha: float, m: int) -> tuple[list[float], float]:
+    """`rng.dirichlet(np.full(m, alpha))`, with the generator left in the
+    same state, as (draws, scale): entry i of the noise is
+    `draws[i] * scale`, with numpy's bits.
 
-    Where numpy normalizes gamma variates, this is its loop written with
-    array calls: m draws of `standard_gamma(alpha)` in order, their sum
-    taken in sequence (`add.accumulate`, as numpy's loop adds them), and
-    each scaled by the reciprocal of that sum. Small alphas, where numpy
-    breaks a stick instead, go to the library call.
+    Where numpy normalizes gamma variates, this is its loop: m draws of
+    `standard_gamma(alpha)` in order, their sum taken in sequence, and
+    the reciprocal of that sum the scale that numpy multiplies each by.
+    `expand` applies the scale in the pass that mixes the noise in. Small
+    alphas, where numpy breaks a stick instead, go to the library call,
+    whose noise comes with scale 1.0 (a product by 1.0 is exact). Gamma
+    draws that sum to 0 have no scale (numpy's noise would be NaN), and
+    raise SearchError.
     """
     if alpha < 0.1:  # numpy's test is `alpha.max() < 0.1`
-        return rng.dirichlet(np.full(m, alpha))
-    g = rng.standard_gamma(alpha, size=m)
-    g *= 1.0 / np.add.accumulate(g)[-1]
-    return g
+        return rng.dirichlet(np.full(m, alpha)).tolist(), 1.0
+    g = rng.standard_gamma(alpha, size=m).tolist()
+    acc = 0.0
+    for x in g:
+        acc += x
+    if acc == 0:
+        raise SearchError("Dirichlet noise from gamma draws that sum to 0")
+    return g, 1.0 / acc
 
 
-def expand(node: Node, pi_p_masked: np.ndarray, pi_a_masked: np.ndarray,
+def _normalized(v: list[float]) -> list[float]:
+    """`v / np.add.reduce(v)`, for a total that is finite and not 0; any
+    other raises SearchError (after non-finite noise, say)."""
+    total = pairwise_sum(v)
+    if total == 0 or not math.isfinite(total):
+        raise SearchError(f"cannot renormalize a prior of mass {total}")
+    return [x / total for x in v]
+
+
+def expand(node: Node, pi_p_masked: list[float], pi_a_masked: list[float],
            cfg: SearchConfig, rng: np.random.Generator, stats: SearchStats) -> None:
     """Create the node's children from its feasible pairs, which are never
     empty: every learned call can stop, so the node gets at least one edge.
 
-    Training searches mix Dirichlet noise into the prior at every
-    expansion. Approximate mode then samples at most n_expand distinct
-    pairs from it; with n_expand >= M it reduces exactly to exact mode.
+    The prior of pair (p, a) is `pi_p_masked[p] * pi_a_masked[a]`, the
+    masked policies of `masked_distributions`, renormalized; a zero total
+    gives the uniform prior, and a total that is not finite raises
+    SearchError. Training searches mix Dirichlet noise into it at every
+    expansion; noise that is not finite raises SearchError too. Approximate
+    mode then samples at most n_expand distinct pairs from it; with
+    n_expand >= M it reduces exactly to exact mode.
 
-    Both draws are library algorithms run inline, because the library
-    calls spend most of their time on argument handling around a few
-    array operations on about 17 entries, and expansion is the most
-    frequent random draw of a training search. The noise comes from
-    `_dirichlet`, numpy's gamma-normalizing branch of `Generator.dirichlet`
-    for alpha >= 0.1; below that numpy breaks a stick, and the library
-    call is made. The sample comes from `_sample_distinct`, numpy's
-    no-replacement algorithm of `Generator.choice`. Property tests hold
-    each to its library call, value for value and in the generator's
-    final state.
+    Every step runs on lists of Python floats, with numpy's operations in
+    numpy's order (sums in its pairwise order, `pairwise_sum`), so the
+    priors and picks are those of the array formulas, bit for bit; numpy
+    is called only for random numbers. The noise comes from `_dirichlet`,
+    numpy's gamma-normalizing branch of `Generator.dirichlet` for alpha
+    >= 0.1; below that numpy breaks a stick, and the library call is
+    made. The sample comes from `_sample_distinct`, numpy's no-replacement
+    algorithm of `Generator.choice`. Property tests hold each to its
+    library call, value for value and in the generator's final state, and
+    the whole expansion to the array pipeline it replaces.
     """
     if node.edges or node.terminal:
         raise SearchError("expand on an expanded or terminal node")
-    pri = joint_prior(node, pi_p_masked, pi_a_masked)
-    m = len(pri)
+    feasible = node.feasible
+    joint = [pi_p_masked[p] * pi_a_masked[a] for p, a in feasible.heads]
+    m = len(joint)
+    total = pairwise_sum(joint)
+    if not math.isfinite(total):
+        raise SearchError(f"non-finite prior mass {total} from the evaluator")
+    if not total > 0:  # uniform, and x / 1.0 is x
+        joint, total = [1.0 / m] * m, 1.0
     if cfg.training and cfg.dirichlet_weight > 0.0:
-        noise = _dirichlet(rng, cfg.dirichlet_alpha, m)
-        pri = (1.0 - cfg.dirichlet_weight) * pri + cfg.dirichlet_weight * noise
-    if cfg.mode == MODE_APPROX and cfg.n_expand < m:
-        p_sample = pri
-        if np.count_nonzero(p_sample) < cfg.n_expand:
-            p_sample = p_sample + 1e-12
-        p_sample = p_sample / np.add.reduce(p_sample)
-        picked = np.sort(_sample_distinct(rng, p_sample, cfg.n_expand))
-        node.edges = node.feasible.take(picked)
-        pri = pri[picked]
-        pri = pri / np.add.reduce(pri)
+        # (1 - w) * prior + w * noise, the prior's division and the noise's
+        # scale made in the same pass, each in numpy's order
+        draws, scale = _dirichlet(rng, cfg.dirichlet_alpha, m)
+        w = cfg.dirichlet_weight
+        c = 1.0 - w
+        pri = [c * (x / total) + w * (y * scale) for x, y in zip(joint, draws)]
     else:
-        node.edges = node.feasible
-        pri = pri / np.add.reduce(pri)
+        pri = [x / total for x in joint]
+    if cfg.mode == MODE_APPROX and cfg.n_expand < m:
+        p = pri
+        if m - pri.count(0.0) < cfg.n_expand:  # too few to pick from
+            p = [x + 1e-12 for x in pri]
+        picked = sorted(_sample_distinct(rng, _normalized(p), cfg.n_expand))
+        edges = feasible.take(picked)
+        pri = [pri[i] for i in picked]
+    else:
+        edges = feasible
+    node.P = _normalized(pri)
+    node.edges = edges
     assert cfg.mode != MODE_APPROX or len(node.edges) <= cfg.n_expand
     k = len(node.edges)
-    node.P = pri.tolist()
     node.N = [0.0] * k
     node.W = [0.0] * k
     node.Q = [FPU_Q] * k

@@ -35,11 +35,12 @@ if MARK == "broken":
     raise RuntimeError("this checkout does not import")
 
 MODE_EXACT = "exact"
+MODE_APPROX = "approx"
 TaskId = NS(PARTITION="partition")
 
 
 class RunConfig:
-    def __init__(self, seed):
+    def __init__(self, seed, library_mode="args"):
         self.seed = seed
 
     def to_train_config(self):
@@ -64,8 +65,22 @@ class Trainer:  # MARK shows in the training digests
         return ""
 
 
+class Library:
+    def __init__(self, mode):
+        self.mode = mode
+
+    def manifest(self):
+        return self.mode
+
+    def __len__(self):
+        return 2
+
+    def index(self, name):
+        return 0
+
+
 def build_library(mode):
-    return NS(manifest=lambda: mode)
+    return Library(mode)
 
 
 def checkpoint_load(path, expected_manifest):
@@ -122,6 +137,7 @@ def _cell(params, z, c_prev):
 
 
 network = NS(_cell=_cell)
+programs = NS(ARG_SPACE=2)
 search = NS(run_search=_run_search, _grow=_grow, lockstep_episodes=_lockstep_episodes)
 if CELL_HOME == "search":
     search._cell = _cell
@@ -175,6 +191,11 @@ def train_step(params, opt, batch):
 '''
 
 
+BRANCH_DIGESTS = [f"{name}: 12 approx partition episodes, with every tree"
+                  for name in ("Dirichlet alpha 0.05", "Dirichlet weight 0",
+                               "sparse priors, no noise", "zero prior mass")]
+
+
 def fake_checkout(path, mark, prior=1.0, pi=1.0, loss=28.5, cell=1.0, cell_home="search"):
     package = path / "src" / "argsynth"
     package.mkdir(parents=True)
@@ -201,7 +222,7 @@ def differing(out):
 def test_identical_checkouts_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, "a", "a")
     assert code == 0
-    assert out.out.count("same  ") == 20 and "DIFFERS" not in out.out
+    assert out.out.count("same  ") == 25 and "DIFFERS" not in out.out
     assert out.out.rstrip().endswith("identical")
 
 
@@ -211,7 +232,7 @@ def test_the_greedy_cell_is_read_in_the_module_that_calls_it(tmp_path, capsys):
     the same greedy digest."""
     code, out = run(tmp_path, capsys, "a", "a", parent_cell_home="network")
     assert code == 0
-    assert out.out.count("same  ") == 20 and " over 5 greedy cell steps" in out.out
+    assert out.out.count("same  ") == 25 and " over 5 greedy cell steps" in out.out
 
 
 def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
@@ -223,6 +244,7 @@ def test_each_side_runs_its_own_sources_in_its_own_process(tmp_path, capsys):
                                   "train seed 5: metrics_csv + search_csv",
                                   "train seed 5: metrics_csv without loss + search_csv",
                                   "train seed 5: every episode",
+                                  "train noargs seed 0: metrics_csv + search_csv, with every tree",
                                   "greedy eval grid seed 0",
                                   "greedy eval grid seed 0: every trial, cell output and choice"]
     pids, dirs = zip(*(line.split() for line in
@@ -243,7 +265,9 @@ def test_tree_statistics_are_read_from_every_search(tmp_path, capsys):
                                   "uniform priors, c_puct 0: 12 exact partition episodes, "
                                   "with every tree",
                                   "uniform priors, c_puct 1: 12 exact partition episodes, "
-                                  "with every tree"]
+                                  "with every tree",
+                                  *BRANCH_DIGESTS,
+                                  "train noargs seed 0: metrics_csv + search_csv, with every tree"]
 
 
 def test_greedy_steps_are_read_to_the_last_bit(tmp_path, capsys):
@@ -268,12 +292,13 @@ def test_a_last_bit_change_in_the_cell_shows_on_the_clipped_network_line(tmp_pat
 
 def test_a_change_to_the_loss_alone_shows_only_on_the_full_metrics_line(tmp_path, capsys):
     """A change that reorders training's float sums moves the `loss` column
-    in its last bits: the full line reads DIFFERS, the line without the
-    loss `same`."""
+    in its last bits: the full lines read DIFFERS (the `noargs` line reads
+    the full metrics too), the lines without the loss `same`."""
     code, out = run(tmp_path, capsys, "a", "a", change_loss=28.500000000000004)
     assert code == 1
     assert differing(out.out) == ["train seed 0: metrics_csv + search_csv",
-                                  "train seed 5: metrics_csv + search_csv"]
+                                  "train seed 5: metrics_csv + search_csv",
+                                  "train noargs seed 0: metrics_csv + search_csv, with every tree"]
     assert "same  train seed 0: metrics_csv without loss + search_csv" in out.out
     assert "same  train seed 5: metrics_csv without loss + search_csv" in out.out
 
@@ -297,7 +322,9 @@ def test_trees_grown_by_the_tree_generator_are_read(tmp_path, capsys):
                                   "uniform priors, c_puct 0: 12 exact partition episodes, "
                                   "with every tree",
                                   "uniform priors, c_puct 1: 12 exact partition episodes, "
-                                  "with every tree"]
+                                  "with every tree",
+                                  *BRANCH_DIGESTS,
+                                  "train noargs seed 0: metrics_csv + search_csv, with every tree"]
     assert " over 1 trees" in out.out and " over 40 trees" in out.out
 
 

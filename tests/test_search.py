@@ -554,6 +554,55 @@ def uniform_masked(node, lib):
     return masked_distributions(pi_p, pi_a, node.feasible)
 
 
+# The array pipeline that `masked_distributions` and `expand` replaced,
+# kept as their reference: numpy's masking, joint prior, noise mix and
+# renormalizations, with the noise and the sample drawn by the library
+# calls `Generator.dirichlet` and `Generator.choice`.
+
+
+def reference_masked(pi, mask):
+    out = np.where(mask, pi, 0.0)
+    total = np.add.reduce(out)
+    if total == 0:
+        out[mask] = 1.0 / np.count_nonzero(mask)
+    else:
+        out /= total
+    return out
+
+
+def reference_joint_prior(feasible, pi_p_masked, pi_a_masked):
+    """Factorized prior over the feasible pairs, renormalized."""
+    pri = np.asarray(pi_p_masked)[feasible.prog_idx] * np.asarray(pi_a_masked)[feasible.arg_idx]
+    total = np.add.reduce(pri)
+    if not math.isfinite(total):
+        raise SearchError(f"non-finite prior mass {total} from the evaluator")
+    if total > 0:
+        return pri / total
+    return np.full(len(pri), 1.0 / len(pri))
+
+
+def reference_expand(feasible, pi_p, pi_a, cfg, r):
+    """The edges and the prior P that expansion gives a node with these
+    feasible pairs, from the evaluator's policies `pi_p` and `pi_a`."""
+    pri = reference_joint_prior(feasible, reference_masked(pi_p, feasible.prog_mask),
+                                reference_masked(pi_a, feasible.arg_mask))
+    m = len(pri)
+    if cfg.training and cfg.dirichlet_weight > 0.0:
+        noise = r.dirichlet(np.full(m, cfg.dirichlet_alpha))
+        pri = (1.0 - cfg.dirichlet_weight) * pri + cfg.dirichlet_weight * noise
+    if cfg.mode == MODE_APPROX and cfg.n_expand < m:
+        p_sample = pri
+        if np.count_nonzero(p_sample) < cfg.n_expand:
+            p_sample = p_sample + 1e-12
+        p_sample = p_sample / np.add.reduce(p_sample)
+        picked = np.sort(r.choice(m, size=cfg.n_expand, replace=False, p=p_sample))
+        edges = feasible.take(picked.tolist())
+        pri = pri[picked]
+    else:
+        edges = feasible
+    return edges, pri / np.add.reduce(pri)
+
+
 class TestExpand:
     def setup_method(self):
         self.lib = build_library("args")
@@ -623,9 +672,10 @@ class TestExpand:
 
 
 class TestDirichlet:
-    """`_dirichlet` is `Generator.dirichlet` on a constant alpha: the same
-    values and the generator left in the same state, on both sides of
-    numpy's switch to stick-breaking at alpha 0.1."""
+    """`_dirichlet` is `Generator.dirichlet` on a constant alpha: its draws
+    times its scale are the same values, and it leaves the generator in
+    the same state, on both sides of numpy's switch to stick-breaking at
+    alpha 0.1."""
 
     @given(m=st.integers(1, 80),
            alpha=st.one_of(st.sampled_from([0.1, float(np.nextafter(0.1, 0.0)),
@@ -636,7 +686,8 @@ class TestDirichlet:
     def test_matches_generator_dirichlet(self, m, alpha, seed):
         a, b = rng(seed), rng(seed)
         want = a.dirichlet(np.full(m, alpha))
-        assert search._dirichlet(b, alpha, m).tobytes() == want.tobytes()
+        draws, scale = search._dirichlet(b, alpha, m)
+        assert arr([x * scale for x in draws]).tobytes() == want.tobytes()
         assert b.bit_generator.state == a.bit_generator.state
 
 
@@ -671,14 +722,14 @@ class TestSampleDistinct:
         p = random_p(rng(seed), m, k, shape)
         a, b = rng(seed + 1), rng(seed + 1)
         want = a.choice(m, size=k, replace=False, p=p).tolist()
-        assert search._sample_distinct(b, p, k) == want
+        assert search._sample_distinct(b, p.tolist(), k) == want
         assert b.bit_generator.state == a.bit_generator.state
 
     def test_leaves_the_prior_alone(self):
-        p = random_p(rng(1), 30, 20, "skewed")
-        before = p.tobytes()
+        p = random_p(rng(1), 30, 20, "skewed").tolist()
+        before = list(p)
         search._sample_distinct(rng(2), p, 20)
-        assert p.tobytes() == before
+        assert p == before
 
     @pytest.mark.parametrize("p,k", [
         ([0.5, np.nan, 0.5], 1),
@@ -694,7 +745,7 @@ class TestSampleDistinct:
             rng().choice(len(p), size=k, replace=False, p=p)
         r = rng()
         with pytest.raises(ValueError):
-            search._sample_distinct(r, p, k)
+            search._sample_distinct(r, p.tolist(), k)
         assert r.bit_generator.state == rng().bit_generator.state
 
 
@@ -717,7 +768,7 @@ class TestApproxExpandFromSparsePrior:
     def with_generator_choice(self, mp, ma, cfg, r):
         """`expand`'s approximate branch written with `Generator.choice`."""
         node = prepared_node(self.node_env, self.lib)
-        pri = search.joint_prior(node, mp, ma)
+        pri = reference_joint_prior(node.feasible, mp, ma)
         p = pri
         if np.count_nonzero(p) < cfg.n_expand:
             p = p + 1e-12
@@ -734,11 +785,11 @@ class TestApproxExpandFromSparsePrior:
                     if np.count_nonzero(f.prog_idx == p) >= 3)
         rows = np.flatnonzero(f.prog_idx == prog)[:positive]
         mp, ma = self.priors(f, rows, [0.98, 0.01, 0.01][:positive])
-        assert np.count_nonzero(search.joint_prior(node, mp, ma)) == positive
+        assert np.count_nonzero(reference_joint_prior(f, mp, ma)) == positive
         cfg = SearchConfig(mode=MODE_APPROX, n_expand=3, training=False)
         want_edges, want_p = self.with_generator_choice(mp, ma, cfg, want_rng := rng(seed))
         r = rng(seed)
-        expand(node, mp, ma, cfg, r, SearchStats())
+        expand(node, mp.tolist(), ma.tolist(), cfg, r, SearchStats())
         assert list(node.edges) == list(want_edges)
         assert node.edges.prog_idx.tolist() == want_edges.prog_idx.tolist()
         assert node.edges.arg_idx.tolist() == want_edges.arg_idx.tolist()
@@ -747,6 +798,157 @@ class TestApproxExpandFromSparsePrior:
         one_round = rng(seed)
         one_round.random(3)
         assert r.bit_generator.state != one_round.bit_generator.state
+
+
+def raw_policy(r, n, shape):
+    """A policy of n entries as an evaluator gives it: "flat", "skewed",
+    "sparse" (mostly exact zeros) or "zero" (no mass at all)."""
+    p = r.random(n)
+    if shape == "skewed":
+        p = p ** 40
+    elif shape == "sparse":
+        p[r.random(n) < 0.85] = 0.0
+    elif shape == "zero":
+        p[:] = 0.0
+    total = p.sum()
+    return p / total if total > 0 else p
+
+
+LIBRARIES = {mode: build_library(mode) for mode in ("args", "noargs")}
+SHAPES = ["flat", "skewed", "sparse", "zero"]
+
+
+def expansion_case(library, task, n, seed):
+    """A fresh node of a state of `task` at length n, and a generator."""
+    lib = LIBRARIES[library]
+    meta = rng(seed)
+    node = prepared_node(sample_task_env(task, n, meta), lib, lib.spec(task.program_name).level)
+    return lib, node, meta
+
+
+class TestExpandMatchesArrayPipeline:
+    """`masked_distributions` and `expand` give the bits of the array
+    pipeline they replaced (`reference_masked`, `reference_expand`): the
+    same masked policies, the same prior P and edges, and the generator
+    left in the same state."""
+
+    @given(library=st.sampled_from(sorted(LIBRARIES)), task=st.sampled_from(TASKS),
+           n=st.integers(2, 6), shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_masking(self, library, task, n, shapes, seed):
+        lib, node, meta = expansion_case(library, task, n, seed)
+        pi_p, pi_a = raw_policy(meta, len(lib), shapes[0]), raw_policy(meta, ARG_SPACE, shapes[1])
+        f = node.feasible
+        mp, ma = masked_distributions(pi_p, pi_a, f)
+        assert all(type(x) is float for x in mp + ma)
+        assert arr(mp).tobytes() == reference_masked(pi_p, f.prog_mask).tobytes()
+        assert arr(ma).tobytes() == reference_masked(pi_a, f.arg_mask).tobytes()
+
+    @given(library=st.sampled_from(sorted(LIBRARIES)), task=st.sampled_from(TASKS),
+           n=st.integers(2, 6), shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
+           mode=st.sampled_from([MODE_EXACT, MODE_APPROX]), training=st.booleans(),
+           alpha=st.sampled_from([0.05, 0.3]), weight=st.sampled_from([0.0, 0.25, 1.0]),
+           n_expand=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_expansion(self, library, task, n, shapes, mode, training, alpha, weight,
+                       n_expand, seed):
+        lib, node, meta = expansion_case(library, task, n, seed)
+        pi_p, pi_a = raw_policy(meta, len(lib), shapes[0]), raw_policy(meta, ARG_SPACE, shapes[1])
+        cfg = SearchConfig(mode=mode, n_expand=n_expand, training=training,
+                           dirichlet_alpha=alpha, dirichlet_weight=weight)
+        self.check(node, pi_p, pi_a, cfg, seed)
+
+    @staticmethod
+    def check(node, pi_p, pi_a, cfg, seed):
+        want_rng, r = rng(seed + 1), rng(seed + 1)
+        want_edges, want_p = reference_expand(node.feasible, pi_p, pi_a, cfg, want_rng)
+        expand(node, *masked_distributions(pi_p, pi_a, node.feasible), cfg, r, SearchStats())
+        assert arr(node.P).tobytes() == want_p.tobytes()
+        assert list(node.edges) == list(want_edges)
+        assert node.edges.prog_idx.tolist() == want_edges.prog_idx.tolist()
+        assert node.edges.arg_idx.tolist() == want_edges.arg_idx.tolist()
+        assert r.bit_generator.state == want_rng.bit_generator.state
+        return r
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_masked_mass_under_noise(self, mode, alpha, seed):
+        """Every feasible entry 0: the uniform prior, then noise and, in
+        approximate mode, a sample."""
+        lib, node, _ = expansion_case("args", TaskId.PARTITION, 4, seed)
+        pi_p = (~node.feasible.prog_mask).astype(float)
+        pi_a = (~node.feasible.arg_mask).astype(float)
+        cfg = SearchConfig(mode=mode, n_expand=3, dirichlet_alpha=alpha)
+        self.check(node, pi_p, pi_a, cfg, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_sparse_prior_padded_and_drawn_in_several_rounds(self, seed):
+        """One positive pair of many: the prior is lifted by 1e-12 and the
+        sampler needs more than one round."""
+        lib, node, _ = expansion_case("args", TaskId.PARTITION_UPDATE, 5, seed)
+        f = node.feasible
+        pi_p, pi_a = np.zeros(len(lib)), np.zeros(ARG_SPACE)
+        pi_p[f.prog_idx[0]] = pi_a[f.arg_idx[0]] = 1.0
+        assert np.count_nonzero(
+            reference_joint_prior(f, *masked_distributions(pi_p, pi_a, f))) == 1
+        cfg = SearchConfig(mode=MODE_APPROX, n_expand=5, training=False)
+        r = self.check(node, pi_p, pi_a, cfg, seed)
+        one_round = rng(seed + 1)
+        one_round.random(5)
+        assert r.bit_generator.state != one_round.bit_generator.state
+
+
+class GammaStub:
+    """A generator whose gamma draws all equal `value`; its uniforms are
+    numpy's."""
+
+    def __init__(self, value):
+        self.value = value
+        self.uniform = rng(0)
+
+    def standard_gamma(self, alpha, size):
+        return np.full(size, self.value)
+
+    def random(self, size=None):
+        return self.uniform.random(size)
+
+
+class TestNonFiniteNoise:
+    """Noise that is not finite stops the search with SearchError in both
+    modes, and leaves the node unexpanded: gamma draws that sum to 0 have
+    no normalization, and NaN or infinite ones make the noisy prior NaN."""
+
+    lib = build_library("args")
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    @pytest.mark.parametrize("value,message", [
+        (0.0, "gamma draws that sum to 0"),
+        (np.nan, "cannot renormalize a prior of mass nan"),
+        (np.inf, "cannot renormalize a prior of mass nan"),
+    ])
+    def test_raises(self, mode, value, message):
+        node = prepared_node(make_env([3, 1, 2], 0, 2, 1, registry=0), self.lib)
+        mp, ma = uniform_masked(node, self.lib)
+        cfg = SearchConfig(mode=mode, n_expand=3, dirichlet_alpha=0.3)
+        with pytest.raises(SearchError, match=message):
+            expand(node, mp, ma, cfg, GammaStub(value), SearchStats())
+        assert not node.edges and node.P == ()
+
+    def test_a_sample_without_prior_mass_raises(self):
+        """A sample that draws only pairs of prior 0, each lifted by 1e-12,
+        has nothing to renormalize; numpy would have made the priors NaN.
+        Uniforms just below 1 draw the last pairs, round after round."""
+        node = prepared_node(make_env([3, 1, 2], 0, 2, 1, registry=0), self.lib)
+        f = node.feasible
+        mp, ma = [0.0] * len(self.lib), [0.0] * ARG_SPACE
+        mp[f.prog_idx[0]] = ma[f.arg_idx[0]] = 1.0
+        near_one = SimpleNamespace(random=lambda size: np.full(size, 1.0 - 1e-14))
+        cfg = SearchConfig(mode=MODE_APPROX, n_expand=3, training=False)
+        with pytest.raises(SearchError, match="cannot renormalize a prior of mass 0.0"):
+            expand(node, mp, ma, cfg, near_one, SearchStats())
+        assert not node.edges
 
 
 class TestNonFiniteEvaluator:
@@ -768,12 +970,18 @@ class TestNonFiniteEvaluator:
                            self.lib, cfg, SearchStats(), rng(18))
 
     def test_zero_prior_mass_is_uniform_and_an_infinite_one_raises(self):
-        node = prepared_node(make_env([3, 1, 2], 0, 2, 1, registry=0), self.lib)
+        env = make_env([3, 1, 2], 0, 2, 1, registry=0)
+        cfg = SearchConfig(mode=MODE_EXACT, training=False)
+        node = prepared_node(env, self.lib)
         m = len(node.feasible)
-        pri = search.joint_prior(node, np.zeros(len(self.lib)), np.zeros(ARG_SPACE))
-        assert pri.tolist() == [1.0 / m] * m
-        with pytest.raises(SearchError):
-            search.joint_prior(node, np.full(len(self.lib), np.inf), np.ones(ARG_SPACE))
+        expand(node, [0.0] * len(self.lib), [0.0] * ARG_SPACE, cfg, rng(), SearchStats())
+        uniform = np.full(m, 1.0 / m)  # the joint prior, renormalized once more
+        assert arr(node.P).tobytes() == (uniform / np.add.reduce(uniform)).tobytes()
+        node = prepared_node(env, self.lib)
+        with pytest.raises(SearchError, match="non-finite prior mass"):
+            expand(node, [math.inf] * len(self.lib), [1.0] * ARG_SPACE, cfg, rng(),
+                   SearchStats())
+        assert not node.edges
 
 
 class TestRunSearch:
@@ -995,7 +1203,7 @@ class TestSearchEpisode:
                          cfg, SearchStats(), rng(3))
         root = res.root
         assert root.visits == 1 and sum(root.N) == 0.0
-        prior = search.joint_prior(root, *masked_distributions(pi_p, pi_a, root.edges))
+        prior = reference_joint_prior(root.edges, *masked_distributions(pi_p, pi_a, root.edges))
         for got, idx, size in ((res.pi_p_mcts, root.edges.prog_idx, len(lib)),
                                (res.pi_a_mcts, root.edges.arg_idx, ARG_SPACE)):
             marginal = np.zeros(size)

@@ -34,6 +34,22 @@ checkout's `src/` first on the import path. The battery:
   node ties there, so selections come down to the lowest-index rule of
   equal scores (at `c_puct` 0, every unvisited edge scores alike), which
   the searches with `bench/params.ckpt` seldom reach;
+- approximate-mode `partition` episodes on branches of expansion that
+  the digests above seldom reach, 12 per digest (lengths 2-5, seed 404,
+  60/30 simulations, a shared nested memo), each digest covering what
+  every episode returns and every tree it grew: with `bench/params.ckpt`
+  and Dirichlet noise at alpha 0.05, where numpy breaks a stick instead
+  of normalizing gamma draws; with `bench/params.ckpt` and noise weight
+  0; with sparse priors and no noise, positive on the argument 0 and one
+  other argument alone, so a node often has fewer positive pairs than it
+  samples: the prior is lifted by 1e-12 and the sampler draws in several
+  rounds; and, under noise, with priors that put no mass on the feasible
+  pairs, where the masked policies (all-zero priors) or the joint prior
+  (mass on `stop` alone and none on its argument) fall back to uniform;
+- three default-config iterations of the `noargs` library at trainer
+  seed 0 (approximate search; 17 programs, whose masked sums have a tail
+  after numpy's blocks of 8): the sha256 of `metrics_csv() + search_csv()`
+  and every tree;
 - the greedy `evaluate_generalization` grid with `bench/params.ckpt` at
   seed 0, lengths 5/10/20/40/60, five trials a cell: one digest of its
   accuracy rows, and one of its trials, read through the LSTM cell
@@ -93,6 +109,10 @@ LOCKSTEP_SIMULATIONS = (25, 15)  # top-level and nested
 TIE_C_PUCTS = (0.0, 1.0)
 TIE_EPISODES, TIE_SEED = 12, 303
 TIE_SIMULATIONS = (60, 30)  # top-level and nested
+BRANCH_EPISODES, BRANCH_SEED = 12, 404
+BRANCH_SIMULATIONS = (60, 30)  # top-level and nested
+SPARSE_PRIORS = 5  # the sparse evaluator's priors, answered in turn
+NOARGS_SEED = 0
 EVAL_LENGTHS = (5, 10, 20, 40, 60)
 EVAL_TRIALS = 5
 TRAIN_STEPS, TRAIN_BATCH = 16, 16
@@ -218,21 +238,60 @@ def battery(A) -> dict[str, str]:
         lock.sha.update(repr(stats).encode())
         out[f"lockstep: {len(jobs)} exact partition episodes, with every tree"] = lock.digest()
 
+        def episodes(seed, count, evaluator, cfg):
+            """A digest of `count` `partition` episodes from `seed`, sharing
+            a nested memo: what each returns, then every tree it grew."""
+            rng, cache, tally["trees"] = generator(seed), {}, Tally("trees")
+            trees = tally["trees"]
+            for i in range(count):
+                env = A.sample_task_env(A.TaskId.PARTITION, 2 + i % 4, rng)
+                record, stats = A.run_episode(A.TaskId.PARTITION, env, evaluator, lib,
+                                              cfg, rng, cache=cache)
+                trees.sha.update(repr((record.reward, record.e_final, stats)).encode())
+                hash_steps(trees.sha, record.steps)
+            return trees.digest()
+
         uniform = A.UniformEvaluator(lib)
         top, nested = TIE_SIMULATIONS
         for c_puct in TIE_C_PUCTS:
-            rng, cache, tally["trees"] = generator(TIE_SEED), {}, Tally("trees")
             cfg = A.SearchConfig(mode=A.MODE_EXACT, c_puct=c_puct, dirichlet_weight=0.0,
                                  simulations=top, nested_simulations=nested)
-            ties = tally["trees"]
-            for i in range(TIE_EPISODES):
-                env = A.sample_task_env(A.TaskId.PARTITION, 2 + i % 4, rng)
-                record, stats = A.run_episode(A.TaskId.PARTITION, env, uniform, lib,
-                                              cfg, rng, cache=cache)
-                ties.sha.update(repr((record.reward, record.e_final, stats)).encode())
-                hash_steps(ties.sha, record.steps)
             out[f"uniform priors, c_puct {c_puct:g}: {TIE_EPISODES} exact partition "
-                "episodes, with every tree"] = ties.digest()
+                "episodes, with every tree"] = episodes(TIE_SEED, TIE_EPISODES, uniform, cfg)
+
+        draw = generator(BRANCH_SEED + 1)
+        sparse = []
+        for _ in range(SPARSE_PRIORS):
+            pi_a = np.zeros(A.programs.ARG_SPACE)
+            pi_a[[0, int(draw.integers(1, A.programs.ARG_SPACE))]] = draw.random(2) + 0.1
+            sparse.append((draw.random(len(lib)) + 0.1, pi_a))
+        # No mass on the support at all, then mass on `stop` alone with
+        # none on its argument 0: the masked and the joint prior fall back
+        # to uniform.
+        only_stop = np.zeros(len(lib))
+        only_stop[lib.index("stop")] = 1.0
+        zero_mass = [(np.zeros(len(lib)), np.zeros(A.programs.ARG_SPACE)),
+                     (only_stop, (np.arange(A.programs.ARG_SPACE) > 0).astype(float))]
+        top, nested = BRANCH_SIMULATIONS
+        branches = [
+            ("Dirichlet alpha 0.05", A.NetworkEvaluator(params), dict(dirichlet_alpha=0.05)),
+            ("Dirichlet weight 0", A.NetworkEvaluator(params), dict(dirichlet_weight=0.0)),
+            ("sparse priors, no noise", FixedPriors(sparse), dict(training=False)),
+            ("zero prior mass", FixedPriors(zero_mass), {}),
+        ]
+        for name, evaluator, kw in branches:
+            cfg = A.SearchConfig(mode=A.MODE_APPROX, simulations=top,
+                                 nested_simulations=nested, **kw)
+            out[f"{name}: {BRANCH_EPISODES} approx partition episodes, with every tree"] = (
+                episodes(BRANCH_SEED, BRANCH_EPISODES, evaluator, cfg))
+
+        tally["trees"] = Tally("trees")
+        trainer = A.Trainer(A.RunConfig(seed=NOARGS_SEED, library_mode="noargs")
+                            .to_train_config())
+        trainer.run(TRAIN_ITERATIONS)
+        tally["trees"].sha.update((trainer.metrics_csv() + trainer.search_csv()).encode())
+        out[f"train noargs seed {NOARGS_SEED}: metrics_csv + search_csv, "
+            "with every tree"] = tally["trees"].digest()
     finally:
         A.search._grow = grow
         A.trainer.TraceRecord = make_record
@@ -284,6 +343,28 @@ def battery(A) -> dict[str, str]:
             h.update(array.tobytes())
     out[f"params, m and v after {TRAIN_STEPS} train_steps"] = h.hexdigest()
     return out
+
+
+class FixedPriors:
+    """An evaluator that answers its k-th request with the k-th of its
+    (pi_p, pi_a) priors, in turn, and the value 0.5; a hidden state passes
+    through unchanged."""
+
+    def __init__(self, priors):
+        self.priors, self.k = priors, 0
+
+    def evaluate_many(self, requests):
+        answers = []
+        for _, _, hidden in requests:
+            pi_p, pi_a = self.priors[self.k % len(self.priors)]
+            self.k += 1
+            answers.append((pi_p, pi_a, 0.5, hidden))
+        return answers
+
+    def initial_hidden(self):
+        import numpy as np
+
+        return NS(h=np.zeros(1), c=np.zeros(1))
 
 
 def scaled_network(A, lib, rng, scale: float) -> str:
