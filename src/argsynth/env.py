@@ -231,12 +231,11 @@ def apply_atomic(env: EnvState, op: str, slots: tuple[int, ...]) -> EnvState:
         vals = list(values)
         vals[i], vals[j] = vals[j], vals[i]
         return EnvState(tuple(vals), p1, p2, p3, stack, env.registry)
-    if op == "ptr_left" or op == "ptr_right":
-        delta = -1 if op == "ptr_left" else 1
-        return EnvState(values, p1 + delta if P1 in slots else p1,
-                        p2 + delta if P2 in slots else p2,
-                        p3 + delta if P3 in slots else p3, stack, env.registry)
-    raise EnvError(f"unknown atomic operation {op!r}")
+    # ptr_left or ptr_right: `atomic_feasible` has rejected any other op.
+    delta = -1 if op == "ptr_left" else 1
+    return EnvState(values, p1 + delta if P1 in slots else p1,
+                    p2 + delta if P2 in slots else p2,
+                    p3 + delta if P3 in slots else p3, stack, env.registry)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +366,8 @@ def oracle_transform(task: TaskId, env: EnvState) -> EnvState:
         if atomic_feasible(e, "push", ()):
             e = apply_atomic(e, "push", ())
         return e
-    if task is TaskId.QUICKSORT:
-        return replace(env, values=tuple(sorted(env.values)), stack=(), registry=None)
-    raise EnvError(f"unknown task {task!r}")
+    # QUICKSORT: `task_precondition` has rejected any other task.
+    return replace(env, values=tuple(sorted(env.values)), stack=(), registry=None)
 
 
 def reward(task: TaskId, e_initial: EnvState, e_final: EnvState) -> int:

@@ -601,7 +601,7 @@ def _masked(pi: list[float], plan: SupportSum) -> list[float]:
     return out
 
 
-def _clear_argmax(z: np.ndarray, candidates: np.ndarray) -> Optional[int]:
+def _clear_argmax(z: np.ndarray, candidates: Sequence[int]) -> Optional[int]:
     """Position in `candidates` of the greatest of the logits z[candidates],
     when the softmax of `z` surely ranks that entry above the others too.
     None when it may not: a logit of `z` is not finite, another candidate
@@ -618,7 +618,7 @@ def _clear_argmax(z: np.ndarray, candidates: np.ndarray) -> Optional[int]:
     if not math.isfinite(sum(v)):
         return None
     hi, lo = max(v), min(v)
-    c = z[candidates].tolist()
+    c = [v[i] for i in candidates]
     best = max(c)
     k = c.index(best)
     c[k] = -math.inf
@@ -661,7 +661,7 @@ def greedy_select(params: ParameterSet, h: np.ndarray, feasible: FeasibleSet,
         logits[0] = _logits(h, a["prog_w"], a["prog_b"])
     k = _clear_argmax(logits[0], progs)
     if k is not None:
-        rows, args = feasible.rows_of[int(progs[k])]
+        rows, args = feasible.rows_of[progs[k]]
         if len(rows) == 1 and args_finite:
             return feasible[rows[0]]
         if logits[1] is None:
@@ -670,12 +670,12 @@ def greedy_select(params: ParameterSet, h: np.ndarray, feasible: FeasibleSet,
         if j is not None:
             return feasible[rows[j]]
     pi_p, pi_a = _heads(params, h)
-    rows, args = feasible.rows_of[int(progs[pi_p[progs].argmax()])]
-    row = rows[pi_a[args].argmax()]
+    rows, args = feasible.rows_of[progs[int(pi_p[progs].argmax())]]
+    row = rows[int(pi_a[args].argmax())]
     # argmax takes the first NaN it meets, so a NaN that could have steered
     # the choice is in the chosen entries.
-    if not (math.isfinite(pi_p[feasible.prog_idx[row]])
-            and math.isfinite(pi_a[feasible.arg_idx[row]])):
+    p, arg = feasible.heads[row]
+    if not (math.isfinite(pi_p[p]) and math.isfinite(pi_a[arg])):
         return None
     return feasible[row]
 

@@ -268,8 +268,10 @@ class FeasibleSet(list):
 
     `heads[k]` is (program index, encoded argument) of pair k, as Python
     ints; `prog_idx`/`arg_idx` hold the same as arrays, built when first
-    read. `prog_mask`/`arg_mask` mark the programs and arguments the pairs
-    use, and `prog_sum`/`arg_sum` sum a policy over them (`SupportSum`).
+    read. `prog_support` lists the programs the pairs use, ascending, and
+    `rows_of` each one's rows and argument indices; `prog_sum`/`arg_sum`
+    sum a policy over the programs and arguments the pairs use
+    (`SupportSum`). Every view is made from `heads` once, when first read.
     Sets from `feasible_pairs` are shared by every caller that meets the
     same signature, so they must not be mutated.
     """
@@ -295,37 +297,27 @@ class FeasibleSet(list):
         return np.array([a for _, a in self.heads], dtype=np.intp)
 
     @cached_property
-    def prog_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_programs, dtype=bool)
-        mask[self.prog_idx] = True
-        return mask
-
-    @cached_property
-    def arg_mask(self) -> np.ndarray:
-        mask = np.zeros(ARG_SPACE, dtype=bool)
-        mask[self.arg_idx] = True
-        return mask
-
-    @cached_property
-    def prog_support(self) -> np.ndarray:
+    def prog_support(self) -> list[int]:
         """Distinct program indices of the pairs, ascending."""
-        return np.flatnonzero(self.prog_mask)
+        return sorted({p for p, _ in self.heads})
 
     @cached_property
     def prog_sum(self) -> SupportSum:
-        return SupportSum(sorted({p for p, _ in self.heads}), self.n_programs)
+        return SupportSum(self.prog_support, self.n_programs)
 
     @cached_property
     def arg_sum(self) -> SupportSum:
         return SupportSum(sorted({a for _, a in self.heads}), ARG_SPACE)
 
     @cached_property
-    def rows_of(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Program index -> (its pairs' rows, their argument indices)."""
-        out = {}
-        for p in self.prog_support:
-            rows = np.flatnonzero(self.prog_idx == p)
-            out[int(p)] = (rows, self.arg_idx[rows])
+    def rows_of(self) -> dict[int, tuple[list[int], list[int]]]:
+        """Program index -> (its pairs' rows, their argument indices), both
+        in row order."""
+        out: dict[int, tuple[list[int], list[int]]] = {}
+        for k, (p, a) in enumerate(self.heads):
+            rows, args = out.setdefault(p, ([], []))
+            rows.append(k)
+            args.append(a)
         return out
 
 

@@ -9,6 +9,10 @@ triggers a nested search for that program with a fresh hidden state.
 Every learned call can stop, so every evaluated leaf gets at least one
 edge: a node is a leaf (no edges yet), expanded (exactly when it has
 edges) or terminal (a `stop`, a failed call, or no action budget left).
+A terminal is scored without its state, so some have none: the child of
+a failed call, and an atomic move below the root with no budget left,
+which `_materialize` makes without applying the move. About half of the
+children of a default training iteration are such moves.
 
 Most simulations of a well-trained search walk an existing path back to a
 terminal leaf. Such a simulation draws no random numbers, calls no
@@ -340,8 +344,9 @@ class Node:
     it has exactly when it is expanded: every learned call can stop, so
     `expand` gives every evaluated leaf at least one edge.
 
-    The child of a learned call whose nested search failed has no state:
-    its `env` is None, and it is a terminal worth 0.
+    A terminal child may have no state (`env` is None): the child of a
+    learned call whose nested search failed, and an atomic move below the
+    root with no action budget left. Both are terminals worth 0.
 
     `Q` holds each edge's mean value, FPU_Q while unvisited; `backup` keeps
     it current. An expanded node's first visit is the one that expanded
@@ -531,8 +536,11 @@ def _dirichlet(rng: np.random.Generator, alpha: float, m: int) -> tuple[list[flo
 
 def _normalized(v: list[float]) -> list[float]:
     """`v / np.add.reduce(v)`, for a total that is finite and not 0; any
-    other raises SearchError (after non-finite noise, say)."""
+    other raises SearchError (after non-finite noise, say). A total of 1.0
+    returns `v` itself, since x / 1.0 is x."""
     total = pairwise_sum(v)
+    if total == 1.0:
+        return v
     if total == 0 or not math.isfinite(total):
         raise SearchError(f"cannot renormalize a prior of mass {total}")
     return [x / total for x in v]
@@ -675,24 +683,35 @@ def recurse_subprogram(
 
 
 def _materialize(node: Node, idx: int, ctx: _Context, max_depth: int) -> Node:
+    """Make the child of `node` down edge `idx`, a terminal when it ends the
+    episode: a `stop` (worth its reward), a failed call or a child at the
+    action budget (worth 0).
+
+    An atomic child below the root at the budget gets no state: it is a
+    terminal worth 0 whatever its state, and nothing reads it. A child of
+    the root keeps its state, since the episode may commit it, and a
+    learned call runs its nested search, whose draws, memo entry and
+    counts the rest of the run depends on."""
     spec, args = node.edges[idx]
-    child = Node(env=node.env, h_in=node.h_out, depth=node.depth + 1)
+    depth = node.depth + 1
     if spec.name == "stop":
+        child = Node(node.env, node.h_out, depth)
         child.terminal = True
         child.value = float(E.reward_to_target(ctx.task, ctx.target, node.env))
-        node.children[idx] = child
-        return child
-    if spec.is_atomic:
-        child.env = P.apply_atomic(node.env, spec, args)
+    elif depth >= max_depth and node.depth and spec.is_atomic:
+        child = Node(None, node.h_out, depth)
+        child.terminal = True
     else:
-        child.env, _ = recurse_subprogram(
-            node.env, spec, ctx.lib, ctx.evaluator, ctx.cfg, ctx.stats,
-            ctx.rng, ctx.cache)
-    if child.env is None or child.depth >= max_depth:
+        if spec.is_atomic:
+            env = P.apply_atomic(node.env, spec, args)
+        else:
+            env, _ = recurse_subprogram(
+                node.env, spec, ctx.lib, ctx.evaluator, ctx.cfg, ctx.stats,
+                ctx.rng, ctx.cache)
+        child = Node(env, node.h_out, depth)
         # A failed call, or no action budget left below a state that has
         # not stopped.
-        child.terminal = True
-        child.value = 0.0
+        child.terminal = env is None or depth >= max_depth
     node.children[idx] = child
     return child
 
@@ -803,25 +822,23 @@ def _grow(
         # evaluated and expanded, then back up.
         path: SearchPath = []
         node = root
-        while True:
-            if node.terminal:
-                value = node.value
-                break
-            if not node.edges:
-                node.feasible = feasible_pairs(node.env, caller_level, lib)
-                pi_p, pi_a, value, h_out = yield node.env, task_index, node.h_in
-                if not math.isfinite(value):
-                    raise SearchError(f"non-finite leaf value {value} from the evaluator")
-                node.h_out = h_out
-                mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
-                expand(node, mp, ma, cfg, rng, stats)
-                break
+        while node.edges:  # a terminal has none
             idx = puct_select(node, c_puct)
             child = node.children[idx]
             if child is None:
                 child = _materialize(node, idx, ctx, max_depth)
             path.append((node, idx))
             node = child
+        if node.terminal:
+            value = node.value
+        else:
+            node.feasible = feasible_pairs(node.env, caller_level, lib)
+            pi_p, pi_a, value, h_out = yield node.env, task_index, node.h_in
+            if not math.isfinite(value):
+                raise SearchError(f"non-finite leaf value {value} from the evaluator")
+            node.h_out = h_out
+            mp, ma = masked_distributions(pi_p, pi_a, node.feasible)
+            expand(node, mp, ma, cfg, rng, stats)
         path.append((node, None))
         backup(path, value)
         stats.simulations += 1

@@ -68,6 +68,10 @@ def test_rates_summary_gives_side_medians_and_raw_rate_wins():
     assert (rates["raw_wins"], rates["pairs"]) == (1, 4)  # a tie counts for neither
     text = ab.format_summary(ab.summarize(pairs, METRICS), ab.failures(pairs), rates)
     assert "raw rate: parent 1.055 /s, change 1.02 /s (-0.033), change won 1/4" in text
+    # Raw-rate ratios 0.9524, 1.0377, 1.0, 0.9252, taken pair by pair.
+    assert rates["raw_ratio"] == pytest.approx(ab.quartiles(
+        [1.00 / 1.05, 1.10 / 1.06, 1.04 / 1.04, 0.99 / 1.07]))
+    assert f"pair ratio {rates['raw_ratio'][1]:.4f} [" in text
     assert "host slowdown: parent 1.115, change 1.035" in text
 
 
@@ -104,6 +108,23 @@ def test_gain_needs_nine_tenths_of_the_wins_and_a_gap_beyond_the_parent_iqr():
     # A lower-is-better metric gains by falling.
     row = ab.summarize(canned_pairs(parent, parent, rss, [40.0] * 10), METRICS)[1]
     assert row["wins"] == 10 and row["gain"] and row["relative"] == pytest.approx(-0.2)
+
+
+def test_the_pair_ratio_is_taken_within_each_pair_and_leaves_the_gain_rule_alone():
+    # The seeds spread the parent over 1.0..1.9 (IQR 0.55); in every pair the
+    # change runs 4% faster, a gap of 0.058 at the median, inside that range.
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    rss = [50.0] * 10
+    pairs = canned_pairs(parent, [x * 1.04 for x in parent], rss, [x * 0.99 for x in rss])
+    ops, mem = ab.summarize(pairs, METRICS)
+    assert ops["ratio"] == pytest.approx((1.04, 1.04, 1.04))
+    assert ops["wins"] == 10 and not ops["gain"]
+    assert mem["ratio"] == pytest.approx((0.99, 0.99, 0.99)) and mem["gain"]
+    rates = ab.summarize_rates([{side: p[side] | {"raw_rate": 1.0, "slowdown": 1.0}
+                                 for side in ab.SIDES} for p in pairs])
+    text = ab.format_summary([ops, mem], ab.failures(pairs), rates)
+    assert "| +0.040 | 1.0400 [1.0400, 1.0400] | 10/10 | no |" in text
+    assert "| -0.010 | 0.9900 [0.9900, 0.9900] | 10/10 | yes |" in text
 
 
 def test_gain_needs_ten_pairs():

@@ -24,6 +24,7 @@ from argsynth.env import (
     reward,
     sample_task_env,
     step_cap,
+    task_precondition,
     P1,
     P2,
     P3,
@@ -147,6 +148,18 @@ class TestAtomics:
         env = make_env([1, 2], 0, 1, 0)
         with pytest.raises(EnvError):
             apply_atomic(env, "pop", ())
+
+    def test_unknown_op_raises(self):
+        env = make_env([1, 2], 0, 1, 0)
+        for call in (atomic_feasible, apply_atomic):
+            with pytest.raises(EnvError, match="unknown atomic operation 'jump'"):
+                call(env, "jump", ())
+
+    def test_a_slot_that_names_no_pointer_raises(self):
+        env = make_env([1, 2], 0, 1, 0)
+        assert [env.ptr(s) for s in (P1, P2, P3)] == [0, 1, 0]
+        with pytest.raises(EnvError, match="not a pointer slot: 0"):
+            env.ptr(0)
 
     def test_determinism(self):
         env = make_env([4, 0, 7, 2], 1, 3, 1, registry=2)
@@ -358,6 +371,18 @@ def test_apply_atomic_fuzz_preserves_invariants():
 def test_tasks_keep_the_curriculum_order():
     assert TASKS == (TaskId.PARTITION_UPDATE, TaskId.PARTITION,
                      TaskId.QUICKSORT_UPDATE, TaskId.QUICKSORT)
+
+
+@pytest.mark.parametrize("call", [
+    lambda task, env: task_precondition(task, env),
+    lambda task, env: step_cap(task, env.n),
+    lambda task, env: sample_task_env(task, env.n, rng()),
+    lambda task, env: oracle_transform(task, env),
+])
+def test_an_unknown_task_raises(call):
+    env = make_env([2, 1, 3], 0, 2, 0, registry=0)
+    with pytest.raises(EnvError, match="unknown task 'partition'"):
+        call("partition", env)  # the program's name, not its TaskId
 
 
 class TestStepCaps:

@@ -834,10 +834,14 @@ class TestMaskingAndGreedy:
 
     def test_zero_mass_falls_back_to_uniform_over_the_support(self):
         # Every feasible entry 0, mass only where the mask is off.
-        pi_p = (~self.feasible.prog_mask).astype(float)
-        pi_a = (~self.feasible.arg_mask).astype(float)
+        prog_mask = np.zeros(len(self.lib), dtype=bool)
+        arg_mask = np.zeros(ARG_SPACE, dtype=bool)
+        for p, a in self.feasible.heads:
+            prog_mask[p] = arg_mask[a] = True
+        pi_p = (~prog_mask).astype(float)
+        pi_a = (~arg_mask).astype(float)
         mp, ma = masked_distributions(pi_p, pi_a, self.feasible)
-        for out, mask in ((mp, self.feasible.prog_mask), (ma, self.feasible.arg_mask)):
+        for out, mask in ((mp, prog_mask), (ma, arg_mask)):
             assert len(out) == len(mask)
             assert all(x == 1.0 / np.count_nonzero(mask) for x, on in zip(out, mask) if on)
             assert all(x == 0.0 for x, on in zip(out, mask) if not on)

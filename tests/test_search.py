@@ -26,7 +26,7 @@ from argsynth.network import (
     masked_distributions,
     train_step,
 )
-from argsynth import search
+from argsynth import programs, search
 from argsynth.programs import ARG_SPACE, build_library, feasible_pairs
 from argsynth.search import (
     FPU_Q,
@@ -560,6 +560,16 @@ def uniform_masked(node, lib):
 # calls `Generator.dirichlet` and `Generator.choice`.
 
 
+def support_masks(feasible, n_programs):
+    """The boolean masks of the programs and the arguments the feasible
+    pairs use, built from their heads."""
+    prog_mask = np.zeros(n_programs, dtype=bool)
+    arg_mask = np.zeros(ARG_SPACE, dtype=bool)
+    for p, a in feasible.heads:
+        prog_mask[p] = arg_mask[a] = True
+    return prog_mask, arg_mask
+
+
 def reference_masked(pi, mask):
     out = np.where(mask, pi, 0.0)
     total = np.add.reduce(out)
@@ -584,8 +594,9 @@ def reference_joint_prior(feasible, pi_p_masked, pi_a_masked):
 def reference_expand(feasible, pi_p, pi_a, cfg, r):
     """The edges and the prior P that expansion gives a node with these
     feasible pairs, from the evaluator's policies `pi_p` and `pi_a`."""
-    pri = reference_joint_prior(feasible, reference_masked(pi_p, feasible.prog_mask),
-                                reference_masked(pi_a, feasible.arg_mask))
+    prog_mask, arg_mask = support_masks(feasible, len(pi_p))
+    pri = reference_joint_prior(feasible, reference_masked(pi_p, prog_mask),
+                                reference_masked(pi_a, arg_mask))
     m = len(pri)
     if cfg.training and cfg.dirichlet_weight > 0.0:
         noise = r.dirichlet(np.full(m, cfg.dirichlet_alpha))
@@ -842,8 +853,9 @@ class TestExpandMatchesArrayPipeline:
         f = node.feasible
         mp, ma = masked_distributions(pi_p, pi_a, f)
         assert all(type(x) is float for x in mp + ma)
-        assert arr(mp).tobytes() == reference_masked(pi_p, f.prog_mask).tobytes()
-        assert arr(ma).tobytes() == reference_masked(pi_a, f.arg_mask).tobytes()
+        prog_mask, arg_mask = support_masks(f, len(lib))
+        assert arr(mp).tobytes() == reference_masked(pi_p, prog_mask).tobytes()
+        assert arr(ma).tobytes() == reference_masked(pi_a, arg_mask).tobytes()
 
     @given(library=st.sampled_from(sorted(LIBRARIES)), task=st.sampled_from(TASKS),
            n=st.integers(2, 6), shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
@@ -878,8 +890,9 @@ class TestExpandMatchesArrayPipeline:
         """Every feasible entry 0: the uniform prior, then noise and, in
         approximate mode, a sample."""
         lib, node, _ = expansion_case("args", TaskId.PARTITION, 4, seed)
-        pi_p = (~node.feasible.prog_mask).astype(float)
-        pi_a = (~node.feasible.arg_mask).astype(float)
+        prog_mask, arg_mask = support_masks(node.feasible, len(lib))
+        pi_p = (~prog_mask).astype(float)
+        pi_a = (~arg_mask).astype(float)
         cfg = SearchConfig(mode=mode, n_expand=3, dirichlet_alpha=alpha)
         self.check(node, pi_p, pi_a, cfg, seed)
 
@@ -1856,3 +1869,97 @@ class TestEvaluateMany:
             forward_rows(params, [obs[:-1], obs[:-1]], [t, t], [hidden, hidden])
         with pytest.raises(ValueError, match="task ind"):
             forward_rows(params, [obs, obs], [t], [hidden, hidden])
+
+
+def materialized(root):
+    """(parent, edge, child) for every child a tree made, parents first."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        for (spec, args), child in zip(node.edges, node.children):
+            if child is not None:
+                out.append((node, (spec, args), child))
+                stack.append(child)
+    return out
+
+
+class TestCappedChildren:
+    """A child at the action budget is a terminal worth 0. One of an atomic
+    call below the root has no state and costs no `apply_atomic`; one of
+    the root keeps its state, and a learned call runs its nested search."""
+
+    # partition's entry, where partition_update may be called too
+    ENV = make_env([3, 1, 2, 0], 0, 3, 0, registry=0)
+
+    @staticmethod
+    def search(monkeypatch, library, mode, budget, seed, nested_simulations=0):
+        lib = build_library(library)
+        applied = []
+        real = programs.apply_atomic
+
+        def counting(env, spec, args):
+            applied.append(spec.name)
+            return real(env, spec, args)
+
+        monkeypatch.setattr(programs, "apply_atomic", counting)
+        task, env = TaskId.PARTITION, TestCappedChildren.ENV
+        cfg = SearchConfig(mode=mode, n_expand=4, simulations=300,
+                           nested_simulations=nested_simulations, temperature=1.0)
+        ev = UniformEvaluator(lib)
+        stats, cache = SearchStats(), {}
+        res = run_search(task, env, ev.initial_hidden(), env, lib, ev, cfg, stats,
+                         rng(seed), steps_taken=step_cap(task, env.n) - budget,
+                         cache=cache)
+        return res, applied, stats, cache
+
+    @pytest.mark.parametrize("library", ["args", "noargs"])
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    def test_an_atomic_child_below_the_root_has_no_state(self, monkeypatch, library, mode):
+        # No nested search, so every `apply_atomic` call is this tree's.
+        res, applied, _, _ = self.search(monkeypatch, library, mode, budget=2, seed=1)
+        capped = stated = 0
+        for parent, (spec, _), child in materialized(res.root):
+            if not spec.is_atomic or spec.name == "stop":
+                continue
+            if parent is res.root:
+                assert child.env is not None and not child.terminal
+                stated += 1
+            else:
+                assert child.depth == 2 and child.terminal and child.value == 0.0
+                assert child.env is None
+                capped += 1
+        assert capped > stated > 0
+        assert len(applied) == stated  # none for a capped child
+
+    @pytest.mark.parametrize("library", ["args", "noargs"])
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_root_child_at_the_budget_keeps_its_state(self, monkeypatch, library, mode,
+                                                       seed):
+        res, applied, _, _ = self.search(monkeypatch, library, mode, budget=1, seed=seed)
+        root, children = res.root, materialized(res.root)
+        assert all(parent is root for parent, _, _ in children)
+        moves = [(spec, args, child) for _, (spec, args), child in children
+                 if spec.is_atomic and spec.name != "stop"]
+        assert moves and len(applied) == len(moves)
+        for spec, args, child in moves:
+            assert child.terminal and child.value == 0.0
+            assert child.env == programs.apply_atomic(root.env, spec, args)
+        chosen = list(root.edges).index((res.spec, res.args))
+        assert res.next_env is root.children[chosen].env
+        if res.spec.is_atomic:
+            assert res.next_env is not None
+
+    @pytest.mark.parametrize("library", ["args", "noargs"])
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+    def test_a_learned_call_at_the_budget_runs_its_nested_search(self, monkeypatch,
+                                                                library, mode):
+        res, _, stats, cache = self.search(monkeypatch, library, mode, budget=2, seed=2,
+                                           nested_simulations=3)
+        calls = [(parent, spec, child) for parent, (spec, _), child in materialized(res.root)
+                 if not spec.is_atomic and parent is not res.root]
+        assert calls
+        for parent, spec, child in calls:
+            assert child.depth == 2 and child.terminal and child.value == 0.0
+            assert child.env is cache[(spec.name, parent.env)][0]
+        assert stats.recursions >= len({(spec.name, parent.env) for parent, spec, _ in calls})

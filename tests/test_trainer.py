@@ -99,6 +99,13 @@ class TestCurriculum:
         assert stats.unlocked_tasks() == [TaskId.PARTITION_UPDATE]
         assert curriculum_select(stats, rng(0)) is TaskId.PARTITION_UPDATE
 
+    def test_no_unlocked_task_raises(self):
+        stats = TaskStats(0.95, 0.9)
+        stats.stats[TaskId.PARTITION_UPDATE].unlocked = False
+        assert stats.unlocked_tasks() == []
+        with pytest.raises(RuntimeError, match="no unlocked task"):
+            curriculum_select(stats, rng(0))
+
     def test_selection_weights_formula(self):
         stats = TaskStats(0.95, 0.9)
         stats.stats[TaskId.PARTITION_UPDATE].ema = 0.98

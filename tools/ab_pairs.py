@@ -16,18 +16,23 @@ Pair i uses seed `seeds[i % len(seeds)]`.
 
 For every end-to-end metric that the change's `BENCHMARK.json` declares,
 the summary gives each side's median and quartiles, the change's median
-against the parent's, and the pairs the change won (ties count for
-neither). A gain is claimed only from `MIN_PAIRS` pairs up, when the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range; with fewer pairs the Gain
-column reads `too few pairs`. `failed/attempted` sums each side's
-operations.
+against the parent's, the median and quartiles of the per-pair ratio
+(the change's value over the parent's in the same pair), and the pairs
+the change won (ties count for neither). A gain is claimed only from
+`MIN_PAIRS` pairs up, when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile
+range; with fewer pairs the Gain column reads `too few pairs`. The
+parent's range holds the spread between seeds as well as the host's
+noise, while the two runs of a pair share their seed and run back to
+back, so the ratio column shows the change's effect without the seeds'
+spread; it is printed beside the rule and does not enter it.
+`failed/attempted` sums each side's operations.
 
 Below the table come the two factors of `ops_per_s`, parsed from each run's
 standard-error line `raw rates R1 R2 ... /s, host slowdown F from ...`:
 each side's median raw round rate (the median over runs of each run's
-median round rate) with the pairs the change won on it, and each side's
-median host-slowdown factor. A difference in `ops_per_s` that the raw rates
+median round rate) with the pairs the change won on it and the quartiles
+of its per-pair ratio, and each side's median host-slowdown factor. A difference in `ops_per_s` that the raw rates
 do not share comes from the host-speed probe, not from the work timed.
 
 Exits 1 when any run reports `correct: false` or does not finish with a
@@ -86,6 +91,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def pair_ratios(parent: list[float], change: list[float]) -> tuple[float, float, float]:
+    """Quartiles of change / parent over the pairs (NaN where the parent
+    reads 0)."""
+    return quartiles([c / p if p else float("nan") for p, c in zip(parent, change)])
+
+
 def summarize(pairs: list[dict[str, dict]], metrics: list[dict]) -> list[dict]:
     """One row per end-to-end metric over `pairs`, each a
     {"parent": result, "change": result} of parsed run results.
@@ -107,6 +118,7 @@ def summarize(pairs: list[dict[str, dict]], metrics: list[dict]) -> list[dict]:
             "parent": (p_q1, p_med, p_q3),
             "change": (c_q1, c_med, c_q3),
             "relative": c_med / p_med - 1.0 if p_med else float("nan"),
+            "ratio": pair_ratios(values["parent"], values["change"]),
             "wins": wins,
             "pairs": len(pairs),
             "gain": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
@@ -127,6 +139,8 @@ def summarize_rates(pairs: list[dict[str, dict]]) -> dict:
     out = {key: {side: statistics.median(p[side][key] for p in pairs) for side in SIDES}
            for key in ("raw_rate", "slowdown")}
     out["raw_wins"] = sum(1 for p in pairs if p["change"]["raw_rate"] > p["parent"]["raw_rate"])
+    out["raw_ratio"] = pair_ratios([p["parent"]["raw_rate"] for p in pairs],
+                                   [p["change"]["raw_rate"] for p in pairs])
     out["pairs"] = len(pairs)
     return out
 
@@ -134,19 +148,20 @@ def summarize_rates(pairs: list[dict[str, dict]]) -> dict:
 def format_summary(rows: list[dict], fails: dict[str, tuple[int, int]],
                    rates: dict) -> str:
     out = ["| Metric | Better | Parent median [q1, q3] | Change median [q1, q3] "
-           "| Change vs parent | Wins | Gain |",
-           "|---|---|---|---|---:|---:|---|"]
+           "| Change vs parent | Pair ratio median [q1, q3] | Wins | Gain |",
+           "|---|---|---|---|---:|---|---:|---|"]
     for r in rows:
-        p, c = r["parent"], r["change"]
+        p, c, q = r["parent"], r["change"], r["ratio"]
         gain = "too few pairs" if r["pairs"] < MIN_PAIRS else "yes" if r["gain"] else "no"
         out.append(
             f"| `{r['metric']}` | {r['better']} | {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] "
             f"| {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}] | {r['relative']:+.3f} "
-            f"| {r['wins']}/{r['pairs']} | {gain} |")
-    raw, slow = rates["raw_rate"], rates["slowdown"]
+            f"| {q[1]:.4f} [{q[0]:.4f}, {q[2]:.4f}] | {r['wins']}/{r['pairs']} | {gain} |")
+    raw, slow, q = rates["raw_rate"], rates["slowdown"], rates["raw_ratio"]
     out.append(f"raw rate: parent {raw['parent']:.4g} /s, change {raw['change']:.4g} /s "
                f"({raw['change'] / raw['parent'] - 1.0:+.3f}), change won "
-               f"{rates['raw_wins']}/{rates['pairs']}")
+               f"{rates['raw_wins']}/{rates['pairs']}, pair ratio "
+               f"{q[1]:.4f} [{q[0]:.4f}, {q[2]:.4f}]")
     out.append(f"host slowdown: parent {slow['parent']:.4g}, change {slow['change']:.4g}")
     out.append("failed/attempted: " + ", ".join(
         f"{side} {f}/{a}" for side, (f, a) in fails.items()))
